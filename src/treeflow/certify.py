@@ -20,7 +20,7 @@ from .multiflow import Multiflow, TerminalPath
 from .realization import RealizationTree, TreeArc, mu, pi_set
 
 
-@dataclass
+@dataclass(frozen=True)
 class Certificate:
     """Per tree arc, the source side of a saturated separating cut."""
 
@@ -63,23 +63,32 @@ def mu_value(real: RealizationTree, flow: Union[Multiflow, List[TerminalPath]],
 
 
 def check_feasible(net: Network, flow: Union[Multiflow, List[TerminalPath]]):
-    """None when capacity- and divergence-feasible, else the violating arc."""
+    """None when the flow is feasible, else what violates it.
+
+    A component-form flow must respect capacities, and each component
+    may have positive divergence only at its source and negative only at
+    its target; the violating arc id is returned.  A path packing must
+    consist of walks with a positive integer weight between two distinct
+    terminals: a path with bad endpoints or weight, or whose arcs do not
+    run from its source to its target, is returned; otherwise the id of
+    the first arc that is unknown, does not continue its walk, or is
+    loaded beyond its capacity.
+    """
+    by_id = net.graph.arcs_by_id()
     if isinstance(flow, Multiflow):
         totals = flow.total_arc_flow()
-        caps = dict(net.capacity)
         for aid, w in sorted(totals.items(), key=lambda kv: sort_key(kv[0])):
-            if aid not in caps:
+            if aid not in by_id:
                 return aid
-            if w < 0 or w > caps[aid]:
+            if w < 0 or w > net.capacity[aid]:
                 return aid
-        arcs = net.graph.arcs
         for pair in flow.pairs():
             s, t = pair
             f = flow.components[pair]
             div: Dict[Hashable, int] = {}
-            for a in arcs:
-                w = f.get(a.id, 0)
+            for aid, w in f.items():
                 if w:
+                    a = by_id[aid]
                     div[a.tail] = div.get(a.tail, 0) + w
                     div[a.head] = div.get(a.head, 0) - w
             for v, d in div.items():
@@ -88,18 +97,22 @@ def check_feasible(net: Network, flow: Union[Multiflow, List[TerminalPath]]):
                 if d < 0 and v != t:
                     return next(iter(f))
         return None
+    terminals = set(net.terminals)
     totals: Dict[ArcId, int] = {}
-    arcs_by_id = net.graph.arcs_by_id()
     for p in flow:
+        if (p.source == p.target or p.source not in terminals or p.target not in terminals
+                or not p.arcs or not isinstance(p.weight, int) or isinstance(p.weight, bool)
+                or p.weight <= 0):
+            return p
         prev = None
         for aid in p.arcs:
-            a = arcs_by_id.get(aid)
-            if a is None:
-                return aid
-            if prev is not None and a.tail != prev:
+            a = by_id.get(aid)
+            if a is None or (prev is not None and a.tail != prev):
                 return aid
             prev = a.head
             totals[aid] = totals.get(aid, 0) + p.weight
+        if by_id[p.arcs[0]].tail != p.source or prev != p.target:
+            return p
     for aid, w in totals.items():
         if w > net.capacity[aid]:
             return aid
@@ -123,7 +136,6 @@ def verify_certificate(net: Network, real: RealizationTree,
         return CertificateViolation("infeasible", detail=bad)
 
     paths = flow.to_paths(net) if isinstance(flow, Multiflow) else flow
-    arcs_by_id = net.graph.arcs_by_id()
     terminals = net.terminals
 
     for a in real.quasi_arcs():

@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .certify import Certificate
 from .errors import InputError
-from .graphs import Digraph, Network
+from .graphs import Digraph, Network, sort_key
 from .multiflow import TerminalPath
 from .realization import RealizationTree
 
@@ -27,7 +27,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -40,7 +40,7 @@ def parse_rational(text) -> Fraction:
 def instance_to_document(net: Network, real: RealizationTree) -> dict:
     return {
         "graph": {
-            "vertices": sorted(net.vertices),
+            "vertices": sorted(net.vertices, key=sort_key),
             "arcs": [
                 {"id": a.id, "tail": a.tail, "head": a.head, "cap": net.capacity[a.id]}
                 for a in net.graph.arcs
@@ -48,7 +48,7 @@ def instance_to_document(net: Network, real: RealizationTree) -> dict:
         },
         "terminals": list(net.terminals),
         "tree": {
-            "vertices": sorted(real.vertices),
+            "vertices": sorted(real.vertices, key=sort_key),
             "edges": [
                 {
                     "u": u,
@@ -59,8 +59,12 @@ def instance_to_document(net: Network, real: RealizationTree) -> dict:
                 for (u, v) in real.edges()
             ],
         },
-        "subtrees": {str(t): sorted(real.subtrees[t]) for t in net.terminals},
+        "subtrees": {str(t): sorted(real.subtrees[t], key=sort_key) for t in net.terminals},
     }
+
+
+# JSON values usable as vertex, arc and terminal ids: the hashable ones
+_ID = (str, int, float, type(None))
 
 
 def _expect(doc: dict, key: str, kind, where: str):
@@ -72,16 +76,26 @@ def _expect(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _expect_ids(doc: dict, key: str, where: str) -> list:
+    """A list field whose every entry is an id."""
+    values = _expect(doc, key, list, where)
+    for x in values:
+        if not isinstance(x, _ID):
+            raise InputError(f"field {key!r} in {where} holds a non-id value {x!r}",
+                             code="malformed-document")
+    return values
+
+
 def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
     graph = _expect(doc, "graph", dict, "document")
-    vertices = _expect(graph, "vertices", list, "graph")
+    vertices = _expect_ids(graph, "vertices", "graph")
     arcs_doc = _expect(graph, "arcs", list, "graph")
     arcs = []
     caps = {}
     for a in arcs_doc:
-        aid = _expect(a, "id", None, "arc")
-        tail = _expect(a, "tail", None, "arc")
-        head = _expect(a, "head", None, "arc")
+        aid = _expect(a, "id", _ID, "arc")
+        tail = _expect(a, "tail", _ID, "arc")
+        head = _expect(a, "head", _ID, "arc")
         cap = _expect(a, "cap", None, "arc")
         if not isinstance(cap, int) or isinstance(cap, bool):
             raise InputError(f"capacity of arc {aid!r} must be an integer", code="non-integer-capacity")
@@ -89,15 +103,15 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
             raise InputError(f"capacity of arc {aid!r} is negative", code="negative-capacity")
         arcs.append((aid, tail, head))
         caps[aid] = cap
-    terminals = tuple(_expect(doc, "terminals", list, "document"))
+    terminals = tuple(_expect_ids(doc, "terminals", "document"))
     net = Network(Digraph.build(vertices, arcs), terminals, caps)
 
     tree = _expect(doc, "tree", dict, "document")
-    tvertices = _expect(tree, "vertices", list, "tree")
+    tvertices = _expect_ids(tree, "vertices", "tree")
     edges = []
     for e in _expect(tree, "edges", list, "tree"):
-        u = _expect(e, "u", None, "tree edge")
-        v = _expect(e, "v", None, "tree edge")
+        u = _expect(e, "u", _ID, "tree edge")
+        v = _expect(e, "v", _ID, "tree edge")
         edges.append((u, v, parse_rational(_expect(e, "len_uv", None, "tree edge")),
                       parse_rational(_expect(e, "len_vu", None, "tree edge"))))
     subs_doc = _expect(doc, "subtrees", dict, "document")
@@ -106,7 +120,7 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
         key = str(t)
         if key not in subs_doc:
             raise InputError(f"terminal {t!r} has no subtree", code="missing-subtree")
-        subtrees[t] = list(subs_doc[key])
+        subtrees[t] = _expect_ids(subs_doc, key, "subtrees")
     real = RealizationTree.build(tvertices, edges, subtrees)
     return net, real
 
@@ -128,7 +142,7 @@ def result_to_document(value: Fraction, paths: Optional[List[TerminalPath]],
     doc = {
         "value": format_rational(value),
         "certificate": [
-            {"tree_arc": [u, v], "cut": sorted(side)}
+            {"tree_arc": [u, v], "cut": sorted(side, key=sort_key)}
             for (u, v), side in sorted(cert.cuts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ],
         "stats": stats,
@@ -146,19 +160,19 @@ def document_to_result(doc: dict):
     paths = None
     if "paths" in doc:
         paths = []
-        for p in doc["paths"]:
+        for p in _expect(doc, "paths", list, "result"):
             paths.append(TerminalPath(
-                _expect(p, "from", None, "path"),
-                _expect(p, "to", None, "path"),
-                tuple(_expect(p, "arcs", list, "path")),
+                _expect(p, "from", _ID, "path"),
+                _expect(p, "to", _ID, "path"),
+                tuple(_expect_ids(p, "arcs", "path")),
                 _expect(p, "weight", int, "path"),
             ))
     cuts = {}
     for entry in _expect(doc, "certificate", list, "result"):
-        arc = _expect(entry, "tree_arc", list, "certificate entry")
+        arc = _expect_ids(entry, "tree_arc", "certificate entry")
         if len(arc) != 2:
             raise InputError("tree_arc must have two vertices", code="malformed-document")
-        cuts[(arc[0], arc[1])] = frozenset(_expect(entry, "cut", list, "certificate entry"))
+        cuts[(arc[0], arc[1])] = frozenset(_expect_ids(entry, "cut", "certificate entry"))
     return value, paths, Certificate(cuts)
 
 

@@ -193,18 +193,14 @@ def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[Ver
             raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
     seen = set(src)
     q = deque(src)
-    out_adj: Dict[VertexId, list] = {}
-    in_adj: Dict[VertexId, list] = {}
-    for a in net.graph.arcs:
-        out_adj.setdefault(a.tail, []).append(a)
-        in_adj.setdefault(a.head, []).append(a)
+    g = net.graph
     while q:
         u = q.popleft()
-        for a in out_adj.get(u, ()):  # forward residual
+        for a in g.out_arcs(u):  # forward residual
             if net.capacity[a.id] - f.get(a.id, 0) > 0 and a.head not in seen:
                 seen.add(a.head)
                 q.append(a.head)
-        for a in in_adj.get(u, ()):  # backward residual
+        for a in g.in_arcs(u):  # backward residual
             if f.get(a.id, 0) > 0 and a.tail not in seen:
                 seen.add(a.tail)
                 q.append(a.tail)
@@ -348,10 +344,3 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
         raise ContractViolation("decomposition left unmet surplus or demand")
     return [PathFlow(k, collected[k]) for k in order]
 
-
-def paths_to_arc_function(paths: WeightedPathCollection) -> Dict[ArcId, int]:
-    out: Dict[ArcId, int] = {}
-    for p in paths:
-        for aid in p.arcs:
-            out[aid] = out.get(aid, 0) + p.weight
-    return out

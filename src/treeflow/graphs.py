@@ -5,12 +5,18 @@ stable across contraction so that paths computed in a contracted network
 can be mapped back to the original arcs.  Parallel and antiparallel arcs
 are first class; self-loops are dropped on construction and whenever a
 contraction creates them.
+
+Every structure here is frozen.  A Digraph builds one index of its arcs
+(by id, and out of and into each vertex, in arc order) the first time a
+lookup needs it and keeps it for its lifetime; code that needs these
+lookups reads them from the graph instead of building its own copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Tuple
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, Mapping, Tuple
 
 from .errors import InputError, ContractViolation
 
@@ -23,6 +29,14 @@ MAX_CAPACITY = 2**63 - 1
 def sort_key(x):
     """Stable ordering key for mixed-type ids."""
     return (x.__class__.__name__, repr(x))
+
+
+def fresh_id(taken, *stem) -> Hashable:
+    """The id stem + (k,) for the smallest k >= 0 that is not in taken."""
+    k = 0
+    while (*stem, k) in taken:
+        k += 1
+    return (*stem, k)
 
 
 @dataclass(frozen=True)
@@ -55,8 +69,28 @@ class Digraph:
             kept.append(Arc(aid, tail, head))
         return Digraph(vset, tuple(kept))
 
-    def arcs_by_id(self) -> Dict[ArcId, Arc]:
-        return {a.id: a for a in self.arcs}
+    @cached_property
+    def _index(self):
+        by_id, out, into = {}, {}, {}
+        for a in self.arcs:
+            by_id[a.id] = a
+            out.setdefault(a.tail, []).append(a)
+            into.setdefault(a.head, []).append(a)
+        return (by_id,
+                {v: tuple(arcs) for v, arcs in out.items()},
+                {v: tuple(arcs) for v, arcs in into.items()})
+
+    def arcs_by_id(self) -> Mapping[ArcId, Arc]:
+        """Every arc by its id; the graph's own copy, not to be modified."""
+        return self._index[0]
+
+    def out_arcs(self, v: VertexId) -> Tuple[Arc, ...]:
+        """Arcs leaving v, in arc order."""
+        return self._index[1].get(v, ())
+
+    def in_arcs(self, v: VertexId) -> Tuple[Arc, ...]:
+        """Arcs entering v, in arc order."""
+        return self._index[2].get(v, ())
 
 
 @dataclass(frozen=True)
@@ -91,12 +125,6 @@ class Network:
     def vertices(self) -> frozenset:
         return self.graph.vertices
 
-    def out_arcs(self, v: VertexId):
-        return [a for a in self.graph.arcs if a.tail == v]
-
-    def in_arcs(self, v: VertexId):
-        return [a for a in self.graph.arcs if a.head == v]
-
     def inner_vertices(self):
         ts = set(self.terminals)
         return [v for v in sorted(self.vertices, key=sort_key) if v not in ts]
@@ -114,19 +142,12 @@ class Cut:
             raise InputError("cut side must be a nonempty proper vertex subset", code="invalid-cut")
 
 
-def divergence(net: Network, f: Dict[ArcId, int], v: VertexId) -> int:
+def divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
     """Net outflow of f at v: f over out-arcs minus f over in-arcs."""
     if v not in net.vertices:
         raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
-    total = 0
-    for a in net.graph.arcs:
-        w = f.get(a.id, 0)
-        if w:
-            if a.tail == v:
-                total += w
-            if a.head == v:
-                total -= w
-    return total
+    g = net.graph
+    return sum(f.get(a.id, 0) for a in g.out_arcs(v)) - sum(f.get(a.id, 0) for a in g.in_arcs(v))
 
 
 def is_eulerian_at(net: Network, v: VertexId) -> bool:

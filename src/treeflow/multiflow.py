@@ -7,11 +7,10 @@ explicit weighted path packing once at the end; both forms live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
-from .errors import ContractViolation
-from .flows import decompose
-from .graphs import ArcId, Network, sort_key
+from .flows import PathFlow, decompose
+from .graphs import ArcId, Network, divergence, sort_key
 
 
 @dataclass(frozen=True)
@@ -24,19 +23,20 @@ class TerminalPath:
     weight: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Multiflow:
     """Map from ordered terminal pairs to integer flow functions."""
 
     components: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = field(default_factory=dict)
 
     @staticmethod
-    def from_paths(paths: List[TerminalPath]) -> "Multiflow":
+    def from_paths(net: Network, paths: Iterable[PathFlow]) -> "Multiflow":
+        """Sum weighted paths (PathFlow or TerminalPath) into components,
+        keyed by the tail of each path's first arc and the head of its last."""
+        by_id = net.graph.arcs_by_id()
         comps: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = {}
         for p in paths:
-            if p.source == p.target:
-                raise ContractViolation("multiflow path with equal endpoints")
-            f = comps.setdefault((p.source, p.target), {})
+            f = comps.setdefault((by_id[p.arcs[0]].tail, by_id[p.arcs[-1]].head), {})
             for aid in p.arcs:
                 f[aid] = f.get(aid, 0) + p.weight
         return Multiflow(comps)
@@ -45,17 +45,8 @@ class Multiflow:
         return sorted(self.components, key=lambda st: (sort_key(st[0]), sort_key(st[1])))
 
     def component_value(self, net: Network, pair) -> int:
-        s, _t = pair
-        f = self.components[pair]
-        total = 0
-        for a in net.graph.arcs:
-            w = f.get(a.id, 0)
-            if w:
-                if a.tail == s:
-                    total += w
-                if a.head == s:
-                    total -= w
-        return total
+        """Net outflow of the pair's component at its source."""
+        return divergence(net, self.components[pair], pair[0])
 
     def total_arc_flow(self) -> Dict[ArcId, int]:
         out: Dict[ArcId, int] = {}

@@ -18,18 +18,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
 from .errors import InputError, ContractViolation
-from .graphs import Network, Digraph, VertexId, sort_key
+from .graphs import Network, Digraph, VertexId, fresh_id, sort_key
 
 TreeVertex = Hashable
 TreeArc = Tuple[TreeVertex, TreeVertex]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealizationTree:
-    """Undirected tree with per-direction arc lengths and terminal subtrees."""
+    """Undirected tree with per-direction arc lengths and terminal subtrees.
+
+    The neighbour lists are built on first use and kept; every tree walk
+    reads that one copy.
+    """
 
     vertices: frozenset
     arc_length: Dict[TreeArc, Fraction]
@@ -75,15 +80,17 @@ class RealizationTree:
 
     # -- structure helpers ------------------------------------------------
 
-    def adjacency(self) -> Dict[TreeVertex, List[TreeVertex]]:
+    @cached_property
+    def _adjacency(self) -> Mapping[TreeVertex, Tuple[TreeVertex, ...]]:
         adj: Dict[TreeVertex, List[TreeVertex]] = {v: [] for v in self.vertices}
         for (u, v) in self.arc_length:
-            if sort_key(u) < sort_key(v):
-                adj[u].append(v)
-                adj[v].append(u)
-        for lst in adj.values():
-            lst.sort(key=sort_key)
-        return adj
+            adj[u].append(v)
+        return {v: tuple(sorted(ns, key=sort_key)) for v, ns in adj.items()}
+
+    def adjacency(self) -> Mapping[TreeVertex, Tuple[TreeVertex, ...]]:
+        """Neighbours of every tree vertex, sorted by sort_key; the tree's
+        own copy, not to be modified."""
+        return self._adjacency
 
     def edges(self) -> List[Tuple[TreeVertex, TreeVertex]]:
         out = []
@@ -330,13 +337,6 @@ class NormalizeRecord:
     arc_map: Dict[TreeArc, Optional[TreeArc]] = field(default_factory=dict)
 
 
-def _fresh_id(existing, stem) -> Hashable:
-    k = 0
-    while ("+", stem, k) in existing:
-        k += 1
-    return ("+", stem, k)
-
-
 def split_linear_terminal(net: Network, real: RealizationTree, s):
     """Replace a linear terminal by two simple ones at its path ends.
 
@@ -353,23 +353,23 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     if _path_length(real, t2, t1) != 0:
         raise ContractViolation("linear terminal has no zero-length direction")
 
-    cap_in = sum(net.capacity[a.id] for a in net.graph.arcs if a.head == s)
-    cap_out = sum(net.capacity[a.id] for a in net.graph.arcs if a.tail == s)
-    verts = set(net.vertices)
-    s1 = _fresh_id(verts, ("in", s))
-    s2 = _fresh_id(verts | {s1}, ("out", s))
-    arc_ids = {a.id for a in net.graph.arcs}
-    a_in = _fresh_id(arc_ids, ("arc-in", s))
-    a_out = _fresh_id(arc_ids | {a_in}, ("arc-out", s))
+    g = net.graph
+    cap_in = sum(net.capacity[a.id] for a in g.in_arcs(s))
+    cap_out = sum(net.capacity[a.id] for a in g.out_arcs(s))
+    # the stems differ, so the two new vertices (and arcs) cannot collide
+    s1 = fresh_id(net.vertices, "+", ("in", s))
+    s2 = fresh_id(net.vertices, "+", ("out", s))
+    a_in = fresh_id(g.arcs_by_id(), "+", ("arc-in", s))
+    a_out = fresh_id(g.arcs_by_id(), "+", ("arc-out", s))
 
-    arcs = [(a.id, a.tail, a.head) for a in net.graph.arcs]
+    arcs = [(a.id, a.tail, a.head) for a in g.arcs]
     arcs.append((a_in, s, s1))
     arcs.append((a_out, s2, s))
     caps = dict(net.capacity)
     caps[a_in] = cap_in
     caps[a_out] = cap_out
     terminals = tuple(t for t in net.terminals if t != s) + (s1, s2)
-    new_net = Network(Digraph.build(verts | {s1, s2}, arcs), terminals, caps)
+    new_net = Network(Digraph.build(net.vertices | {s1, s2}, arcs), terminals, caps)
 
     subs = dict(real.subtrees)
     del subs[s]
@@ -453,7 +453,7 @@ def normalize(net: Network, real: RealizationTree):
             movers = [t for t, sub in subs.items() if sub == {v}]
             if not movers:
                 continue
-            v2 = _fresh_id(tverts, ("leaf", v))
+            v2 = fresh_id(tverts, "+", ("leaf", v))
             tverts.add(v2)
             lengths[(v, v2)] = Fraction(0)
             lengths[(v2, v)] = Fraction(0)
@@ -470,7 +470,7 @@ def normalize(net: Network, real: RealizationTree):
                 break
             neighbors = sorted(adj[v], key=sort_key)
             keep, move = neighbors[:2], neighbors[2:]
-            v2 = _fresh_id(tverts, ("deg", v))
+            v2 = fresh_id(tverts, "+", ("deg", v))
             tverts.add(v2)
             for w in move:
                 lengths[(v2, w)] = lengths.pop((v, w))

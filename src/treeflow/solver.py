@@ -19,8 +19,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .flows import decompose, max_flow, min_cut_source_side, lex_max_flow, PathFlow
-from .graphs import ArcId, Cut, Digraph, Network, VertexId, contract, sort_key
+from .flows import decompose, max_flow, min_cut_source_side, lex_max_flow
+from .graphs import ArcId, Cut, Digraph, Network, VertexId, contract, fresh_id, is_eulerian_at, sort_key
 from .multiflow import Multiflow, TerminalPath
 from .realization import (
     NormalizeRecord,
@@ -43,7 +43,7 @@ class SolveStats:
     wall_ms: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOutput:
     multiflow: Multiflow
     certificate: Certificate
@@ -52,13 +52,6 @@ class SolveOutput:
 
 
 # -- small helpers ---------------------------------------------------------
-
-
-def _fresh_vertex(taken: Set, label: str) -> Hashable:
-    k = 0
-    while ("@", label, k) in taken:
-        k += 1
-    return ("@", label, k)
 
 
 def _add_arcfunc(target: Dict[ArcId, int], src: Dict[ArcId, int], sign: int = 1) -> None:
@@ -71,18 +64,6 @@ def _merge_components(target: Components, pair, f: Dict[ArcId, int]) -> None:
     if not any(f.values()):
         return
     _add_arcfunc(target.setdefault(pair, {}), f)
-
-
-def _paths_to_components(net: Network, paths: List[PathFlow]) -> Components:
-    by_id = net.graph.arcs_by_id()
-    comps: Components = {}
-    for p in paths:
-        s = by_id[p.arcs[0]].tail
-        t = by_id[p.arcs[-1]].head
-        f = comps.setdefault((s, t), {})
-        for aid in p.arcs:
-            f[aid] = f.get(aid, 0) + p.weight
-    return comps
 
 
 def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[TerminalPath]:
@@ -145,16 +126,11 @@ class _FreeCore:
         self.terms = list(terminals)
         self.tset = set(terminals)
         self.stats = stats
-        self.arcs = net.graph.arcs
+        self.graph = net.graph
         self.cap = net.capacity
         self.flow: Dict[Tuple[int, int], Dict[ArcId, int]] = {}
         self.used: Dict[ArcId, int] = {}
-        self.out_arcs: Dict[VertexId, list] = {}
-        self.in_arcs: Dict[VertexId, list] = {}
-        for a in self.arcs:
-            self.out_arcs.setdefault(a.tail, []).append(a)
-            self.in_arcs.setdefault(a.head, []).append(a)
-        self.sigma = [sum(self.cap[a.id] for a in self.out_arcs.get(t, ())) for t in self.terms]
+        self.sigma = [sum(self.cap[a.id] for a in self.graph.out_arcs(t)) for t in self.terms]
         self.out_total = [0] * len(self.terms)
 
     def run(self) -> Dict[Tuple[int, int], Dict[ArcId, int]]:
@@ -201,7 +177,7 @@ class _FreeCore:
             others = [u for u in self.terms if u != t]
             arcs = []
             caps = {}
-            for a in self.arcs:
+            for a in self.graph.arcs:
                 if a.head == t or (a.tail in self.tset and a.tail != t):
                     continue  # no arrivals at the source, no departures from sinks
                 left = self.cap[a.id] - self.used.get(a.id, 0)
@@ -213,7 +189,7 @@ class _FreeCore:
             f, _v = max_flow(sub, [t], others)
             if not f:
                 continue
-            by_id = sub.graph.arcs_by_id()
+            by_id = self.graph.arcs_by_id()
             for p in decompose(sub, f, [t], others):
                 j = self.terms.index(by_id[p.arcs[-1]].head)
                 comp = self.flow.setdefault((i, j), {})
@@ -237,7 +213,7 @@ class _FreeCore:
         q = deque()
         if vertex is None:
             start = self.terms[kappa]
-            for a in self.out_arcs.get(start, ()):
+            for a in self.graph.out_arcs(start):
                 if self.used.get(a.id, 0) < self.cap[a.id]:
                     st = (a.head, kappa)
                     if st not in parents:
@@ -253,7 +229,7 @@ class _FreeCore:
         while q:
             state = q.popleft()
             v, kap = state
-            for a in self.out_arcs.get(v, ()):
+            for a in self.graph.out_arcs(v):
                 if self.used.get(a.id, 0) < self.cap[a.id]:  # forward
                     if a.head in self.tset:
                         if a.head != self.terms[kap]:
@@ -276,7 +252,7 @@ class _FreeCore:
                             q.append(nxt)
             if v in self.tset:
                 continue  # departures of other terminals stay untouched
-            for a in self.in_arcs.get(v, ()):  # reverse, re-sourcing a unit
+            for a in self.graph.in_arcs(v):  # reverse, re-sourcing a unit
                 if self.used.get(a.id, 0) <= 0:
                     continue
                 for donor in self._donors_for(a.id):
@@ -354,7 +330,7 @@ class _FreeCore:
         Bundled plans are pre-validated by _walk_width and cannot go
         stale; a stale move there means a broken invariant.
         """
-        by_id = {a.id: a for a in self.arcs}
+        by_id = self.graph.arcs_by_id()
         for kind, aid, donor_key in moves:
             a = by_id[aid]
             if kind == "fwd":
@@ -382,13 +358,13 @@ class _FreeCore:
                 donor[aid] -= width
                 self.used[aid] -= width
                 # the carried half joins the donor's abandoned tail
-                tail_piece = _extract(donor, a.head, self.terms[l], width, self.out_arcs)
+                tail_piece = _extract(donor, self.graph, a.head, self.terms[l], width)
                 target = self.flow.setdefault((kappa, l), {})
                 _add_arcfunc(target, prefix)
                 _add_arcfunc(target, tail_piece)
                 self.out_total[kappa] += width
                 # pick up the donor's head half and keep walking for it
-                prefix = _extract(donor, self.terms[k], a.tail, width, self.out_arcs)
+                prefix = _extract(donor, self.graph, self.terms[k], a.tail, width)
                 self.out_total[k] -= width
                 kappa = k
                 position = a.tail
@@ -403,7 +379,7 @@ class _FreeCore:
                 prefix[aid] = prefix.get(aid, 0) + width
                 _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
                 self.out_total[kappa] += width
-                prefix = _extract(donor, self.terms[k], a.tail, width, self.out_arcs)
+                prefix = _extract(donor, self.graph, self.terms[k], a.tail, width)
                 self.out_total[k] -= width
                 kappa = k
                 position = a.tail
@@ -544,8 +520,8 @@ def _expand_arc(aid, prov, memo) -> Dict[ArcId, int]:
     return memo[aid]
 
 
-def _extract(f: Dict[ArcId, int], src: VertexId, dst: VertexId, amount: int,
-             out_arcs: Dict[VertexId, list]) -> Dict[ArcId, int]:
+def _extract(f: Dict[ArcId, int], graph: Digraph, src: VertexId, dst: VertexId,
+             amount: int) -> Dict[ArcId, int]:
     """Remove `amount` units of src->dst path mass from f and return it."""
     taken: Dict[ArcId, int] = {}
     if src == dst or amount <= 0:
@@ -557,7 +533,7 @@ def _extract(f: Dict[ArcId, int], src: VertexId, dst: VertexId, amount: int,
         found = src == dst
         while q and not found:
             u = q.popleft()
-            for a in out_arcs.get(u, ()):
+            for a in graph.out_arcs(u):
                 if f.get(a.id, 0) > 0 and a.head not in prev:
                     prev[a.head] = a
                     if a.head == dst:
@@ -608,12 +584,10 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
     if len(net.terminals) < 2:
         raise InputError("free multiflow needs at least two terminals", code="invalid-input")
     for v in net.inner_vertices():
-        out_c = sum(net.capacity[a.id] for a in net.graph.arcs if a.tail == v)
-        in_c = sum(net.capacity[a.id] for a in net.graph.arcs if a.head == v)
-        if out_c != in_c:
+        if not is_eulerian_at(net, v):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
     paths, cuts = _free_imf_paths(net, stats)
-    return Multiflow.from_paths(paths), {t: Cut(side) for t, side in cuts.items()}
+    return Multiflow.from_paths(net, paths), {t: Cut(side) for t, side in cuts.items()}
 
 
 def _free_imf_paths(net: Network, stats: SolveStats):
@@ -623,12 +597,10 @@ def _free_imf_paths(net: Network, stats: SolveStats):
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
-    taken = set(net.vertices)
     core_net = net
     core_term: Dict[VertexId, VertexId] = {}
     for t in terms:
-        w = _fresh_vertex(taken, "w")
-        taken.add(w)
+        w = fresh_id(core_net.vertices, "@", "w")
         core_net = contract(core_net, cuts[t], w)
         core_term[t] = w
     core_net = Network(core_net.graph, tuple(core_term[t] for t in terms), core_net.capacity)
@@ -651,7 +623,7 @@ def _free_imf_paths(net: Network, stats: SolveStats):
     lead_out: List[TerminalPath] = []  # cut boundary -> terminal
     for t in terms:
         side = cuts[t]
-        z = _fresh_vertex(set(net.vertices), "z")
+        z = fresh_id(net.vertices, "@", "z")
         region = contract(net, net.vertices - side, z)
         stats.maxflow_calls += 1
         f, fval = max_flow(region, [t], [z])
@@ -693,24 +665,12 @@ def base_two_vertices(net: Network, real: RealizationTree, stats: SolveStats):
     stats.maxflow_calls += 1
     f, _val = max_flow(net, src, dst)
     x = min_cut_source_side(net, f, src, sinks=dst).source_side
-    comps: Components = {}
-    for p in decompose(net, f, src, dst):
-        _merge_pathflow(comps, net, p)
     g = {a.id: net.capacity[a.id] - f.get(a.id, 0) for a in net.graph.arcs}
     ends = sorted(set(src) | set(dst), key=sort_key)
-    for p in decompose(net, g, ends, ends):
-        _merge_pathflow(comps, net, p)
+    paths = decompose(net, f, src, dst) + decompose(net, g, ends, ends)
+    comps = Multiflow.from_paths(net, paths).components
     cuts: CutMap = {(v1, v2): x, (v2, v1): net.vertices - x}
     return comps, cuts
-
-
-def _merge_pathflow(comps: Components, net: Network, p: PathFlow) -> None:
-    by_id = net.graph.arcs_by_id()
-    s = by_id[p.arcs[0]].tail
-    t = by_id[p.arcs[-1]].head
-    f = comps.setdefault((s, t), {})
-    for aid in p.arcs:
-        f[aid] = f.get(aid, 0) + p.weight
 
 
 def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
@@ -721,7 +681,7 @@ def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
     two-phase flow that maximizes the z inflow first, and complements it.
     Returns the shrunken cut plus the replacement path collections.
     """
-    z = _fresh_vertex(set(net.vertices), "rz")
+    z = fresh_id(net.vertices, "@", "rz")
     region = contract(Network(net.graph, tuple([s_i] + list(q_terms)), net.capacity),
                       net.vertices - side, z)
     # forbid through-traffic at z: its out-arcs belong to the reverse flow
@@ -777,7 +737,7 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
         if len(bunch) == 1:
             reps.append(bunch[0])
             continue
-        m = _fresh_vertex(set(merged.vertices), "m")
+        m = fresh_id(merged.vertices, "@", "m")
         merged = contract(merged, bunch, m)
         groups[m] = bunch
         reps.append(m)
@@ -829,24 +789,14 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
             keep.append(TerminalPath(by_id[p.arcs[0]].tail, reps[i], p.arcs, p.weight))
         paths = keep
 
-    # undo the merge: endpoints are read off the original arc endpoints
-    arcs_orig = net.graph.arcs_by_id()
-    final_paths: List[TerminalPath] = []
-    for p in paths:
-        s, t = p.source, p.target
-        if s in groups:
-            s = arcs_orig[p.arcs[0]].tail
-        if t in groups:
-            t = arcs_orig[p.arcs[-1]].head
-        final_paths.append(TerminalPath(s, t, p.arcs, p.weight))
-
     def widen(side: frozenset) -> frozenset:
         out = set()
         for v in side:
             out.update(groups.get(v, [v]))
         return frozenset(out)
 
-    comps = _paths_to_components(net, [PathFlow(p.arcs, p.weight) for p in final_paths])
+    # undo the merge: endpoints are read off the original arc endpoints
+    comps = Multiflow.from_paths(net, paths).components
     cuts_out: CutMap = {}
     for i in range(nleaf):
         side = widen(new_sides[i])
@@ -919,10 +869,10 @@ def aggregate(net: Network, comps1: Components, comps2: Components,
         if check_bwd.get(aid, 0) != net.capacity[aid]:
             raise ContractViolation("partition boundary not saturated backward")
 
-    for p in decompose(net, h_fwd, sorted(fwd_sources, key=sort_key), sorted(fwd_sinks, key=sort_key)):
-        _merge_pathflow(comps, net, p)
-    for p in decompose(net, h_bwd, sorted(bwd_sources, key=sort_key), sorted(bwd_sinks, key=sort_key)):
-        _merge_pathflow(comps, net, p)
+    fwd = decompose(net, h_fwd, sorted(fwd_sources, key=sort_key), sorted(fwd_sinks, key=sort_key))
+    bwd = decompose(net, h_bwd, sorted(bwd_sources, key=sort_key), sorted(bwd_sinks, key=sort_key))
+    for pair, f in Multiflow.from_paths(net, fwd + bwd).components.items():
+        _merge_components(comps, pair, f)
     return comps
 
 
@@ -941,20 +891,13 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
     x1 = min_cut_source_side(net, f, s1_group, sinks=s2_group).source_side
     x2 = net.vertices - x1
 
-    taken = set(net.vertices)
-    z2 = _fresh_vertex(taken, "cut")
-    z1 = _fresh_vertex(taken | {z2}, "cut")
+    z2 = fresh_id(net.vertices, "@", "cut")
+    z1 = fresh_id(net.vertices | {z2}, "@", "cut")
 
     net1 = contract(net, x2, z2)
     net2 = contract(net, x1, z1)
     real1 = _contract_real(real, side1, v2, [t for t in net.terminals if t in x1], z2)
     real2 = _contract_real(real, side2, v1, [t for t in net.terminals if t in x2], z1)
-    # terminals keep their complex standing even if the restricted subtree
-    # narrows to a zero-length path
-    ov1 = {t for t in net1.terminals[:-1] if classify_terminal(real, t) == "complex"}
-    ov2 = {t for t in net2.terminals[:-1] if classify_terminal(real, t) == "complex"}
-    real1.complexity_override = frozenset(real1.complexity_override | ov1)
-    real2.complexity_override = frozenset(real2.complexity_override | ov2)
 
     comps1, cuts1 = _solve_rec(net1, real1, stats, depth + 1)
     comps2, cuts2 = _solve_rec(net2, real2, stats, depth + 1)
@@ -975,6 +918,8 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
 
 def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
                    kept_terminals, z) -> RealizationTree:
+    """The tree on one side of a partition edge plus its far endpoint
+    anchor, which realizes the contraction vertex z."""
     verts = set(keep_side) | {anchor}
     lengths = {}
     for (u, v), ell in real.arc_length.items():
@@ -988,7 +933,10 @@ def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
             rest.add(anchor)
         subs[t] = frozenset(rest)
     subs[z] = frozenset({anchor})
-    return RealizationTree(frozenset(verts), lengths, subs, frozenset())
+    # terminals keep their complex standing even if the restricted subtree
+    # narrows to a zero-length path
+    override = frozenset(t for t in kept_terminals if classify_terminal(real, t) == "complex")
+    return RealizationTree(frozenset(verts), lengths, subs, override)
 
 
 # -- recursion and public entry ---------------------------------------------

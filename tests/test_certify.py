@@ -34,7 +34,7 @@ def test_mu_value_e2_solution(e2):
              TerminalPath("s2", "s3", ("a3", "a4"), 1),
              TerminalPath("s3", "s1", ("a5", "a6"), 1)]
     assert mu_value(real, paths) == 6
-    assert mu_value(real, Multiflow.from_paths(paths), net) == 6
+    assert mu_value(real, Multiflow.from_paths(net, paths), net) == 6
 
 
 def test_check_feasible():
@@ -44,6 +44,19 @@ def test_check_feasible():
     assert check_feasible(net, Multiflow({("s", "t"): {"a": 2}})) == "a"
     both = Multiflow({("s", "t"): {"a": 1, "b": 1}})
     assert check_feasible(net, both) is None
+    # a path packing: walks of positive integer weight between distinct terminals
+    assert check_feasible(net, [TerminalPath("s", "t", ("a",), 1)]) is None
+    assert check_feasible(net, [TerminalPath("s", "t", ("a",), 1),
+                                TerminalPath("s", "t", ("a",), 1)]) == "a"
+    assert check_feasible(net, [TerminalPath("s", "t", ("zz",), 1)]) == "zz"
+    for bad in [TerminalPath("s", "t", (), 1),           # no arcs
+                TerminalPath("t", "s", ("a",), 1),       # arcs run the other way
+                TerminalPath("s", "s", ("a",), 1),       # equal endpoints
+                TerminalPath("s", "x", ("a",), 1),       # not a terminal
+                TerminalPath("s", "t", ("a",), 0),
+                TerminalPath("s", "t", ("a",), -1),
+                TerminalPath("s", "t", ("a",), True)]:
+        assert check_feasible(net, [bad]) == bad
 
 
 def test_verify_zero_capacity_any_separating_cut():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import treeflow.cli
 from treeflow.cli import main
 from treeflow.documents import serialize_instance
 from treeflow.generator import generate_network
@@ -88,17 +89,13 @@ def test_gen_then_solve(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == value
 
 
-def test_bad_input_exit_code(tmp_path, capsys):
+def test_bad_input_exit_code(tmp_path, instance_file, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert main(["solve", str(path)]) == 1
     assert main(["dual", str(tmp_path / 'missing.json')]) == 1
-
-
-def test_threads_flag(instance_file, capsys):
-    assert main(["solve", str(instance_file), "--threads", "4"]) == 0
-    assert capsys.readouterr().out.strip() == "6"
-    assert main(["solve", str(instance_file), "--threads", "0"]) == 1
+    assert main(["solve", str(instance_file), "--out", str(tmp_path / "no" / "r.json")]) == 1
+    assert "error (io-error)" in capsys.readouterr().err
 
 
 def test_invalid_instance_exit_code(tmp_path, capsys, e1):
@@ -113,3 +110,94 @@ def test_invalid_instance_exit_code(tmp_path, capsys, e1):
     path = tmp_path / "bad.json"
     path.write_text(serialize_instance(net2, real2))
     assert main(["solve", str(path)]) == 1
+
+
+def _forge_extra_empty_path(doc):
+    doc["paths"].append({"from": "s", "to": "t", "arcs": [], "weight": 100})
+    doc["value"] = "306"
+
+
+def _forge_relabelled_path(doc):
+    for p in doc["paths"]:
+        if (p["from"], p["to"]) == ("t", "s"):
+            p["from"], p["to"] = "s", "t"
+    doc["value"] = "9"
+
+
+def _forge_cancelling_pair(doc):
+    doc["paths"] += [{"from": "s", "to": "t", "arcs": ["a1"], "weight": 1},
+                     {"from": "t", "to": "s", "arcs": ["a1"], "weight": -1}]
+    doc["value"] = "9"
+
+
+def _forge_list_endpoint(doc):
+    doc["paths"][0]["from"] = ["s"]
+
+
+@pytest.mark.parametrize("forge, code", [
+    (_forge_extra_empty_path, 2),
+    (_forge_relabelled_path, 2),
+    (_forge_cancelling_pair, 2),
+    (_forge_list_endpoint, 1),
+])
+def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, code):
+    result = tmp_path / "r.json"
+    assert main(["solve", str(instance_file), "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    forge(doc)
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(instance_file), str(result)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("verification failed" if code == 2 else "error (malformed-document)")
+
+
+def _list_vertex(doc):
+    doc["graph"]["vertices"].append(["x"])
+
+
+def _object_arc_id(doc):
+    doc["graph"]["arcs"][0]["id"] = {"k": 1}
+
+
+def _list_terminal(doc):
+    doc["terminals"].append(["s"])
+
+
+def _list_tree_endpoint(doc):
+    doc["tree"]["edges"][0]["u"] = ["v1"]
+
+
+def _boolean_length(doc):
+    doc["tree"]["edges"][0]["len_uv"] = True
+
+
+def _string_subtree(doc):
+    doc["subtrees"]["s"] = "v1"
+
+
+@pytest.mark.parametrize("corrupt, code", [
+    (_list_vertex, "malformed-document"),
+    (_object_arc_id, "malformed-document"),
+    (_list_terminal, "malformed-document"),
+    (_list_tree_endpoint, "malformed-document"),
+    (_boolean_length, "bad-rational"),
+    (_string_subtree, "malformed-document"),
+])
+def test_malformed_instance_is_input_error(tmp_path, instance_file, capsys, corrupt, code):
+    doc = json.loads(instance_file.read_text())
+    corrupt(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error ({code})")
+
+
+def test_unexpected_exception_exits_3(instance_file, capsys, monkeypatch):
+    def broken(net, real):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(treeflow.cli, "solve", broken)
+    assert main(["solve", str(instance_file)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: RuntimeError: boom")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeflow import InputError, parse_instance, serialize_instance, solve
+from treeflow import Digraph, InputError, Network, RealizationTree, parse_instance, serialize_instance, solve
 from treeflow.documents import (
     format_rational,
     parse_rational,
@@ -31,6 +31,17 @@ def test_instance_round_trip(e1):
     assert net2.capacity == net.capacity
     assert real2.arc_length == real.arc_length
     assert real2.subtrees == real.subtrees
+    assert serialize_instance(net2, real2) == text
+
+
+def test_instance_round_trip_with_mixed_id_types():
+    net = Network(Digraph.build([1, "a"], [(0, 1, "a"), ("back", "a", 1)]), (1, "a"),
+                  {0: 2, "back": 1})
+    real = RealizationTree.build([2, "v"], [(2, "v", 3, 0)], {1: [2], "a": ["v"]})
+    text = serialize_instance(net, real)
+    net2, real2 = parse_instance(text)
+    assert net2.terminals == net.terminals and net2.capacity == net.capacity
+    assert real2.arc_length == real.arc_length
     assert serialize_instance(net2, real2) == text
 
 

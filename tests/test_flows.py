@@ -13,9 +13,17 @@ from treeflow import (
     max_flow,
     min_cut_source_side,
 )
-from treeflow.flows import paths_to_arc_function
 
 from conftest import make_net
+
+
+def paths_to_arc_function(paths):
+    """Arc function induced by weighted paths: the oracle for decompose."""
+    out = {}
+    for p in paths:
+        for aid in p.arcs:
+            out[aid] = out.get(aid, 0) + p.weight
+    return out
 
 
 def brute_force_max_flow(net, sources, sinks):

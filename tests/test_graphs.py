@@ -1,10 +1,14 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeflow import (
+    Certificate,
     Cut,
     InputError,
+    Multiflow,
     contract,
     cut_capacity,
     divergence,
@@ -191,3 +195,34 @@ def test_contract_preserves_outside_arcs(net, data):
     total_before = sum(net.capacity[a.id] for a in net.graph.arcs)
     total_after = sum(out.capacity[a.id] for a in out.graph.arcs)
     assert total_before - lost == total_after
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_nets(), st.data())
+def test_arc_index_matches_scan(net, data):
+    g = net.graph
+    assert len(g.arcs_by_id()) == len(g.arcs)
+    for a in g.arcs:
+        assert g.arcs_by_id()[a.id] is a
+    for v in net.vertices:
+        assert g.out_arcs(v) == tuple(a for a in g.arcs if a.tail == v)
+        assert g.in_arcs(v) == tuple(a for a in g.arcs if a.head == v)
+    verts = sorted(net.vertices)
+    s = data.draw(st.sampled_from(verts))
+    t = data.draw(st.sampled_from([v for v in verts if v != s]))
+    f = {a.id: data.draw(st.integers(min_value=0, max_value=3)) for a in g.arcs}
+    by_scan = (sum(f[a.id] for a in g.arcs if a.tail == s)
+               - sum(f[a.id] for a in g.arcs if a.head == s))
+    assert Multiflow({(s, t): f}).component_value(net, (s, t)) == by_scan
+
+
+def test_public_types_are_frozen(e1):
+    net, real = e1
+    for obj, name in [(net.graph, "arcs"), (net, "terminals"), (net, "capacity"),
+                      (real, "complexity_override"), (real, "subtrees"),
+                      (Multiflow({}), "components"), (Certificate({}), "cuts")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+    # the lazily built indexes are built once and shared
+    assert net.graph.arcs_by_id() is net.graph.arcs_by_id()
+    assert real.adjacency() is real.adjacency()
