@@ -15,7 +15,7 @@ from typing import Dict, Hashable, List, Optional, Union
 
 from .errors import InputError
 from .flows import max_flow
-from .graphs import ArcId, Network, sort_key
+from .graphs import ArcId, Network, boundary, sort_key
 from .multiflow import Multiflow, TerminalPath
 from .realization import RealizationTree, TreeArc, mu, pi_set
 
@@ -153,8 +153,7 @@ def verify_certificate(net: Network, real: RealizationTree,
         for t in sorted(pi.head_side_terminals, key=sort_key):
             if t in side:
                 return CertificateViolation("separation", a, t)
-        out_arcs = {x.id for x in net.graph.arcs if x.tail in side and x.head not in side}
-        in_arcs = {x.id for x in net.graph.arcs if x.head in side and x.tail not in side}
+        out_arcs, in_arcs = boundary(net, side)
         used = {aid: 0 for aid in out_arcs}
         for p in paths:
             crossings = 0

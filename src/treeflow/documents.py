@@ -37,7 +37,21 @@ def parse_rational(text) -> Fraction:
     raise InputError(f"bad rational literal {text!r}", code="bad-rational")
 
 
+def _subtree_keys(terminals) -> List[str]:
+    """The "subtrees" key of every terminal: its str form, which must be
+    unique, or two terminals (say 1 and "1") would share one subtree."""
+    keys = [str(t) for t in terminals]
+    first = {}
+    for key, t in zip(keys, terminals):
+        other = first.setdefault(key, t)
+        if other != t:
+            raise InputError(f"terminals {other!r} and {t!r} share the subtree key {key!r}",
+                             code="duplicate-terminal")
+    return keys
+
+
 def instance_to_document(net: Network, real: RealizationTree) -> dict:
+    keys = _subtree_keys(net.terminals)
     return {
         "graph": {
             "vertices": sorted(net.vertices, key=sort_key),
@@ -59,7 +73,7 @@ def instance_to_document(net: Network, real: RealizationTree) -> dict:
                 for (u, v) in real.edges()
             ],
         },
-        "subtrees": {str(t): sorted(real.subtrees[t], key=sort_key) for t in net.terminals},
+        "subtrees": {k: sorted(real.subtrees[t], key=sort_key) for k, t in zip(keys, net.terminals)},
     }
 
 
@@ -116,8 +130,7 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
                       parse_rational(_expect(e, "len_vu", None, "tree edge"))))
     subs_doc = _expect(doc, "subtrees", dict, "document")
     subtrees = {}
-    for t in terminals:
-        key = str(t)
+    for key, t in zip(_subtree_keys(terminals), terminals):
         if key not in subs_doc:
             raise InputError(f"terminal {t!r} has no subtree", code="missing-subtree")
         subtrees[t] = _expect_ids(subs_doc, key, "subtrees")

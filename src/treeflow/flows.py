@@ -26,13 +26,6 @@ class PathFlow:
     weight: int
 
 
-# sparse nonnegative integer arc function, bounded by capacity when paired
-# with a network
-FlowFunction = Dict[ArcId, int]
-
-WeightedPathCollection = List[PathFlow]
-
-
 class _Dinic:
     """Residual graph shared by max_flow and lex_max_flow.
 
@@ -43,14 +36,12 @@ class _Dinic:
     """
 
     def __init__(self, net: Network):
-        self.net = net
-        verts = sorted(net.vertices, key=sort_key)
-        self.vid = {v: i for i, v in enumerate(verts)}
-        self.verts = verts
-        n = len(verts) + 2  # two extra slots for super-source/sink
+        # the numbering is a relabelling only: every scan follows arc order
+        self.vid = {v: i for i, v in enumerate(net.vertices)}
+        n = len(self.vid) + 2  # two extra slots for super-source/sink
         self.n = n
-        self.super_s = len(verts)
-        self.super_t = len(verts) + 1
+        self.super_s = n - 2
+        self.super_t = n - 1
         self.head: List[int] = []
         self.cap: List[int] = []
         self.adj: List[List[int]] = [[] for _ in range(n)]
@@ -138,19 +129,6 @@ class _Dinic:
                 out[aid] = used
         return out
 
-    def residual_reachable(self, sources: Sequence[int]) -> set:
-        seen = set(sources)
-        q = deque(sources)
-        head, cap, adj = self.head, self.cap, self.adj
-        while q:
-            u = q.popleft()
-            for e in adj[u]:
-                v = head[e]
-                if cap[e] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
 
 def _check_endpoint_sets(net: Network, sources, sinks):
     src = sorted(set(sources), key=sort_key)
@@ -232,7 +210,7 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
 
 
 def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[VertexId],
-              allowed_sinks: Iterable[VertexId]) -> WeightedPathCollection:
+              allowed_sinks: Iterable[VertexId]) -> List[PathFlow]:
     """Peel a nonnegative integer arc function into weighted simple paths.
 
     Walks start at vertices with positive remaining divergence, follow the

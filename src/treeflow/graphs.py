@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Set, Tuple
 
 from .errors import InputError, ContractViolation
 
@@ -157,11 +157,25 @@ def is_eulerian_at(net: Network, v: VertexId) -> bool:
     return divergence(net, net.capacity, v) == 0
 
 
+def boundary(net: Network, side) -> Tuple[Set[ArcId], Set[ArcId]]:
+    """Ids of the arcs leaving and of the arcs entering a vertex set.
+
+    Walks, through the graph index, only the arcs at the vertices of the
+    side or of its complement, whichever is smaller: cut sides are mostly
+    a few vertices or all but a few.
+    """
+    g = net.graph
+    flip = 2 * len(side) > len(net.vertices)
+    walked = net.vertices - side if flip else side
+    leaving = {a.id for v in walked for a in g.out_arcs(v) if a.head not in walked}
+    entering = {a.id for v in walked for a in g.in_arcs(v) if a.tail not in walked}
+    return (entering, leaving) if flip else (leaving, entering)
+
+
 def cut_capacity(net: Network, cut: Cut) -> int:
     """Total capacity of arcs leaving the cut's source side."""
     cut.validate(net)
-    x = cut.source_side
-    return sum(net.capacity[a.id] for a in net.graph.arcs if a.tail in x and a.head not in x)
+    return sum(net.capacity[aid] for aid in boundary(net, cut.source_side)[0])
 
 
 def contract(net: Network, which: Iterable[VertexId], z: VertexId) -> Network:

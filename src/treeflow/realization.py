@@ -39,10 +39,9 @@ class RealizationTree:
     vertices: frozenset
     arc_length: Dict[TreeArc, Fraction]
     subtrees: Dict[Hashable, frozenset]
-    complexity_override: frozenset = frozenset()
 
     @staticmethod
-    def build(vertices, edges, subtrees, complexity_override=()) -> "RealizationTree":
+    def build(vertices, edges, subtrees) -> "RealizationTree":
         """edges: iterable of (u, v, len_uv, len_vu)."""
         vset = frozenset(vertices)
         lengths: Dict[TreeArc, Fraction] = {}
@@ -76,7 +75,7 @@ class RealizationTree:
             if not _connected(sub, {v: adj[v] & sub for v in sub}):
                 raise InputError(f"subtree of terminal {term!r} is not connected", code="disconnected-subtree")
             subs[term] = sub
-        return RealizationTree(vset, lengths, subs, frozenset(complexity_override))
+        return RealizationTree(vset, lengths, subs)
 
     # -- structure helpers ------------------------------------------------
 
@@ -205,8 +204,7 @@ def classify_terminal(real: RealizationTree, s) -> str:
     """'simple', 'linear', or 'complex'.
 
     Linear means the subtree is an undirected path one of whose traversal
-    directions has zero total length; terminals in the complexity
-    override are never reported linear.
+    directions has zero total length.
     """
     sub = real.subtrees.get(s)
     if sub is None:
@@ -214,7 +212,7 @@ def classify_terminal(real: RealizationTree, s) -> str:
     if len(sub) == 1:
         return "simple"
     ends = _path_endpoints(real, sub)
-    if ends is None or s in real.complexity_override:
+    if ends is None:
         return "complex"
     t1, t2 = ends
     if _path_length(real, t1, t2) == 0 or _path_length(real, t2, t1) == 0:
@@ -375,8 +373,7 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     del subs[s]
     subs[s1] = frozenset({t1})
     subs[s2] = frozenset({t2})
-    new_real = RealizationTree(real.vertices, dict(real.arc_length), subs,
-                               real.complexity_override - {s})
+    new_real = RealizationTree(real.vertices, dict(real.arc_length), subs)
     rec = SplitRecord(s, s2, s1, t1, t2, a_in, a_out)
     return new_net, new_real, rec
 
@@ -410,7 +407,6 @@ def normalize(net: Network, real: RealizationTree):
         tverts = set(real.vertices)
         lengths = dict(real.arc_length)
         subs = {t: set(v) for t, v in real.subtrees.items()}
-        override = set(real.complexity_override)
 
         def adj_of():
             adj: Dict[TreeVertex, Set[TreeVertex]] = {v: set() for v in tverts}
@@ -523,8 +519,7 @@ def normalize(net: Network, real: RealizationTree):
                 break
 
         real = RealizationTree(frozenset(tverts), lengths,
-                               {t: frozenset(s) for t, s in subs.items()},
-                               frozenset(override))
+                               {t: frozenset(s) for t, s in subs.items()})
         if not changed:
             return net, real, record
     raise ContractViolation("normalization did not reach a fixed point")

@@ -15,18 +15,18 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
 from .flows import decompose, max_flow, min_cut_source_side, lex_max_flow
-from .graphs import ArcId, Cut, Digraph, Network, VertexId, contract, fresh_id, is_eulerian_at, sort_key
+from .graphs import (ArcId, Cut, Digraph, Network, VertexId, boundary, contract, fresh_id,
+                     is_eulerian_at, sort_key)
 from .multiflow import Multiflow, TerminalPath
 from .realization import (
     NormalizeRecord,
     RealizationTree,
     choose_balanced_edge,
-    classify_terminal,
     normalize,
     pi_set,
     validate_instance,
@@ -92,16 +92,6 @@ def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[Te
     return out
 
 
-def _boundary_arcs(net: Network, side: frozenset) -> Tuple[Set[ArcId], Set[ArcId]]:
-    out_ids, in_ids = set(), set()
-    for a in net.graph.arcs:
-        if a.tail in side and a.head not in side:
-            out_ids.add(a.id)
-        elif a.head in side and a.tail not in side:
-            in_ids.add(a.id)
-    return out_ids, in_ids
-
-
 # -- free multiflow (unit weights) -----------------------------------------
 
 
@@ -153,22 +143,20 @@ class _FreeCore:
 
         Plans without repeated arcs or donors are applied at full bundle
         width in one pass; repetitive plans run unit by unit and may go
-        stale, leaving a width-one dangle to continue from.
+        stale, leaving a width-one dangle to continue from.  A False
+        return may leave the flow half re-routed: the caller then
+        discards the whole core.
         """
-        import copy
-        snapshot = (copy.deepcopy(self.flow), dict(self.used), list(self.out_total))
         kappa, vertex = i, None
         prefix: Dict[ArcId, int] = {}
         for _segment in range(8 * (len(self.net.vertices) * len(self.terms) + 8)):
             walk = self._find_walk(kappa, vertex)
             if walk is None:
-                self.flow, self.used, self.out_total = snapshot
                 return False
             width = self._walk_width(walk) if not prefix else 1
             status, kappa, vertex, prefix = self._apply_walk(kappa, vertex, prefix, walk, width)
             if status == "done":
                 return True
-        self.flow, self.used, self.out_total = snapshot
         return False
 
     # bulk phase: one truncated max flow per terminal on leftover capacity
@@ -586,14 +574,22 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
     for v in net.inner_vertices():
         if not is_eulerian_at(net, v):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
-    paths, cuts = _free_imf_paths(net, stats)
-    return Multiflow.from_paths(net, paths), {t: Cut(side) for t, side in cuts.items()}
+    paths, sides = _free_imf_paths(net, _minimal_terminal_cuts(net, stats), {}, stats)
+    return Multiflow.from_paths(net, paths), {t: Cut(side) for t, side in sides.items()}
 
 
-def _free_imf_paths(net: Network, stats: SolveStats):
-    """Path-form free multiflow plus minimal cut sides, via cut contraction."""
+def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
+                    misplaced: Dict[VertexId, Sequence[VertexId]], stats: SolveStats):
+    """Path-form free multiflow, via cut contraction and region expansion.
+
+    cuts maps every terminal to its minimal cut side, misplaced maps a
+    terminal to the vertices its region must expel (usually none).  The
+    core flow between the contracted sides is stitched to each region's
+    flow through its boundary; a region's flow to and from its expelled
+    vertices is emitted as it is.  Returns the paths and every region's
+    cut side, which shrinks only where vertices were expelled.
+    """
     terms = sorted(net.terminals, key=sort_key)
-    cuts = _minimal_terminal_cuts(net, stats)
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
@@ -618,34 +614,28 @@ def _free_imf_paths(net: Network, stats: SolveStats):
         for p in decompose(core_net, comp, [core.terms[i]], [core.terms[j]]):
             core_paths.append(TerminalPath(terms[i], terms[j], p.arcs, p.weight))
 
-    # expand every contracted side with a two-terminal solve
+    # expand every contracted side: each region's outside is one vertex z
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
     lead_out: List[TerminalPath] = []  # cut boundary -> terminal
+    expelled: List[TerminalPath] = []  # terminal <-> misplaced vertex
+    sides: Dict[VertexId, frozenset] = {}
+    bound = 0
     for t in terms:
-        side = cuts[t]
-        z = fresh_id(net.vertices, "@", "z")
-        region = contract(net, net.vertices - side, z)
-        stats.maxflow_calls += 1
-        f, fval = max_flow(region, [t], [z])
-        out_ids, in_ids = _boundary_arcs(net, side)
-        if fval != sum(net.capacity[i] for i in out_ids):
-            raise ContractViolation("terminal cut region does not saturate its boundary")
-        for p in decompose(region, f, [t], [z]):
-            lead_in.append(TerminalPath(t, z, p.arcs, p.weight))
-        g = {a.id: net.capacity[a.id] - f.get(a.id, 0) for a in region.graph.arcs}
-        for p in decompose(region, g, [z], [t]):
-            lead_out.append(TerminalPath(z, t, p.arcs, p.weight))
+        sides[t], z, region, forward, backward = repair_three_leaves(
+            net, t, cuts[t], misplaced.get(t, ()), stats)
+        bound += sum(region.capacity[a.id] for a in region.graph.in_arcs(z))
+        for p in forward:
+            (lead_in if p.target == z else expelled).append(p)
+        for p in backward:
+            (lead_out if p.source == z else expelled).append(p)
 
-    stage = _join_on_arc(lead_in, core_paths)
-    full = _join_on_arc(stage, lead_out)
-    full = [TerminalPath(p.source, p.target, p.arcs, p.weight) for p in full]
+    full = _join_on_arc(_join_on_arc(lead_in, core_paths), lead_out)
     for p in full:
         if p.source == p.target:
             raise ContractViolation("free multiflow produced a closed path")
-    expect = sum(sum(net.capacity[i] for i in _boundary_arcs(net, cuts[t])[0]) for t in terms)
-    if sum(p.weight for p in full) != expect:
+    if sum(p.weight for p in full) != bound:
         raise ContractViolation("free multiflow value does not meet the cut bound")
-    return full, cuts
+    return full + expelled, sides
 
 
 # -- base cases -------------------------------------------------------------
@@ -675,36 +665,51 @@ def base_two_vertices(net: Network, real: RealizationTree, stats: SolveStats):
 
 def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
                         q_terms: Sequence[VertexId], stats: SolveStats):
-    """Re-route the flow inside one leaf cut so misplaced terminals leave it.
+    """Expand one terminal's cut region, expelling the misplaced q_terms.
 
-    Contracts everything outside the cut into a sink z, takes the
-    two-phase flow that maximizes the z inflow first, and complements it.
-    Returns the shrunken cut plus the replacement path collections.
+    Contracts everything outside the cut side into z and takes the
+    two-phase flow out of s_i that saturates the arcs into z first and
+    then reaches q_terms as far as it can; its capacity complement runs
+    from z and q_terms back to s_i.  With q_terms empty this is one max
+    flow and the side stays as it is; otherwise the side shrinks to the
+    minimal cut of the two-phase flow, which leaves q_terms outside.
+    Returns (side, z, region, forward, backward), the paths as
+    TerminalPaths on the region.
     """
+    q = list(q_terms)
     z = fresh_id(net.vertices, "@", "rz")
-    region = contract(Network(net.graph, tuple([s_i] + list(q_terms)), net.capacity),
-                      net.vertices - side, z)
-    # forbid through-traffic at z: its out-arcs belong to the reverse flow
+    region = contract(net, net.vertices - side, z)
+    # forbid through-traffic at z: its out-arcs belong to the backward flow
     keep = [(a.id, a.tail, a.head) for a in region.graph.arcs if a.tail != z]
     doctored = Network(
         Digraph.build(region.vertices, keep),
         region.terminals,
         {aid: region.capacity[aid] for aid, _t, _h in keep},
     )
-    stats.maxflow_calls += 2
-    g = lex_max_flow(doctored, s_i, z, list(q_terms))
-    new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + list(q_terms)).source_side
-    for a in region.graph.arcs:
-        if a.head == z and g.get(a.id, 0) != region.capacity[a.id]:
-            raise ContractViolation("leaf repair does not saturate the inward boundary")
-    forward = decompose(doctored, g, [s_i], [z] + list(q_terms))
+    stats.maxflow_calls += 2 if q else 1
+    g = lex_max_flow(doctored, s_i, z, q)
+    new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + q).source_side
+    for a in region.graph.in_arcs(z):
+        if g.get(a.id, 0) != region.capacity[a.id]:
+            raise ContractViolation("region flow does not saturate the cut boundary")
+    by_id = region.graph.arcs_by_id()
+    forward = [TerminalPath(s_i, by_id[p.arcs[-1]].head, p.arcs, p.weight)
+               for p in decompose(doctored, g, [s_i], [z] + q)]
     h = {a.id: region.capacity[a.id] - g.get(a.id, 0) for a in region.graph.arcs}
-    backward = decompose(region, h, [z] + list(q_terms), [s_i])
+    backward = [TerminalPath(by_id[p.arcs[0]].tail, s_i, p.arcs, p.weight)
+                for p in decompose(region, h, [z] + q, [s_i])]
     return new_side, z, region, forward, backward
 
 
 def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
-    """Star tree (two or three leaves): free multiflow plus leaf repairs."""
+    """Star tree (two or three leaves): a free multiflow on the leaf terminals.
+
+    Simple terminals on the same leaf merge into one representative.  A
+    complex terminal that lies in a leaf's minimal cut but whose subtree
+    misses that leaf is misplaced there: the free multiflow expands that
+    leaf's region with the two-phase flow that expels it, so each region
+    is solved once and its cut already separates correctly.
+    """
     adj = real.adjacency()
     leaves = [v for v in sorted(real.vertices, key=sort_key) if len(adj[v]) == 1]
     centers = [v for v in sorted(real.vertices, key=sort_key) if len(adj[v]) > 1]
@@ -743,51 +748,14 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
         reps.append(m)
 
     free_net = Network(merged.graph, tuple(reps), merged.capacity)
-    paths, cuts = _free_imf_paths(free_net, stats)
-
-    new_sides: Dict[int, frozenset] = {}
-    repairs: Dict[int, tuple] = {}
+    cuts = _minimal_terminal_cuts(free_net, stats)
+    # complex terminals trapped in a leaf's cut whose subtree misses that leaf
+    misplaced = {}
     for i in range(nleaf):
-        side = cuts[reps[i]]
-        q = [t for t in complexes if t in side and leaves[i] not in real.subtrees[t]]
-        if not q:
-            new_sides[i] = side
-            continue
-        new_side, z, region, fwd, back = repair_three_leaves(merged, reps[i], side,
-                                                             sorted(q, key=sort_key), stats)
-        new_sides[i] = new_side
-        repairs[i] = (z, region, fwd, back)
-
-    # swap the repaired interiors into the path packing
-    for i, (z, region, fwd, back) in sorted(repairs.items()):
-        side = cuts[reps[i]]
-        out_ids, in_ids = _boundary_arcs(merged, side)
-        by_id = region.graph.arcs_by_id()
-        keep: List[TerminalPath] = []
-        outgoing: List[TerminalPath] = []   # tails of old paths leaving the side
-        incoming: List[TerminalPath] = []   # heads of old paths entering the side
-        for p in paths:
-            if p.source == reps[i]:
-                k = next(n for n, aid in enumerate(p.arcs) if aid in out_ids)
-                outgoing.append(TerminalPath(p.source, p.target, p.arcs[k:], p.weight))
-            elif p.target == reps[i]:
-                k = max(n for n, aid in enumerate(p.arcs) if aid in in_ids)
-                incoming.append(TerminalPath(p.source, p.target, p.arcs[: k + 1], p.weight))
-            else:
-                keep.append(p)
-        fwd_z = [TerminalPath(reps[i], z, p.arcs, p.weight)
-                 for p in fwd if by_id[p.arcs[-1]].head == z]
-        fwd_q = [p for p in fwd if by_id[p.arcs[-1]].head != z]
-        back_z = [TerminalPath(z, reps[i], p.arcs, p.weight)
-                  for p in back if by_id[p.arcs[0]].tail == z]
-        back_q = [p for p in back if by_id[p.arcs[0]].tail != z]
-        keep.extend(_join_on_arc(fwd_z, outgoing))
-        keep.extend(_join_on_arc(incoming, back_z))
-        for p in fwd_q:
-            keep.append(TerminalPath(reps[i], by_id[p.arcs[-1]].head, p.arcs, p.weight))
-        for p in back_q:
-            keep.append(TerminalPath(by_id[p.arcs[0]].tail, reps[i], p.arcs, p.weight))
-        paths = keep
+        q = [t for t in complexes if t in cuts[reps[i]] and leaves[i] not in real.subtrees[t]]
+        if q:
+            misplaced[reps[i]] = sorted(q, key=sort_key)
+    paths, sides = _free_imf_paths(free_net, cuts, misplaced, stats)
 
     def widen(side: frozenset) -> frozenset:
         out = set()
@@ -799,7 +767,7 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
     comps = Multiflow.from_paths(net, paths).components
     cuts_out: CutMap = {}
     for i in range(nleaf):
-        side = widen(new_sides[i])
+        side = widen(sides[reps[i]])
         cuts_out[(leaves[i], center)] = side
         cuts_out[(center, leaves[i])] = net.vertices - side
     return comps, cuts_out
@@ -817,14 +785,14 @@ def aggregate(net: Network, comps1: Components, comps2: Components,
     boundary (counted once, at full capacity) and re-decomposed into
     proper source-target components.
     """
-    out_ids, in_ids = _boundary_arcs(net, x1)
+    out_ids, in_ids = boundary(net, x1)
     comps: Components = {}
     fwd_sources, fwd_sinks = set(), set()
     bwd_sources, bwd_sinks = set(), set()
     h_fwd: Dict[ArcId, int] = {aid: net.capacity[aid] for aid in out_ids}
     h_bwd: Dict[ArcId, int] = {aid: net.capacity[aid] for aid in in_ids}
 
-    boundary = out_ids | in_ids
+    crossing = out_ids | in_ids
     check_fwd: Dict[ArcId, int] = {}
     check_bwd: Dict[ArcId, int] = {}
     for (s, t), f in comps1.items():
@@ -843,7 +811,7 @@ def aggregate(net: Network, comps1: Components, comps2: Components,
                 else:
                     h_bwd[aid] = h_bwd.get(aid, 0) + w
         else:
-            if any(f.get(aid, 0) for aid in boundary):
+            if any(f.get(aid, 0) for aid in crossing):
                 raise ContractViolation("side-internal component touches the partition boundary")
             _merge_components(comps, (s, t), f)
     for (s, t), f in comps2.items():
@@ -858,7 +826,7 @@ def aggregate(net: Network, comps1: Components, comps2: Components,
                 if aid not in in_ids:
                     h_bwd[aid] = h_bwd.get(aid, 0) + w
         else:
-            if any(f.get(aid, 0) for aid in boundary):
+            if any(f.get(aid, 0) for aid in crossing):
                 raise ContractViolation("side-internal component touches the partition boundary")
             _merge_components(comps, (s, t), f)
 
@@ -933,10 +901,7 @@ def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
             rest.add(anchor)
         subs[t] = frozenset(rest)
     subs[z] = frozenset({anchor})
-    # terminals keep their complex standing even if the restricted subtree
-    # narrows to a zero-length path
-    override = frozenset(t for t in kept_terminals if classify_terminal(real, t) == "complex")
-    return RealizationTree(frozenset(verts), lengths, subs, override)
+    return RealizationTree(frozenset(verts), lengths, subs)
 
 
 # -- recursion and public entry ---------------------------------------------

@@ -9,8 +9,8 @@ def make_net(vertices, arcs, terminals, caps):
     return Network(Digraph.build(vertices, arcs), tuple(terminals), caps)
 
 
-def make_real(vertices, edges, subtrees, override=()):
-    return RealizationTree.build(vertices, edges, subtrees, override)
+def make_real(vertices, edges, subtrees):
+    return RealizationTree.build(vertices, edges, subtrees)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from treeflow.documents import (
     parse_result,
     serialize_result,
 )
+from treeflow.cli import main
 from treeflow.generator import generate_instance, generate_network
 
 
@@ -43,6 +44,32 @@ def test_instance_round_trip_with_mixed_id_types():
     assert net2.terminals == net.terminals and net2.capacity == net.capacity
     assert real2.arc_length == real.arc_length
     assert serialize_instance(net2, real2) == text
+
+
+def test_terminals_sharing_a_subtree_key_are_rejected(tmp_path):
+    # 1 and "1" would share the subtree key "1"; a value-1 instance then
+    # came back with both terminals on one leaf and solved to 0
+    net = Network(Digraph.build([1, "1"], [("a", 1, "1"), ("b", "1", 1)]), (1, "1"),
+                  {"a": 1, "b": 1})
+    real = RealizationTree.build(["u", "v"], [("u", "v", 1, 0)], {1: ["u"], "1": ["v"]})
+    assert solve(net, real).value == 1
+    with pytest.raises(InputError) as e:
+        serialize_instance(net, real)
+    assert e.value.code == "duplicate-terminal"
+    doc = {
+        "graph": {"vertices": [1, "1"],
+                  "arcs": [{"id": "a", "tail": 1, "head": "1", "cap": 1},
+                           {"id": "b", "tail": "1", "head": 1, "cap": 1}]},
+        "terminals": [1, "1"],
+        "tree": {"vertices": ["u", "v"], "edges": [{"u": "u", "v": "v", "len_uv": 1, "len_vu": 0}]},
+        "subtrees": {"1": ["u"]},
+    }
+    with pytest.raises(InputError) as e:
+        parse_instance(json.dumps(doc))
+    assert e.value.code == "duplicate-terminal"
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1
 
 
 def test_parse_error_codes():

@@ -15,6 +15,7 @@ from treeflow import (
     is_eulerian_at,
     validate_instance,
 )
+from treeflow.graphs import boundary
 from treeflow.realization import ValidationIssue
 
 from conftest import make_net, make_real
@@ -216,10 +217,20 @@ def test_arc_index_matches_scan(net, data):
     assert Multiflow({(s, t): f}).component_value(net, (s, t)) == by_scan
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_nets(), st.data())
+def test_boundary_matches_scan(net, data):
+    side = frozenset(v for v in sorted(net.vertices) if data.draw(st.booleans()))
+    out_ids, in_ids = boundary(net, side)
+    arcs = net.graph.arcs
+    assert out_ids == {a.id for a in arcs if a.tail in side and a.head not in side}
+    assert in_ids == {a.id for a in arcs if a.head in side and a.tail not in side}
+
+
 def test_public_types_are_frozen(e1):
     net, real = e1
     for obj, name in [(net.graph, "arcs"), (net, "terminals"), (net, "capacity"),
-                      (real, "complexity_override"), (real, "subtrees"),
+                      (real, "arc_length"), (real, "subtrees"),
                       (Multiflow({}), "components"), (Certificate({}), "cuts")]:
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, getattr(obj, name))

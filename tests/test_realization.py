@@ -108,9 +108,6 @@ def test_classification():
     assert classify_terminal(real, "linear") == "linear"  # zero length c->b->a
     assert classify_terminal(real, "star") == "complex"
     assert classify_terminal(real, "path_both_ways") == "complex"
-    # the override pins a linear-shaped terminal as complex
-    real2 = make_real(["a", "b"], [("a", "b", 1, 0)], {"q": ["a", "b"]}, override=["q"])
-    assert classify_terminal(real2, "q") == "complex"
 
 
 def test_split_linear_terminal_balance():

@@ -242,6 +242,9 @@ def test_base_three_with_misplaced_complex_terminal():
                       "qv": ["v2", "v0", "v3"]})
     out = solve(net, real)
     assert_solution_checks(net, real, out)
+    # 3 minimal cuts, 3 bulk flows in the free core and 3 regions, where
+    # s1's region takes a second phase to expel qv; each region is solved once
+    assert out.stats.maxflow_calls == 10
     # separation for the repaired leaf: qv ends up outside the s1 cut
     side = out.certificate.cuts[("v1", "v0")]
     assert "s1" in side and "qv" not in side
