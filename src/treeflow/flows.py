@@ -6,16 +6,21 @@ All routines are deterministic: arcs are scanned in the order they appear
 in the network, and path peeling always follows the lowest-index positive
 arc.  Internally vertices and arcs are mapped to dense integer indices;
 the public surface speaks in the network's own ids.
+
+Max flows run on a residual skeleton built once per graph (its dense
+numbering and twinned residual arcs, without capacities), so flows with
+other capacities on the same Digraph only copy what a run mutates.  Only
+the latest graph's skeleton is kept.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ContractViolation
-from .graphs import ArcId, Network, Cut, VertexId, sort_key, total_capacity
+from .graphs import MAX_CAPACITY, ArcId, Cut, Digraph, Network, VertexId, sort_key
 
 
 @dataclass(frozen=True)
@@ -26,45 +31,107 @@ class PathFlow:
     weight: int
 
 
-class _Dinic:
-    """Residual graph shared by max_flow and lex_max_flow.
+@dataclass(frozen=True)
+class _Skeleton:
+    """The capacity-free part of a graph's residual network.
 
-    Residual arcs are stored as twinned halves: index 2k is the forward
-    copy of input arc k, index 2k+1 its reverse.  Synthetic super-source
-    and super-sink arcs are appended after the real ones and are stripped
+    Residual arcs are twinned halves: index 2k is the forward copy of arc
+    k of the graph, index 2k+1 its reverse, so the tail of residual arc e
+    is head[e ^ 1].  Vertices are numbered in the graph's vertex order
+    (a relabelling only: every scan follows arc order), and the two
+    numbers after them are the super-source and the super-sink, which
+    have no arcs yet.  adj holds each vertex's residual arcs in arc order
+    as a tuple, so no run can change a skeleton another run shares.
+    """
+
+    vid: Dict[VertexId, int]
+    head: Tuple[int, ...]
+    adj: Tuple[Tuple[int, ...], ...]
+    arc_ids: Tuple[ArcId, ...]
+
+    @staticmethod
+    def build(graph: Digraph) -> "_Skeleton":
+        vid = {v: i for i, v in enumerate(graph.vertices)}
+        head: List[int] = []
+        adj: List[List[int]] = [[] for _ in range(len(vid) + 2)]
+        for a in graph.arcs:
+            u, v = vid[a.tail], vid[a.head]
+            adj[u].append(len(head))
+            head.append(v)
+            adj[v].append(len(head))
+            head.append(u)
+        return _Skeleton(vid, tuple(head), tuple(map(tuple, adj)),
+                         tuple(a.id for a in graph.arcs))
+
+
+# The latest graph's skeleton, as one (graph, skeleton) pair.  One slot
+# serves the runs of flows on one graph (a partition step, the minimal
+# cuts and bulk flows of a star base, every tree arc of dual_value).  A
+# skeleton cached on each Digraph would live as long as its graph, so
+# every graph alive in the solver's recursion would keep one.
+_slot: Tuple[Optional[Digraph], Optional[_Skeleton]] = (None, None)
+
+
+def _skeleton(graph: Digraph) -> _Skeleton:
+    global _slot
+    owner, skel = _slot  # one read: the pair is replaced, never half-written
+    if owner is not graph:
+        skel = _Skeleton.build(graph)
+        _slot = (graph, skel)
+    return skel
+
+
+class _Dinic:
+    """One max-flow run on a network: Dinitz's blocking-flow algorithm
+    (1970) over the shared skeleton of the network's graph.
+
+    A run owns only what it mutates: the residual capacities (read from
+    net.capacity), a copy of the head list, and copies of the arc lists
+    of the vertices it attaches super arcs to.  Super-source and
+    super-sink arcs are appended after the real ones and are stripped
     from the reported flow.
+
+    Two shortcuts leave every augmenting path as the textbook loop finds
+    it, so the flows are identical arc for arc.  A BFS phase stops once
+    the super-sink has its level: every vertex still unlabelled is at
+    least as far from the super-source, so no path of rising levels
+    leads from it to the super-sink, and the DFS would only have found it
+    a dead end.  After an augmentation the DFS resumes at the tail of the
+    first arc it saturated, keeping the path before it: restarted from
+    the super-source it would walk that same prefix, because the arc
+    pointers of the prefix vertices still point at the prefix arcs.
     """
 
     def __init__(self, net: Network):
-        # the numbering is a relabelling only: every scan follows arc order
-        self.vid = {v: i for i, v in enumerate(net.vertices)}
-        n = len(self.vid) + 2  # two extra slots for super-source/sink
-        self.n = n
-        self.super_s = n - 2
-        self.super_t = n - 1
-        self.head: List[int] = []
-        self.cap: List[int] = []
-        self.adj: List[List[int]] = [[] for _ in range(n)]
-        self.real_arc_ids: List[ArcId] = []
-        for a in net.graph.arcs:
-            self._add(self.vid[a.tail], self.vid[a.head], net.capacity[a.id])
-            self.real_arc_ids.append(a.id)
-        self.n_real = len(self.real_arc_ids)
-        self.inf = total_capacity(net) + 1
+        skel = _skeleton(net.graph)
+        self.vid = skel.vid
+        self.arc_ids = skel.arc_ids
+        self.n = len(skel.adj)
+        self.super_s = self.n - 2
+        self.super_t = self.n - 1
+        caps = list(map(net.capacity.__getitem__, skel.arc_ids))
+        total = sum(caps)
+        if total > MAX_CAPACITY:
+            raise ContractViolation("capacity sum exceeds 64-bit range")
+        self.inf = total + 1
+        self.cap = [0] * len(skel.head)
+        self.cap[::2] = caps
+        self.head = list(skel.head)
+        self.adj = list(skel.adj)
 
     def _add(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.head))
+        # tuple concatenation leaves the skeleton's arc lists untouched
+        self.adj[u] += (len(self.head),)
         self.head.append(v)
         self.cap.append(c)
-        self.adj[v].append(len(self.head))
+        self.adj[v] += (len(self.head),)
         self.head.append(u)
         self.cap.append(0)
 
     def attach_super(self, sources: Sequence[int], sinks: Sequence[int]) -> None:
         for s in sources:
             self._add(self.super_s, s, self.inf)
-        for t in sinks:
-            self._add(t, self.super_t, self.inf)
+        self.add_sinks(sinks)
 
     def add_sinks(self, sinks: Sequence[int]) -> None:
         for t in sinks:
@@ -72,62 +139,57 @@ class _Dinic:
 
     def run(self) -> int:
         """Push blocking flows until the super-sink is unreachable."""
-        head, cap, adj = self.head, self.cap, self.adj
+        head, cap, adj, n = self.head, self.cap, self.adj, self.n
         s, t = self.super_s, self.super_t
         total = 0
         while True:
-            level = [-1] * self.n
+            level = [-1] * n
             level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
+            queue = [s]
+            for u in queue:  # BFS; the list grows while it is walked
+                lv = level[u] + 1
                 for e in adj[u]:
                     v = head[e]
                     if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        q.append(v)
-            if level[t] < 0:
-                return total
-            it = [0] * self.n
-            # iterative DFS for one blocking flow
-            while True:
-                path = []
-                u = s
-                while u != t:
-                    advanced = False
-                    while it[u] < len(adj[u]):
-                        e = adj[u][it[u]]
-                        v = head[e]
-                        if cap[e] > 0 and level[v] == level[u] + 1:
-                            path.append(e)
-                            u = v
-                            advanced = True
-                            break
-                        it[u] += 1
-                    if not advanced:
-                        if not path:
-                            u = None
-                            break
-                        level[u] = -1  # dead end, retreat
-                        e = path.pop()
-                        u = s if not path else head[path[-1]]
-                        # restart scan at the retreated arc
-                        continue
-                if u is None:
+                        level[v] = lv
+                        queue.append(v)
+                if level[t] >= 0:
                     break
-                bottleneck = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= bottleneck
-                    cap[e ^ 1] += bottleneck
-                total += bottleneck
+            else:
+                return total
+            it = [0] * n
+            path: List[int] = []
+            u = s
+            while True:  # DFS for one blocking flow
+                if u == t:
+                    bottleneck = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= bottleneck
+                        cap[e ^ 1] += bottleneck
+                    total += bottleneck
+                    k = next(k for k, e in enumerate(path) if cap[e] == 0)
+                    u = head[path[k] ^ 1]
+                    del path[k:]
+                    continue
+                arcs = adj[u]
+                lv = level[u] + 1
+                for i in range(it[u], len(arcs)):
+                    e = arcs[i]
+                    if cap[e] > 0 and level[head[e]] == lv:
+                        it[u] = i
+                        path.append(e)
+                        u = head[e]
+                        break
+                else:
+                    if not path:
+                        break
+                    level[u] = -1  # dead end: retreat past the arc into u
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
 
     def flow_by_arc(self) -> Dict[ArcId, int]:
-        out = {}
-        for k, aid in enumerate(self.real_arc_ids):
-            used = self.cap[2 * k + 1]  # reverse capacity equals pushed flow
-            if used:
-                out[aid] = used
-        return out
+        # the reverse capacity of a real arc equals the flow pushed on it
+        return {aid: used for aid, used in zip(self.arc_ids, self.cap[1::2]) if used}
 
 
 def _check_endpoint_sets(net: Network, sources, sinks):

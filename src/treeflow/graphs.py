@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, Mapping, Set, Tuple
 
-from .errors import InputError, ContractViolation
+from .errors import InputError
 
 VertexId = Hashable
 ArcId = Hashable
@@ -178,39 +178,37 @@ def cut_capacity(net: Network, cut: Cut) -> int:
     return sum(net.capacity[aid] for aid in boundary(net, cut.source_side)[0])
 
 
-def contract(net: Network, which: Iterable[VertexId], z: VertexId) -> Network:
-    """Contract a vertex set into a fresh vertex z.
+def contract(net: Network, groups: Mapping[VertexId, Iterable[VertexId]]) -> Network:
+    """Contract disjoint vertex sets, each into its own fresh vertex.
 
-    Arcs inside the contracted set disappear; all other arcs keep their
-    ids and capacities.  The terminal set becomes (S minus the set) plus z.
+    groups maps each fresh vertex z to the set it replaces.  Arcs inside
+    one set disappear; all other arcs keep their ids and capacities.  The
+    terminal set becomes S minus the sets, followed by the fresh vertices
+    in the order of groups.
     """
-    xs = set(which)
-    if not xs:
-        raise InputError("cannot contract an empty vertex set", code="invalid-input")
-    if z in net.vertices:
-        raise InputError(f"contraction vertex {z!r} already exists", code="invalid-input")
-    for v in xs:
-        if v not in net.vertices:
-            raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
+    image: Dict[VertexId, VertexId] = {}
+    for z, which in groups.items():
+        if z in net.vertices:
+            raise InputError(f"contraction vertex {z!r} already exists", code="invalid-input")
+        xs = set(which)
+        if not xs:
+            raise InputError("cannot contract an empty vertex set", code="invalid-input")
+        for v in xs:
+            if v not in net.vertices:
+                raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
+            if v in image:
+                raise InputError(f"vertex {v!r} is in two contracted sets", code="invalid-input")
+            image[v] = z
 
-    def image(v):
-        return z if v in xs else v
-
-    new_vertices = (net.vertices - xs) | {z}
+    new_vertices = net.vertices.difference(image).union(groups)
     new_arcs = []
     new_caps = {}
     for a in net.graph.arcs:
-        t, h = image(a.tail), image(a.head)
+        t, h = image.get(a.tail, a.tail), image.get(a.head, a.head)
         if t == h:
             continue
         new_arcs.append((a.id, t, h))
         new_caps[a.id] = net.capacity[a.id]
-    terminals = tuple(t for t in net.terminals if t not in xs) + (z,)
+    terminals = tuple(t for t in net.terminals if t not in image) + tuple(groups)
     return Network(Digraph.build(new_vertices, new_arcs), terminals, new_caps)
 
-
-def total_capacity(net: Network) -> int:
-    total = sum(net.capacity[a.id] for a in net.graph.arcs)
-    if total > MAX_CAPACITY:
-        raise ContractViolation("capacity sum exceeds 64-bit range")
-    return total

@@ -12,6 +12,7 @@ lifted family certifies optimality of the final answer.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,16 +164,12 @@ class _FreeCore:
     def _bulk(self) -> None:
         for i, t in enumerate(self.terms):
             others = [u for u in self.terms if u != t]
-            arcs = []
-            caps = {}
-            for a in self.graph.arcs:
-                if a.head == t or (a.tail in self.tset and a.tail != t):
-                    continue  # no arrivals at the source, no departures from sinks
-                left = self.cap[a.id] - self.used.get(a.id, 0)
-                if left > 0:
-                    arcs.append((a.id, a.tail, a.head))
-                    caps[a.id] = left
-            sub = Network(Digraph.build(self.net.vertices, arcs), tuple(self.terms), caps)
+            # no arrivals at the source, no departures from sinks: capacity
+            # 0 forbids an arc, so the k flows share the core's own graph
+            caps = {a.id: 0 if a.head == t or (a.tail in self.tset and a.tail != t)
+                    else self.cap[a.id] - self.used.get(a.id, 0)
+                    for a in self.graph.arcs}
+            sub = Network(self.graph, tuple(self.terms), caps)
             self.stats.maxflow_calls += 1
             f, _v = max_flow(sub, [t], others)
             if not f:
@@ -392,13 +389,14 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
     prov: Dict[ArcId, Tuple[ArcId, ArcId]] = {}
     for a in net.graph.arcs:
         tails[a.id], heads[a.id], cap[a.id] = a.tail, a.head, net.capacity[a.id]
+    order = sorted(cap, key=sort_key)  # every arc id, bypasses included, in id order
     out_target = {t: sum(cap[i] for i in cap if tails[i] == t) for t in terms}
     in_target = {t: sum(cap[i] for i in cap if heads[i] == t) for t in terms}
     counter = [0]
 
     def snapshot_net(extra=None):
-        arcs = [(i, tails[i], heads[i]) for i in sorted(cap, key=sort_key) if cap[i] > 0]
-        caps = {i: cap[i] for i in cap if cap[i] > 0}
+        arcs = [(i, tails[i], heads[i]) for i in order if cap[i] > 0]
+        caps = {i: cap[i] for i, _t, _h in arcs}
         if extra is not None:
             aid, u, w, g = extra
             if u != w and g > 0:
@@ -431,8 +429,8 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
             if v in tset:
                 continue
             while True:
-                ins = [i for i in sorted(cap, key=sort_key) if heads[i] == v and cap[i] > 0]
-                outs = [i for i in sorted(cap, key=sort_key) if tails[i] == v and cap[i] > 0]
+                ins = [i for i in order if heads[i] == v and cap[i] > 0]
+                outs = [i for i in order if tails[i] == v and cap[i] > 0]
                 if not ins and not outs:
                     break
                 if not ins or not outs:
@@ -460,6 +458,7 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
                                 nid = ("~", counter[0])
                                 tails[nid], heads[nid], cap[nid] = u, w, best
                                 prov[nid] = (a_id, b_id)
+                                insort(order, nid, key=sort_key)
                             committed = True
                             progress = True
                             break
@@ -471,7 +470,7 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[ArcId, int]] = {}
     memo: Dict[ArcId, Dict[ArcId, int]] = {}
-    for aid in sorted(cap, key=sort_key):
+    for aid in order:
         if cap[aid] <= 0:
             continue
         u, w = tails[aid], heads[aid]
@@ -593,13 +592,12 @@ def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
-    core_net = net
+    taken = set(net.vertices)
     core_term: Dict[VertexId, VertexId] = {}
     for t in terms:
-        w = fresh_id(core_net.vertices, "@", "w")
-        core_net = contract(core_net, cuts[t], w)
-        core_term[t] = w
-    core_net = Network(core_net.graph, tuple(core_term[t] for t in terms), core_net.capacity)
+        core_term[t] = fresh_id(taken, "@", "w")
+        taken.add(core_term[t])
+    core_net = contract(net, {core_term[t]: cuts[t] for t in terms})
 
     core = _FreeCore(core_net, [core_term[t] for t in terms], stats)
     try:
@@ -678,7 +676,7 @@ def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
     """
     q = list(q_terms)
     z = fresh_id(net.vertices, "@", "rz")
-    region = contract(net, net.vertices - side, z)
+    region = contract(net, {z: net.vertices - side})
     # forbid through-traffic at z: its out-arcs belong to the backward flow
     keep = [(a.id, a.tail, a.head) for a in region.graph.arcs if a.tail != z]
     doctored = Network(
@@ -743,7 +741,7 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
             reps.append(bunch[0])
             continue
         m = fresh_id(merged.vertices, "@", "m")
-        merged = contract(merged, bunch, m)
+        merged = contract(merged, {m: bunch})
         groups[m] = bunch
         reps.append(m)
 
@@ -862,8 +860,8 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
     z2 = fresh_id(net.vertices, "@", "cut")
     z1 = fresh_id(net.vertices | {z2}, "@", "cut")
 
-    net1 = contract(net, x2, z2)
-    net2 = contract(net, x1, z1)
+    net1 = contract(net, {z2: x2})
+    net2 = contract(net, {z1: x1})
     real1 = _contract_real(real, side1, v2, [t for t in net.terminals if t in x1], z2)
     real2 = _contract_real(real, side2, v1, [t for t in net.terminals if t in x2], z1)
 

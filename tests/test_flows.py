@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from treeflow import (
     ContractViolation,
     InputError,
+    Network,
     PathFlow,
     decompose,
     lex_max_flow,
@@ -183,10 +185,14 @@ def flow_instances(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(flow_instances())
-def test_max_flow_min_cut_equality(net):
+@given(flow_instances(), st.data())
+def test_max_flow_min_cut_equality(net, data):
     verts = sorted(net.vertices)
-    sources, sinks = {verts[0]}, {verts[-1]}
+    # disjoint nonempty endpoint sets: the first vertex is a source, the
+    # last a sink, and each other vertex either, or neither
+    roles = [data.draw(st.sampled_from("st-")) for _v in verts[1:-1]]
+    sources = {verts[0]} | {v for v, r in zip(verts[1:-1], roles) if r == "s"}
+    sinks = {verts[-1]} | {v for v, r in zip(verts[1:-1], roles) if r == "t"}
     f, v = max_flow(net, sources, sinks)
     side = min_cut_source_side(net, f, sources, sinks).source_side
     cut = sum(net.capacity[a.id] for a in net.graph.arcs
@@ -255,3 +261,56 @@ def test_complement_flow_on_balanced_inner(net):
     for v in inner:
         assert divergence(net2, g, v) == 0
     assert divergence(net2, g, t) >= 0
+
+
+def test_max_flow_tie_breaking_is_pinned():
+    # 24 maximum flows run from s to {t, q}; the result documents depend on
+    # max_flow and lex_max_flow always returning the same one
+    arcs = [("sa", "s", "a"), ("sb", "s", "b"), ("ab", "a", "b"), ("ba", "b", "a"),
+            ("at", "a", "t"), ("ac", "a", "c"), ("bc", "b", "c"), ("bt", "b", "t"),
+            ("ct", "c", "t"), ("cq", "c", "q"), ("aq", "a", "q")]
+    caps = {"sa": 3, "sb": 2, "ab": 1, "ba": 2, "at": 1, "ac": 2, "bc": 1, "bt": 1,
+            "ct": 2, "cq": 2, "aq": 1}
+    net = make_net(list("sabctq"), arcs, ["s", "t", "q"], caps)
+    assert max_flow(net, ["s"], ["t", "q"]) == (
+        {"sa": 3, "sb": 2, "at": 1, "ac": 1, "bc": 1, "bt": 1, "ct": 2, "aq": 1}, 5)
+    assert max_flow(net, ["s", "b"], ["t"]) == (
+        {"ba": 2, "at": 1, "ac": 1, "bc": 1, "bt": 1, "ct": 2}, 4)
+    assert lex_max_flow(net, "s", "t", ["q"]) == \
+        {"sa": 3, "sb": 2, "ba": 1, "at": 1, "ac": 2, "bt": 1, "ct": 2, "aq": 1}
+    assert lex_max_flow(net, "s", "q", ["t"]) == \
+        {"sa": 3, "sb": 2, "ba": 1, "at": 1, "ac": 2, "bt": 1, "cq": 2, "aq": 1}
+
+
+def _run_flow(net, lex):
+    verts = sorted(net.vertices)
+    if lex:
+        return lex_max_flow(net, verts[0], verts[-1], verts[1:-1])
+    return max_flow(net, verts[:1], verts[-1:])
+
+
+def _fresh_copy(net):
+    arcs = [(a.id, a.tail, a.head) for a in net.graph.arcs]
+    return make_net(sorted(net.vertices), arcs, net.terminals, dict(net.capacity))
+
+
+@settings(max_examples=50, deadline=None)
+@given(flow_instances(), flow_instances(), st.data())
+def test_flows_sharing_a_graph_match_fresh_graphs(a, b, data):
+    # a and its variant share one Digraph but not their capacities
+    variant_caps = {aid: data.draw(st.sampled_from([0, c, c + 2]))
+                    for aid, c in sorted(a.capacity.items())}
+    nets = [a, Network(a.graph, a.terminals, variant_caps), b]
+    calls = data.draw(st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=8))
+    got = [_run_flow(nets[i], lex) for i, lex in calls]
+    assert got == [_run_flow(_fresh_copy(nets[i]), lex) for i, lex in calls]
+
+
+def test_flows_keep_no_graph_alive_but_the_latest():
+    a = make_net(["s", "t"], [("e", "s", "t")], ["s", "t"], {"e": 1})
+    b = make_net(["s", "t"], [("e", "s", "t")], ["s", "t"], {"e": 2})
+    max_flow(a, ["s"], ["t"])
+    graph_a = weakref.ref(a.graph)
+    assert max_flow(b, ["s"], ["t"]) == ({"e": 2}, 2)
+    del a
+    assert graph_a() is None

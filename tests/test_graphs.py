@@ -78,7 +78,7 @@ def test_cut_validation():
 
 def test_contract_endpoint():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    out = contract(net, ["t"], "z")
+    out = contract(net, {"z": ["t"]})
     assert out.vertices == {"s", "z"}
     arcs = out.graph.arcs
     assert len(arcs) == 1 and arcs[0].id == "a" and arcs[0].head == "z"
@@ -87,7 +87,7 @@ def test_contract_endpoint():
 
 def test_contract_deletes_interior_arcs():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    out = contract(net, ["s", "t"], "z")
+    out = contract(net, {"z": ["s", "t"]})
     assert out.graph.arcs == ()
 
 
@@ -96,7 +96,7 @@ def test_contract_three_cycle():
     net = make_net(["u", "v", "w"],
                    [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "w", "u")],
                    ["u"], {"e1": 1, "e2": 1, "e3": 1})
-    out = contract(net, ["v", "w"], "z")
+    out = contract(net, {"z": ["v", "w"]})
     got = {(a.id, a.tail, a.head) for a in out.graph.arcs}
     assert got == {("e1", "u", "z"), ("e3", "z", "u")}
     assert out.capacity == {"e1": 1, "e3": 1}
@@ -106,10 +106,15 @@ def test_contract_commutes_for_disjoint_sets():
     net = make_net(list("abcd"),
                    [("1", "a", "b"), ("2", "b", "c"), ("3", "c", "d"), ("4", "d", "a")],
                    ["a"], {"1": 1, "2": 2, "3": 3, "4": 4})
-    one = contract(contract(net, ["a", "b"], "p"), ["c", "d"], "q")
-    two = contract(contract(net, ["c", "d"], "q"), ["a", "b"], "p")
+    one = contract(contract(net, {"p": ["a", "b"]}), {"q": ["c", "d"]})
+    two = contract(contract(net, {"q": ["c", "d"]}), {"p": ["a", "b"]})
+    both = contract(net, {"p": ["a", "b"], "q": ["c", "d"]})
     assert {(a.id, a.tail, a.head) for a in one.graph.arcs} == \
            {(a.id, a.tail, a.head) for a in two.graph.arcs}
+    assert both.graph == one.graph and both.capacity == one.capacity
+    assert both.terminals == one.terminals == ("p", "q")
+    with pytest.raises(InputError):
+        contract(net, {"p": ["a", "b"], "q": ["b", "c"]})
 
 
 def test_validate_instance_cases():
@@ -186,7 +191,7 @@ def test_contract_preserves_outside_arcs(net, data):
     if side == set(verts):
         side = {verts[0]}
     fresh = "fresh"
-    out = contract(net, side, fresh)
+    out = contract(net, {fresh: side})
     survivors = {a.id for a in out.graph.arcs}
     expected = {a.id for a in net.graph.arcs
                 if not (a.tail in side and a.head in side)}
