@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .errors import InputError, ContractViolation, TreeflowError
 from .graphs import Arc, Cut, Digraph, Network, contract, cut_capacity, divergence, is_eulerian_at
-from .flows import PathFlow, decompose, lex_max_flow, max_flow, min_cut_source_side
+from .flows import TerminalPath, decompose, lex_max_flow, max_flow, min_cut_source_side
 from .realization import (
     PiSet,
     RealizationTree,
@@ -19,7 +19,7 @@ from .realization import (
     tree_distance,
     validate_instance,
 )
-from .multiflow import Multiflow, TerminalPath
+from .multiflow import Multiflow
 from .certify import Certificate, check_feasible, dual_value, mu_value, verify_certificate
 from .solver import SolveOutput, SolveStats, free_imf, solve
 from .documents import parse_instance, parse_result, serialize_instance, serialize_result
@@ -27,7 +27,7 @@ from .generator import generate_instance, generate_network
 
 __all__ = [
     "Arc", "Certificate", "ContractViolation", "Cut", "Digraph", "InputError",
-    "Multiflow", "Network", "PathFlow", "PiSet", "RealizationTree", "SolveOutput",
+    "Multiflow", "Network", "PiSet", "RealizationTree", "SolveOutput",
     "SolveStats", "TerminalPath", "TreeflowError", "check_feasible",
     "choose_balanced_edge", "classify_terminal", "contract", "cut_capacity",
     "decompose", "divergence", "dual_value", "free_imf", "generate_instance",

@@ -65,22 +65,24 @@ def mu_value(real: RealizationTree, flow: Union[Multiflow, List[TerminalPath]],
 def check_feasible(net: Network, flow: Union[Multiflow, List[TerminalPath]]):
     """None when the flow is feasible, else what violates it.
 
-    A component-form flow must respect capacities, and each component
-    may have positive divergence only at its source and negative only at
-    its target; the violating arc id is returned.  A path packing must
-    consist of walks with a positive integer weight between two distinct
-    terminals: a path with bad endpoints or weight, or whose arcs do not
-    run from its source to its target, is returned; otherwise the id of
-    the first arc that is unknown, does not continue its walk, or is
-    loaded beyond its capacity.
+    A component-form flow must have nonnegative int arc values that
+    respect capacities, and each component may have positive divergence
+    only at its source and negative only at its target; the violating
+    arc id is returned.  A path packing must consist of walks with a
+    positive integer weight between two distinct terminals: a path with
+    bad endpoints or weight, or whose arcs do not run from its source to
+    its target, is returned; otherwise the id of the first arc that is
+    unknown, does not continue its walk, or is loaded beyond its capacity.
     """
     by_id = net.graph.arcs_by_id()
     if isinstance(flow, Multiflow):
+        for pair in flow.pairs():
+            for aid, w in flow.components[pair].items():
+                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+                    return aid
         totals = flow.total_arc_flow()
         for aid, w in sorted(totals.items(), key=lambda kv: sort_key(kv[0])):
-            if aid not in by_id:
-                return aid
-            if w < 0 or w > net.capacity[aid]:
+            if aid not in by_id or w > net.capacity[aid]:
                 return aid
         for pair in flow.pairs():
             s, t = pair

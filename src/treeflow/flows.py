@@ -24,9 +24,11 @@ from .graphs import MAX_CAPACITY, ArcId, Cut, Digraph, Network, VertexId, sort_k
 
 
 @dataclass(frozen=True)
-class PathFlow:
-    """A simple directed path (as a tuple of arc ids) carrying integer weight."""
+class TerminalPath:
+    """A weighted simple directed path between two distinct terminals."""
 
+    source: VertexId
+    target: VertexId
     arcs: Tuple[ArcId, ...]
     weight: int
 
@@ -272,14 +274,15 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
 
 
 def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[VertexId],
-              allowed_sinks: Iterable[VertexId]) -> List[PathFlow]:
+              allowed_sinks: Iterable[VertexId]) -> List[TerminalPath]:
     """Peel a nonnegative integer arc function into weighted simple paths.
 
     Walks start at vertices with positive remaining divergence, follow the
     lowest-index positive arc, and stop at the first allowed sink with
     unmet demand.  Cycles encountered on the way are cancelled and
     discarded, so the induced arc function of the result is bounded by f
-    and differs from it by a nonnegative circulation.
+    and differs from it by a nonnegative circulation.  Each path is a
+    TerminalPath from its walk's first vertex to its last.
 
     A vertex listed both as source and sink takes the role its divergence
     sign dictates.  Any other vertex must have zero divergence.
@@ -332,8 +335,7 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
         out_ptr[v] = i
         return lst[i] if i < len(lst) else None
 
-    collected: Dict[Tuple[ArcId, ...], int] = {}
-    order: List[Tuple[ArcId, ...]] = []
+    collected: Dict[Tuple[VertexId, VertexId, Tuple[ArcId, ...]], int] = {}
 
     for s in sorted(surplus, key=sort_key):
         while surplus.get(s, 0) > 0:
@@ -374,13 +376,10 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
                 remaining[a.id] -= theta
             surplus[s] -= theta
             demand[t] -= theta
-            key = tuple(a.id for a in path_arcs)
-            if key not in collected:
-                collected[key] = 0
-                order.append(key)
-            collected[key] += theta
+            key = (s, t, tuple(a.id for a in path_arcs))
+            collected[key] = collected.get(key, 0) + theta
 
     if any(surplus.values()) or any(demand.values()):
         raise ContractViolation("decomposition left unmet surplus or demand")
-    return [PathFlow(k, collected[k]) for k in order]
+    return [TerminalPath(*key, w) for key, w in collected.items()]
 

@@ -1,7 +1,7 @@
 """Integer multiflows kept as per-(source, target) flow components.
 
-The solver works in component form throughout and converts to an
-explicit weighted path packing once at the end; both forms live here.
+The solver sums its weighted paths into components once, at the end;
+to_paths turns them back into an explicit weighted path packing.
 """
 
 from __future__ import annotations
@@ -9,18 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Tuple
 
-from .flows import PathFlow, decompose
+from .flows import TerminalPath, decompose
 from .graphs import ArcId, Network, divergence, sort_key
-
-
-@dataclass(frozen=True)
-class TerminalPath:
-    """A weighted simple directed path between two distinct terminals."""
-
-    source: Hashable
-    target: Hashable
-    arcs: Tuple[ArcId, ...]
-    weight: int
 
 
 @dataclass(frozen=True)
@@ -30,9 +20,9 @@ class Multiflow:
     components: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = field(default_factory=dict)
 
     @staticmethod
-    def from_paths(net: Network, paths: Iterable[PathFlow]) -> "Multiflow":
-        """Sum weighted paths (PathFlow or TerminalPath) into components,
-        keyed by the tail of each path's first arc and the head of its last."""
+    def from_paths(net: Network, paths: Iterable[TerminalPath]) -> "Multiflow":
+        """Sum weighted paths into components, keyed by the tail of each
+        path's first arc and the head of its last."""
         by_id = net.graph.arcs_by_id()
         comps: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = {}
         for p in paths:
@@ -61,8 +51,6 @@ class Multiflow:
         out: List[TerminalPath] = []
         for (s, t) in self.pairs():
             f = self.components[(s, t)]
-            if not any(f.values()):
-                continue
-            for p in decompose(net, f, [s], [t]):
-                out.append(TerminalPath(s, t, p.arcs, p.weight))
+            if any(f.values()):
+                out.extend(decompose(net, f, [s], [t]))
         return out

@@ -4,9 +4,10 @@ The algorithm normalizes the realization, then recurses: while the tree
 has an edge with two non-leaf endpoints it splits the instance at a
 minimum cut between the two terminal groups, solves both contractions,
 and glues the results.  Otherwise the tree is a single edge or a small
-star, handled by direct flow constructions.  Every level returns, next
-to the flow components, one saturated separating cut per tree arc; the
-lifted family certifies optimality of the final answer.
+star, handled by direct flow constructions.  Every level returns its
+flow as weighted TerminalPaths, glued on the cut's boundary arcs, and
+one saturated separating cut per tree arc; the lifted family certifies
+optimality of the final answer.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .flows import decompose, max_flow, min_cut_source_side, lex_max_flow
+from .flows import TerminalPath, decompose, max_flow, min_cut_source_side, lex_max_flow
 from .graphs import (ArcId, Cut, Digraph, Network, VertexId, boundary, contract, fresh_id,
                      is_eulerian_at, sort_key)
-from .multiflow import Multiflow, TerminalPath
+from .multiflow import Multiflow
 from .realization import (
     NormalizeRecord,
     RealizationTree,
@@ -33,7 +34,6 @@ from .realization import (
     validate_instance,
 )
 
-Components = Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]]
 CutMap = Dict[Tuple[Hashable, Hashable], frozenset]
 
 
@@ -55,21 +55,17 @@ class SolveOutput:
 # -- small helpers ---------------------------------------------------------
 
 
-def _add_arcfunc(target: Dict[ArcId, int], src: Dict[ArcId, int], sign: int = 1) -> None:
+def _add_arcfunc(target: Dict[ArcId, int], src: Dict[ArcId, int]) -> None:
     for aid, w in src.items():
         if w:
-            target[aid] = target.get(aid, 0) + sign * w
-
-
-def _merge_components(target: Components, pair, f: Dict[ArcId, int]) -> None:
-    if not any(f.values()):
-        return
-    _add_arcfunc(target.setdefault(pair, {}), f)
+            target[aid] = target.get(aid, 0) + w
 
 
 def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[TerminalPath]:
     """Concatenate weighted paths: each left path ends with the arc the
-    matching right path starts with; weights are split greedily."""
+    matching right path starts with; weights are split greedily and must
+    all be used.  Glues regions to the core in _free_imf_paths and the
+    two partition children in aggregate."""
     queues: Dict[ArcId, deque] = {}
     for p in right:
         queues.setdefault(p.arcs[0], deque()).append([p, p.weight])
@@ -174,9 +170,8 @@ class _FreeCore:
             f, _v = max_flow(sub, [t], others)
             if not f:
                 continue
-            by_id = self.graph.arcs_by_id()
             for p in decompose(sub, f, [t], others):
-                j = self.terms.index(by_id[p.arcs[-1]].head)
+                j = self.terms.index(p.target)
                 comp = self.flow.setdefault((i, j), {})
                 for aid in p.arcs:
                     comp[aid] = comp.get(aid, 0) + p.weight
@@ -607,10 +602,8 @@ def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
     core_paths: List[TerminalPath] = []
     for (i, j) in sorted(core_flow):
         comp = core_flow[(i, j)]
-        if not any(comp.values()):
-            continue
-        for p in decompose(core_net, comp, [core.terms[i]], [core.terms[j]]):
-            core_paths.append(TerminalPath(terms[i], terms[j], p.arcs, p.weight))
+        if any(comp.values()):
+            core_paths += decompose(core_net, comp, [core.terms[i]], [core.terms[j]])
 
     # expand every contracted side: each region's outside is one vertex z
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
@@ -656,9 +649,8 @@ def base_two_vertices(net: Network, real: RealizationTree, stats: SolveStats):
     g = {a.id: net.capacity[a.id] - f.get(a.id, 0) for a in net.graph.arcs}
     ends = sorted(set(src) | set(dst), key=sort_key)
     paths = decompose(net, f, src, dst) + decompose(net, g, ends, ends)
-    comps = Multiflow.from_paths(net, paths).components
     cuts: CutMap = {(v1, v2): x, (v2, v1): net.vertices - x}
-    return comps, cuts
+    return paths, cuts
 
 
 def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
@@ -671,31 +663,24 @@ def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
     from z and q_terms back to s_i.  With q_terms empty this is one max
     flow and the side stays as it is; otherwise the side shrinks to the
     minimal cut of the two-phase flow, which leaves q_terms outside.
-    Returns (side, z, region, forward, backward), the paths as
-    TerminalPaths on the region.
+    Returns (side, z, region, forward, backward), the paths on the region.
     """
     q = list(q_terms)
     z = fresh_id(net.vertices, "@", "rz")
     region = contract(net, {z: net.vertices - side})
-    # forbid through-traffic at z: its out-arcs belong to the backward flow
-    keep = [(a.id, a.tail, a.head) for a in region.graph.arcs if a.tail != z]
-    doctored = Network(
-        Digraph.build(region.vertices, keep),
-        region.terminals,
-        {aid: region.capacity[aid] for aid, _t, _h in keep},
-    )
+    # capacity 0 forbids z's out-arcs: they belong to the backward flow
+    doctored = Network(region.graph, region.terminals,
+                       {a.id: 0 if a.tail == z else region.capacity[a.id]
+                        for a in region.graph.arcs})
     stats.maxflow_calls += 2 if q else 1
     g = lex_max_flow(doctored, s_i, z, q)
     new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + q).source_side
     for a in region.graph.in_arcs(z):
         if g.get(a.id, 0) != region.capacity[a.id]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    by_id = region.graph.arcs_by_id()
-    forward = [TerminalPath(s_i, by_id[p.arcs[-1]].head, p.arcs, p.weight)
-               for p in decompose(doctored, g, [s_i], [z] + q)]
+    forward = decompose(doctored, g, [s_i], [z] + q)
     h = {a.id: region.capacity[a.id] - g.get(a.id, 0) for a in region.graph.arcs}
-    backward = [TerminalPath(by_id[p.arcs[0]].tail, s_i, p.arcs, p.weight)
-                for p in decompose(region, h, [z] + q, [s_i])]
+    backward = decompose(region, h, [z] + q, [s_i])
     return new_side, z, region, forward, backward
 
 
@@ -762,84 +747,55 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
         return frozenset(out)
 
     # undo the merge: endpoints are read off the original arc endpoints
-    comps = Multiflow.from_paths(net, paths).components
+    by_id = net.graph.arcs_by_id()
+    paths = [TerminalPath(by_id[p.arcs[0]].tail, by_id[p.arcs[-1]].head, p.arcs, p.weight)
+             for p in paths]
     cuts_out: CutMap = {}
     for i in range(nleaf):
         side = widen(sides[reps[i]])
         cuts_out[(leaves[i], center)] = side
         cuts_out[(center, leaves[i])] = net.vertices - side
-    return comps, cuts_out
+    return paths, cuts_out
 
 
 # -- partition step ----------------------------------------------------------
 
 
-def aggregate(net: Network, comps1: Components, comps2: Components,
-              x1: frozenset, x2: frozenset, z2: VertexId, z1: VertexId) -> Components:
+def aggregate(net: Network, paths1: List[TerminalPath], paths2: List[TerminalPath],
+              x1: frozenset, x2: frozenset, z2: VertexId, z1: VertexId) -> List[TerminalPath]:
     """Glue two child solutions across a saturated partition cut.
 
-    Components internal to one side carry over; the source->z and
-    z->target components of the two children are summed along the shared
-    boundary (counted once, at full capacity) and re-decomposed into
-    proper source-target components.
+    Child 1 lives on x1 plus z2 (x2 contracted), child 2 on x2 plus z1.
+    Paths inside one side carry over.  A child-1 path into z2 ends with
+    an arc from x1 to x2 that child-2 paths out of z1 start with, and
+    _join_on_arc joins them on it; backward, child-2 paths into z1 join
+    child-1 paths out of z2.  The two halves of a joined path lie on
+    disjoint sides, so it is simple and crosses every lifted child cut as
+    often as its half did.  Each boundary arc must carry its capacity.
     """
     out_ids, in_ids = boundary(net, x1)
-    comps: Components = {}
-    fwd_sources, fwd_sinks = set(), set()
-    bwd_sources, bwd_sinks = set(), set()
-    h_fwd: Dict[ArcId, int] = {aid: net.capacity[aid] for aid in out_ids}
-    h_bwd: Dict[ArcId, int] = {aid: net.capacity[aid] for aid in in_ids}
-
     crossing = out_ids | in_ids
-    check_fwd: Dict[ArcId, int] = {}
-    check_bwd: Dict[ArcId, int] = {}
-    for (s, t), f in comps1.items():
-        if t == z2:
-            fwd_sources.add(s)
-            for aid, w in f.items():
-                if aid in out_ids:
-                    check_fwd[aid] = check_fwd.get(aid, 0) + w
-                else:
-                    h_fwd[aid] = h_fwd.get(aid, 0) + w
-        elif s == z2:
-            bwd_sinks.add(t)
-            for aid, w in f.items():
-                if aid in in_ids:
-                    check_bwd[aid] = check_bwd.get(aid, 0) + w
-                else:
-                    h_bwd[aid] = h_bwd.get(aid, 0) + w
-        else:
-            if any(f.get(aid, 0) for aid in crossing):
-                raise ContractViolation("side-internal component touches the partition boundary")
-            _merge_components(comps, (s, t), f)
-    for (s, t), f in comps2.items():
-        if s == z1:
-            fwd_sinks.add(t)
-            for aid, w in f.items():
-                if aid not in out_ids:
-                    h_fwd[aid] = h_fwd.get(aid, 0) + w
-        elif t == z1:
-            bwd_sources.add(s)
-            for aid, w in f.items():
-                if aid not in in_ids:
-                    h_bwd[aid] = h_bwd.get(aid, 0) + w
-        else:
-            if any(f.get(aid, 0) for aid in crossing):
-                raise ContractViolation("side-internal component touches the partition boundary")
-            _merge_components(comps, (s, t), f)
+    internal, into, out_of = [], {z1: [], z2: []}, {z1: [], z2: []}
+    for paths, z in ((paths1, z2), (paths2, z1)):
+        for p in paths:
+            if p.target == z:
+                into[z].append(p)
+            elif p.source == z:
+                out_of[z].append(p)
+            elif crossing.isdisjoint(p.arcs):
+                internal.append(p)
+            else:
+                raise ContractViolation("side-internal path touches the partition boundary")
 
-    for aid in out_ids:
-        if check_fwd.get(aid, 0) != net.capacity[aid]:
-            raise ContractViolation("partition boundary not saturated forward")
-    for aid in in_ids:
-        if check_bwd.get(aid, 0) != net.capacity[aid]:
-            raise ContractViolation("partition boundary not saturated backward")
+    for z, ids, direction in ((z2, out_ids, "forward"), (z1, in_ids, "backward")):
+        load = dict.fromkeys(ids, 0)
+        for p in into[z]:
+            load[p.arcs[-1]] += p.weight
+        if any(load[aid] != net.capacity[aid] for aid in ids):
+            raise ContractViolation(f"partition boundary not saturated {direction}")
 
-    fwd = decompose(net, h_fwd, sorted(fwd_sources, key=sort_key), sorted(fwd_sinks, key=sort_key))
-    bwd = decompose(net, h_bwd, sorted(bwd_sources, key=sort_key), sorted(bwd_sinks, key=sort_key))
-    for pair, f in Multiflow.from_paths(net, fwd + bwd).components.items():
-        _merge_components(comps, pair, f)
-    return comps
+    return (internal + _join_on_arc(into[z2], out_of[z1])
+            + _join_on_arc(into[z1], out_of[z2]))
 
 
 def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats, depth: int):
@@ -865,10 +821,10 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
     real1 = _contract_real(real, side1, v2, [t for t in net.terminals if t in x1], z2)
     real2 = _contract_real(real, side2, v1, [t for t in net.terminals if t in x2], z1)
 
-    comps1, cuts1 = _solve_rec(net1, real1, stats, depth + 1)
-    comps2, cuts2 = _solve_rec(net2, real2, stats, depth + 1)
+    paths1, cuts1 = _solve_rec(net1, real1, stats, depth + 1)
+    paths2, cuts2 = _solve_rec(net2, real2, stats, depth + 1)
 
-    comps = aggregate(net, comps1, comps2, x1, x2, z2, z1)
+    paths = aggregate(net, paths1, paths2, x1, x2, z2, z1)
 
     cuts: CutMap = {(v1, v2): x1, (v2, v1): x2}
     for arc, side in cuts1.items():
@@ -879,7 +835,7 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
         if arc in ((v1, v2), (v2, v1)):
             continue
         cuts[arc] = frozenset((side - {z1}) | (x1 if z1 in side else frozenset()))
-    return comps, cuts
+    return paths, cuts
 
 
 def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
@@ -908,7 +864,7 @@ def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
 def _solve_rec(net: Network, real: RealizationTree, stats: SolveStats, depth: int):
     stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(real.vertices) == 1:
-        return {}, {}
+        return [], {}
     edge = choose_balanced_edge(real)
     if edge is not None:
         return partition_step(net, real, edge, stats, depth)
@@ -931,36 +887,41 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     stats = SolveStats()
 
     norm_net, norm_real, record = normalize(net, real)
-    comps, cuts = _solve_rec(norm_net, norm_real, stats, 0)
-    comps, cert = _undo_normalization(net, real, norm_real, record, comps, cuts)
+    paths, cuts = _solve_rec(norm_net, norm_real, stats, 0)
+    paths, cert = _undo_normalization(net, real, norm_real, record, paths, cuts)
 
-    flow = Multiflow(comps)
+    flow = Multiflow.from_paths(net, paths)
     value = mu_value(real, flow, net)
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveOutput(flow, Certificate(cert), value, stats)
 
 
 def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: RealizationTree,
-                        record: NormalizeRecord, comps: Components, cuts: CutMap):
-    """Map components and cuts of the normalized instance back to the input."""
-    src_of = {rec.source_half: rec.terminal for rec in record.splits}
-    dst_of = {rec.target_half: rec.terminal for rec in record.splits}
-    synth = set()
-    for rec in record.splits:
-        synth.add(rec.in_arc)
-        synth.add(rec.out_arc)
+                        record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
+    """Map paths and cuts of the normalized instance back to the input.
 
-    out_comps: Components = {}
-    for (s, t), f in comps.items():
-        s2 = src_of.get(s, s)
-        t2 = dst_of.get(t, t)
-        clean = {aid: w for aid, w in f.items() if aid not in synth and w}
-        if s2 == t2:
-            if clean:
-                raise ContractViolation("split round trip left a same-endpoint component")
+    A split terminal s lies between its halves on the arcs out_arc
+    (source_half -> s) and in_arc (s -> target_half); paths from or to a
+    half lose that arc and end at s instead.
+    """
+    src_of = {rec.source_half: rec for rec in record.splits}
+    dst_of = {rec.target_half: rec for rec in record.splits}
+    out_paths: List[TerminalPath] = []
+    for p in paths:
+        s, t, arcs = p.source, p.target, p.arcs
+        if s in src_of:
+            if arcs[0] != src_of[s].out_arc:
+                raise ContractViolation("path from a split half misses its synthetic arc")
+            s, arcs = src_of[s].terminal, arcs[1:]
+        if t in dst_of:
+            if not arcs or arcs[-1] != dst_of[t].in_arc:
+                raise ContractViolation("path into a split half misses its synthetic arc")
+            t, arcs = dst_of[t].terminal, arcs[:-1]
+        if s == t:
+            if arcs:
+                raise ContractViolation("split round trip left a same-endpoint path")
             continue
-        if clean:
-            _merge_components(out_comps, (s2, t2), clean)
+        out_paths.append(TerminalPath(s, t, arcs, p.weight))
 
     # side membership of the split halves, read in the normalized tree
     half_spot = {}
@@ -991,4 +952,4 @@ def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: Realiz
             elif t1 not in tail_side and t2 not in tail_side:
                 side.discard(rec.terminal)
         cert[arc] = frozenset(side)
-    return out_comps, cert
+    return out_paths, cert

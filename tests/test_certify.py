@@ -59,6 +59,19 @@ def test_check_feasible():
         assert check_feasible(net, [bad]) == bad
 
 
+def test_check_feasible_rejects_negative_component_entries(e1):
+    # a -2 entry in the t->s component cancels the s->t flow on a1 in the
+    # totals, yet the pair would count 2 units at distance 3
+    net, _real = e1
+    real = make_real(["v1", "v2"], [("v1", "v2", 0, 3)], {"s": ["v1"], "t": ["v2"]})
+    forged = Multiflow({("s", "t"): {"a1": 2}, ("t", "s"): {"a1": -2}})
+    assert mu_value(real, forged, net) == 6 != dual_value(net, real) == 3
+    assert check_feasible(net, forged) == "a1"
+    assert verify_certificate(net, real, forged, Certificate({})) is not None
+    for w in (1.0, True, Fraction(1)):
+        assert check_feasible(net, Multiflow({("s", "t"): {"a1": w}})) == "a1"
+
+
 def test_verify_zero_capacity_any_separating_cut():
     net = make_net(["s", "t"], [("a", "s", "t"), ("b", "t", "s")], ["s", "t"],
                    {"a": 0, "b": 0})

@@ -9,7 +9,7 @@ from treeflow import (
     ContractViolation,
     InputError,
     Network,
-    PathFlow,
+    TerminalPath,
     decompose,
     lex_max_flow,
     max_flow,
@@ -150,7 +150,7 @@ def test_decompose_single_path():
     net = make_net(["s", "a", "t"], [("e1", "s", "a"), ("e2", "a", "t")],
                    ["s", "t"], {"e1": 5, "e2": 5})
     out = decompose(net, {"e1": 5, "e2": 5}, ["s"], ["t"])
-    assert out == [PathFlow(("e1", "e2"), 5)]
+    assert out == [TerminalPath("s", "t", ("e1", "e2"), 5)]
 
 
 def test_decompose_discards_disjoint_cycle():

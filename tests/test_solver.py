@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from treeflow import (
+    ContractViolation,
     Cut,
     Multiflow,
+    TerminalPath,
     check_feasible,
     divergence,
     dual_value,
@@ -19,6 +21,7 @@ from treeflow import (
 from treeflow.generator import generate_network
 from treeflow.solver import (
     SolveStats,
+    aggregate,
     base_three_leaves,
     base_two_vertices,
     partition_step,
@@ -65,11 +68,9 @@ def test_e2(e2):
 
 def test_base_two_direct(e1):
     net, real = e1
-    comps, cuts = base_two_vertices(net, real, SolveStats())
+    paths, cuts = base_two_vertices(net, real, SolveStats())
     assert cuts[("v1", "v2")] == frozenset(["s"])
-    forward = comps[("s", "t")]
-    assert forward == {"a1": 2}
-    assert comps[("t", "s")] == {"a2": 1}
+    assert paths == [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
 
 
 def test_base_two_ignores_whole_tree_terminal():
@@ -119,33 +120,24 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
     calls = [0]
     orig = S.aggregate
 
-    def component_value(net, f, source):
-        total = 0
-        for a in net.graph.arcs:
-            w = f.get(a.id, 0)
-            if w:
-                if a.tail == source:
-                    total += w
-                if a.head == source:
-                    total -= w
+    def out_weights(paths, drop):
+        total = {}
+        for p in paths:
+            if p.source != drop:
+                total[p.source] = total.get(p.source, 0) + p.weight
         return total
 
-    def checking(net, comps1, comps2, x1, x2, z2, z1):
-        glued = orig(net, comps1, comps2, x1, x2, z2, z1)
-
-        def out_totals(comps, drop):
-            t = {}
-            for (s, _tt), f in comps.items():
-                if s == drop:
-                    continue
-                t[s] = t.get(s, 0) + component_value(net, f, s)
-            return t
-
-        child = out_totals(comps1, z2)
-        child.update(out_totals(comps2, z1))
-        combined = out_totals(glued, None)
-        for s, v in child.items():
-            assert combined.get(s, 0) == v, f"outflow of {s!r} changed in aggregation"
+    def checking(net, paths1, paths2, x1, x2, z2, z1):
+        glued = orig(net, paths1, paths2, x1, x2, z2, z1)
+        child = out_weights(paths1, z2)
+        child.update(out_weights(paths2, z1))
+        assert out_weights(glued, None) == child, "a source's out-weight changed in aggregation"
+        # every glued path walks the parent's arcs from its source to its target
+        by_id = net.graph.arcs_by_id()
+        for p in glued:
+            walk = [p.source] + [by_id[aid].head for aid in p.arcs]
+            assert [by_id[aid].tail for aid in p.arcs] == walk[:-1]
+            assert walk[-1] == p.target and len(set(walk)) == len(walk)
         calls[0] += 1
         return glued
 
@@ -157,6 +149,41 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
         out = solve(net, real)
         assert_solution_checks(net, real, out)
     assert calls[0] > 10
+
+
+def _aggregate_fixture():
+    # x1 = {a, c} and x2 = {b}: e and g cross forward, f backward
+    net = make_net(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "b")],
+                   ["a", "b", "c"], {"e": 2, "f": 1, "g": 1})
+    paths1 = [TerminalPath("a", "z2", ("e",), 2), TerminalPath("c", "z2", ("g",), 1),
+              TerminalPath("z2", "c", ("f",), 1)]
+    paths2 = [TerminalPath("z1", "b", ("e",), 2), TerminalPath("z1", "b", ("g",), 1),
+              TerminalPath("b", "z1", ("f",), 1)]
+    return net, paths1, paths2, frozenset("ac"), frozenset("b")
+
+
+def test_aggregate_joins_on_boundary_arcs():
+    net, paths1, paths2, x1, x2 = _aggregate_fixture()
+    assert aggregate(net, paths1, paths2, x1, x2, "z2", "z1") == [
+        TerminalPath("a", "b", ("e",), 2), TerminalPath("c", "b", ("g",), 1),
+        TerminalPath("b", "c", ("f",), 1)]
+
+
+def test_aggregate_rejects_unsaturated_boundary():
+    net, paths1, paths2, x1, x2 = _aggregate_fixture()
+    short = [TerminalPath("a", "z2", ("e",), 1)] + paths1[1:]
+    with pytest.raises(ContractViolation, match="not saturated forward"):
+        aggregate(net, short, paths2, x1, x2, "z2", "z1")
+    with pytest.raises(ContractViolation, match="not saturated backward"):
+        aggregate(net, paths1, paths2[:2], x1, x2, "z2", "z1")
+
+
+def test_aggregate_rejects_internal_path_on_the_boundary():
+    net, paths1, paths2, x1, x2 = _aggregate_fixture()
+    # a to c through the contraction vertex z2
+    through = paths1 + [TerminalPath("a", "c", ("e", "f"), 1)]
+    with pytest.raises(ContractViolation, match="touches the partition boundary"):
+        aggregate(net, through, paths2, x1, x2, "z2", "z1")
 
 
 def test_free_imf_two_terminals():
