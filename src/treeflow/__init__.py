@@ -5,8 +5,9 @@ certificates."""
 __version__ = "0.1.0"
 
 from .errors import InputError, ContractViolation, TreeflowError
-from .graphs import Arc, Cut, Digraph, Network, contract, cut_capacity, divergence, is_eulerian_at
-from .flows import TerminalPath, decompose, lex_max_flow, max_flow, min_cut_source_side
+from .graphs import (Arc, Cut, Digraph, Network, TerminalPath, contract, cut_capacity, divergence,
+                     is_eulerian_at)
+from .flows import decompose, lex_max_flow, max_flow, min_cut_source_side
 from .realization import (
     PiSet,
     RealizationTree,

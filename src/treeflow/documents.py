@@ -152,10 +152,13 @@ def serialize_instance(net: Network, real: RealizationTree) -> str:
 
 def result_to_document(value: Fraction, paths: Optional[List[TerminalPath]],
                        cert: Certificate, stats: dict) -> dict:
+    # the sides overlap heavily: rank their union once, then order each
+    # side by that rank, which is its sort_key order
+    rank = {v: i for i, v in enumerate(sorted(frozenset().union(*cert.cuts.values()), key=sort_key))}
     doc = {
         "value": format_rational(value),
         "certificate": [
-            {"tree_arc": [u, v], "cut": sorted(side, key=sort_key)}
+            {"tree_arc": [u, v], "cut": sorted(side, key=rank.__getitem__)}
             for (u, v), side in sorted(cert.cuts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ],
         "stats": stats,

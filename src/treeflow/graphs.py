@@ -1,15 +1,20 @@
 """Directed multigraphs with integer arc capacities and terminal sets.
 
-Vertices and arcs are identified by opaque hashable ids.  Arc ids stay
-stable across contraction so that paths computed in a contracted network
-can be mapped back to the original arcs.  Parallel and antiparallel arcs
-are first class; self-loops are dropped on construction and whenever a
-contraction creates them.
+These are the public types: vertices and arcs are identified by opaque
+hashable ids, and building a Network validates every capacity.  Arc ids
+stay stable across contraction so that paths computed in a contracted
+network can be mapped back to the original arcs.  Parallel and
+antiparallel arcs are first class; self-loops are dropped on
+construction and whenever a contraction creates them.
 
 Every structure here is frozen.  A Digraph builds one index of its arcs
 (by id, and out of and into each vertex, in arc order) the first time a
 lookup needs it and keeps it for its lifetime; code that needs these
 lookups reads them from the graph instead of building its own copy.
+
+Validation happens here and in the other public entry points only.  The
+solver interns a validated network once into the integer-indexed form of
+indexed.py and never builds these types inside its recursion.
 """
 
 from __future__ import annotations
@@ -128,6 +133,16 @@ class Network:
     def inner_vertices(self):
         ts = set(self.terminals)
         return [v for v in sorted(self.vertices, key=sort_key) if v not in ts]
+
+
+@dataclass(frozen=True)
+class TerminalPath:
+    """A weighted simple directed path between two distinct terminals."""
+
+    source: VertexId
+    target: VertexId
+    arcs: Tuple[ArcId, ...]
+    weight: int
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,527 @@
+"""The integer-indexed network the solver recurses on, and its flow kernels.
+
+A solve interns its validated network once (intern): vertex ids are
+numbered in id order, arc ids in arc order, and one IdTable keeps the
+ids and their order for every network of the recursion.  Vertex and arc
+numbers stay stable across contraction, as ids do on the public types;
+a contraction vertex takes the next free vertex number.  Paths and cuts
+go back to ids once, when they leave the solver.
+
+An IntGraph lists its arcs in arc order: position k holds arc number
+arcs[k] from tail[k] to head[k].  Its adjacency lists, indexed by vertex
+number, hold each vertex's residual half-arcs in arc order: 2k where
+arc k leaves the vertex, 2k + 1 where it enters.  Max flows, residual
+cuts and contraction read these arrays directly.  Contraction is one
+pass, a vertex image plus an arc filter, and validates nothing: only
+the public entry points (graphs, flows, solver.solve) check input.
+
+Kernels speak numbers: vertex numbers, flows as one entry per arc
+position, paths as TerminalPaths of vertex and arc numbers.  Ties break
+as they do on ids: Dinic scans arcs in arc order and attaches sources
+and sinks in id order; peeling starts at sources in id order and
+follows the positive arc whose id comes first.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from .errors import ContractViolation
+from .graphs import MAX_CAPACITY, Digraph, Network, TerminalPath, fresh_id, sort_key
+
+
+def _tuple_keys(keys: Sequence[Tuple[str, str]]) -> Tuple[int, List[str]]:
+    """From sorted sort_keys: how many keys come before the tuple ids, and
+    the reprs of the tuple ids in order.  New ids are tuples, so this is
+    all that places them; input tuple ids are few (normalization makes
+    some), and the other keys need not be kept."""
+    lo = bisect_left(keys, ("tuple", ""))
+    hi = bisect_left(keys, ("tuple\0", ""), lo)  # the next type name
+    return lo, [r for _cls, r in keys[lo:hi]]
+
+
+def _fresh_rank(tuple_keys: Tuple[int, List[str]], new_id: tuple) -> Tuple:
+    """Rank of a new tuple id stem + (k,) among ids ranked (2i + 1,) in
+    sort_key order: it sorts after the ids whose key is below the key
+    prefix that every id stem + (k,) shares (an input id with that same
+    prefix would tie with it), and among new ids by repr, as sort_key
+    orders tuples."""
+    lo, reprs = tuple_keys
+    prefix = "(" + "".join(f"{s!r}, " for s in new_id[:-1])
+    return (2 * (lo + bisect_left(reprs, prefix)), repr(new_id))
+
+
+class IdTable:
+    """The ids behind the vertex and arc numbers of one interned network.
+
+    vertex_ids[v] is the id of vertex v and vertex_rank[v] its place in
+    id order.  Input vertices are numbered in id order and ranked (2v + 1,);
+    contraction vertices are added by fresh_vertex.  arc_ids[a] is the id
+    of arc a, numbered in arc order; rank_arcs() gives each arc's place in
+    id order.  number and arc_number map input ids to their numbers.
+    """
+
+    def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
+        self._ints: List[int] = []
+        vs = list(vertex_ids)
+        keys = [sort_key(v) for v in vs]
+        order = sorted(range(len(vs)), key=keys.__getitem__)
+        self.vertex_ids: List[Hashable] = [vs[i] for i in order]
+        self.vertex_rank: List[Tuple] = [(2 * v + 1,) for v in range(len(vs))]
+        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(vs))))
+        self._vertex_tuples = _tuple_keys([keys[i] for i in order])
+        self.arc_ids: List[Hashable] = list(arc_ids)
+        self._arc_rank: Optional[List[int]] = None
+        self._arc_tuples: Tuple[int, List[str]] = (0, [])
+
+    def ints(self, n: int) -> List[int]:
+        """A list holding at least the numbers 0..n-1, the same int objects
+        for every caller.  Ints above 256 are allocated one by one: every
+        graph's adjacency holds the numbers 0..2m-1 and every contraction
+        maps vertices through an image of 0..n-1, and taking them from
+        here keeps one object per number for the whole solve instead of a
+        new set per graph, which the allocator cannot give back while
+        older graphs are alive."""
+        if len(self._ints) < n:
+            self._ints.extend(range(len(self._ints), n))
+        return self._ints
+
+    @cached_property
+    def arc_number(self) -> Dict[Hashable, int]:
+        return {a: i for i, a in enumerate(self.arc_ids)}
+
+    def rank_arcs(self) -> List[int]:
+        """Each arc's place in id order, computed on the first call."""
+        if self._arc_rank is None:
+            keys = [sort_key(a) for a in self.arc_ids]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            rank = [0] * len(keys)
+            for r, a in zip(self.ints(len(keys)), order):
+                rank[a] = r
+            self._arc_tuples = _tuple_keys([keys[a] for a in order])
+            self._arc_rank = rank
+        return self._arc_rank
+
+    def new_arc_rank(self, new_id: tuple) -> Tuple:
+        """Rank of an arc id stem + (k,) that no arc has, against arcs
+        ranked (2r + 1,) for their rank r."""
+        self.rank_arcs()
+        return _fresh_rank(self._arc_tuples, new_id)
+
+    def fresh_vertex(self, near: Iterable[int], *stem) -> int:
+        """Number of a new vertex with the id stem + (k,), for the smallest
+        k that no vertex in near has.  The solver passes the terminals of
+        the network the vertex is made for: every contraction vertex is a
+        terminal of the network it lives in."""
+        new_id = fresh_id({self.vertex_ids[v] for v in near}, *stem)
+        self.vertex_ids.append(new_id)
+        self.vertex_rank.append(_fresh_rank(self._vertex_tuples, new_id))
+        return len(self.vertex_ids) - 1
+
+    def path_ids(self, p: TerminalPath) -> TerminalPath:
+        """The path with ids in place of vertex and arc numbers."""
+        arc_ids = self.arc_ids
+        return TerminalPath(self.vertex_ids[p.source], self.vertex_ids[p.target],
+                            tuple([arc_ids[a] for a in p.arcs]), p.weight)
+
+
+class IntGraph:
+    """A directed multigraph on vertex and arc numbers of one IdTable.
+
+    vertices is the set of vertex numbers present.  Position k of the arc
+    arrays is arc number arcs[k] from tail[k] to head[k], in arc order;
+    no arc is a loop.  adj[v] lists v's residual half-arcs in arc order
+    (2k leaving along k, 2k + 1 entering along k); adj is as long as the
+    table was when the graph was built.  None of the lists is modified
+    after construction.
+    """
+
+    def __init__(self, ids: IdTable, vertices: frozenset, arcs: List[int],
+                 tail: List[int], head: List[int]):
+        self.ids = ids
+        self.vertices = vertices
+        self.arcs = arcs
+        self.tail = tail
+        self.head = head
+        adj: List = [()] * len(ids.vertex_ids)
+        for v in vertices:
+            adj[v] = []
+        half = ids.ints(2 * len(tail))
+        for k, (t, h) in enumerate(zip(tail, head)):
+            adj[t].append(half[2 * k])
+            adj[h].append(half[2 * k + 1])
+        self.adj: List[List[int]] = adj
+
+    def arcs_out(self, v: int) -> List[int]:
+        """Positions of the arcs leaving v, in arc order."""
+        return [e >> 1 for e in self.adj[v] if not e & 1]
+
+    def arcs_into(self, v: int) -> List[int]:
+        """Positions of the arcs entering v, in arc order."""
+        return [e >> 1 for e in self.adj[v] if e & 1]
+
+    @cached_property
+    def position(self) -> Dict[int, int]:
+        """Position of every arc number."""
+        return {a: k for k, a in enumerate(self.arcs)}
+
+
+@dataclass(frozen=True)
+class IntNetwork:
+    """An IntGraph with terminal vertex numbers and one capacity per arc
+    position.  Networks that differ only in capacities share a graph."""
+
+    graph: IntGraph
+    terminals: Tuple[int, ...]
+    cap: List[int]
+
+
+def intern_graph(graph: Digraph) -> IntGraph:
+    """The graph on numbers of a new IdTable; arc number k is position k."""
+    ids = IdTable(graph.vertices, [a.id for a in graph.arcs])
+    num = ids.number
+    m = len(graph.arcs)
+    return IntGraph(ids, frozenset(num.values()), ids.ints(m)[:m],
+                    [num[a.tail] for a in graph.arcs], [num[a.head] for a in graph.arcs])
+
+
+def intern(net: Network) -> IntNetwork:
+    """A validated network on numbers of a new IdTable."""
+    g = intern_graph(net.graph)
+    return IntNetwork(g, tuple(g.ids.number[t] for t in net.terminals),
+                      [net.capacity[a] for a in g.ids.arc_ids])
+
+
+def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork:
+    """Contract disjoint vertex sets, each into its own new vertex.
+
+    groups maps each new vertex number z (from IdTable.fresh_vertex) to
+    the set it replaces.  Arcs inside one set disappear; all others keep
+    their numbers, capacities and order.  The terminals become those
+    outside the sets, followed by the new vertices in the order of groups.
+    """
+    g = net.graph
+    image = g.ids.ints(len(g.ids.vertex_ids))[:len(g.ids.vertex_ids)]
+    for z, members in groups.items():
+        for v in members:
+            image[v] = z
+    arcs: List[int] = []
+    tail: List[int] = []
+    head: List[int] = []
+    cap: List[int] = []
+    for a, t, h, c in zip(g.arcs, g.tail, g.head, net.cap):
+        t = image[t]
+        h = image[h]
+        if t != h:
+            arcs.append(a)
+            tail.append(t)
+            head.append(h)
+            cap.append(c)
+    vertices = frozenset([v for v in g.vertices if image[v] == v]).union(groups)
+    terminals = tuple(t for t in net.terminals if image[t] == t) + tuple(groups)
+    return IntNetwork(IntGraph(g.ids, vertices, arcs, tail, head), terminals, cap)
+
+
+def boundary(graph: IntGraph, side: frozenset) -> Tuple[List[int], List[int]]:
+    """Positions of the arcs leaving and of the arcs entering a vertex set,
+    walking the smaller of the side and its complement."""
+    flip = 2 * len(side) > len(graph.vertices)
+    walked = graph.vertices - side if flip else side
+    tail, head, adj = graph.tail, graph.head, graph.adj
+    leaving: List[int] = []
+    entering: List[int] = []
+    for v in walked:
+        for e in adj[v]:
+            k = e >> 1
+            if e & 1:
+                if tail[k] not in walked:
+                    entering.append(k)
+            elif head[k] not in walked:
+                leaving.append(k)
+    return (entering, leaving) if flip else (leaving, entering)
+
+
+class _Dinic:
+    """One max-flow run on a network: Dinitz's blocking-flow algorithm
+    (1970) on the graph's own adjacency.
+
+    Residual arc 2k is the forward copy of arc position k and 2k + 1 its
+    reverse, so the tail of residual arc e is head[e ^ 1].  Vertex
+    numbers index the arrays, and the two numbers after the graph's
+    arrays are the super-source and the super-sink.  A run owns only what
+    it mutates: residual capacities, the residual head list, and copies of
+    the arc lists of the vertices it attaches super arcs to.  Super arcs
+    come after the real ones and are stripped from the reported flow.
+
+    Two shortcuts leave every augmenting path as the textbook loop finds
+    it, so the flows are identical arc for arc.  A BFS phase stops once
+    the super-sink has its level: every vertex still unlabelled is at
+    least as far from the super-source, so no path of rising levels
+    leads from it to the super-sink, and the DFS would only have found it
+    a dead end.  After an augmentation the DFS resumes at the tail of the
+    first arc it saturated, keeping the path before it: restarted from
+    the super-source it would walk that same prefix, because the arc
+    pointers of the prefix vertices still point at the prefix arcs.
+    """
+
+    def __init__(self, net: IntNetwork):
+        g = net.graph
+        caps = net.cap
+        total = sum(caps)
+        if total > MAX_CAPACITY:
+            raise ContractViolation("capacity sum exceeds 64-bit range")
+        self.inf = total + 1
+        self.m = len(caps)
+        self.cap = [0] * (2 * self.m)
+        self.cap[::2] = caps
+        self.head = [0] * (2 * self.m)
+        self.head[::2] = g.head
+        self.head[1::2] = g.tail
+        self.adj = g.adj + [[], []]
+        self.n = len(self.adj)
+        self.super_s = self.n - 2
+        self.super_t = self.n - 1
+
+    def _add(self, u: int, v: int, c: int) -> None:
+        # new lists, so the graph's own arc lists stay untouched
+        self.adj[u] = self.adj[u] + [len(self.head)]
+        self.head.append(v)
+        self.cap.append(c)
+        self.adj[v] = self.adj[v] + [len(self.head)]
+        self.head.append(u)
+        self.cap.append(0)
+
+    def attach_super(self, sources: Sequence[int], sinks: Sequence[int]) -> None:
+        for s in sources:
+            self._add(self.super_s, s, self.inf)
+        self.add_sinks(sinks)
+
+    def add_sinks(self, sinks: Sequence[int]) -> None:
+        for t in sinks:
+            self._add(t, self.super_t, self.inf)
+
+    def run(self) -> int:
+        """Push blocking flows until the super-sink is unreachable."""
+        head, cap, adj, n = self.head, self.cap, self.adj, self.n
+        s, t = self.super_s, self.super_t
+        total = 0
+        while True:
+            level = [-1] * n
+            level[s] = 0
+            queue = [s]
+            for u in queue:  # BFS; the list grows while it is walked
+                lv = level[u] + 1
+                for e in adj[u]:
+                    v = head[e]
+                    if cap[e] > 0 and level[v] < 0:
+                        level[v] = lv
+                        queue.append(v)
+                if level[t] >= 0:
+                    break
+            else:
+                return total
+            it = [0] * n
+            path: List[int] = []
+            u = s
+            while True:  # DFS for one blocking flow
+                if u == t:
+                    bottleneck = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= bottleneck
+                        cap[e ^ 1] += bottleneck
+                    total += bottleneck
+                    k = next(k for k, e in enumerate(path) if cap[e] == 0)
+                    u = head[path[k] ^ 1]
+                    del path[k:]
+                    continue
+                arcs = adj[u]
+                lv = level[u] + 1
+                for i in range(it[u], len(arcs)):
+                    e = arcs[i]
+                    if cap[e] > 0 and level[head[e]] == lv:
+                        it[u] = i
+                        path.append(e)
+                        u = head[e]
+                        break
+                else:
+                    if not path:
+                        break
+                    level[u] = -1  # dead end: retreat past the arc into u
+                    u = head[path.pop() ^ 1]
+                    it[u] += 1
+
+    def flow(self) -> List[int]:
+        # the reverse capacity of a real arc equals the flow pushed on it
+        return self.cap[1:2 * self.m:2]
+
+
+def _in_id_order(graph: IntGraph, vertices: Iterable[int]) -> List[int]:
+    return sorted(set(vertices), key=graph.ids.vertex_rank.__getitem__)
+
+
+def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int]) -> Tuple[List[int], int]:
+    """Integer maximum flow from a source set to a disjoint sink set: the
+    flow on every arc position, and its value."""
+    src = _in_id_order(net.graph, sources)
+    snk = _in_id_order(net.graph, sinks)
+    if not src or not snk:
+        return [0] * len(net.cap), 0
+    d = _Dinic(net)
+    d.attach_super(src, snk)
+    value = d.run()
+    return d.flow(), value
+
+
+def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int],
+                        sinks: Iterable[int] = ()) -> frozenset:
+    """Vertices reachable from the sources in the residual network of the
+    maximum flow f: the source side of the inclusion-minimal minimum cut.
+    A reachable sink means f was not maximum (ContractViolation)."""
+    g = net.graph
+    tail, head, adj, cap = g.tail, g.head, g.adj, net.cap
+    seen = set(sources)
+    queue = list(seen)
+    for u in queue:  # the list grows while it is walked
+        for e in adj[u]:
+            k = e >> 1
+            if e & 1:
+                if f[k] <= 0:
+                    continue
+                v = tail[k]  # backward residual
+            elif cap[k] > f[k]:
+                v = head[k]  # forward residual
+            else:
+                continue
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    for t in sinks:
+        if t in seen:
+            raise ContractViolation("flow is not maximum: a sink is residual-reachable")
+    return frozenset(seen)
+
+
+def lex_max_flow(net: IntNetwork, source: int, primary_sink: int,
+                 secondary_sinks: Iterable[int]) -> List[int]:
+    """Maximum flow from source to all sinks that, among such maxima,
+    maximizes the net inflow at the primary sink.
+
+    Phase one saturates source -> primary alone; phase two keeps the same
+    residual state and augments toward the full sink set.  Phase two never
+    disturbs the primary inflow because the phase-one minimum cut stays
+    saturated.
+    """
+    sec = _in_id_order(net.graph, secondary_sinks)
+    d = _Dinic(net)
+    d.attach_super([source], [primary_sink])
+    d.run()
+    if sec:
+        d.add_sinks(sec)
+        d.run()
+    return d.flow()
+
+
+def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
+              allowed_sinks: Iterable[int]) -> List[TerminalPath]:
+    """Peel a nonnegative integer flow on a graph (one entry per arc
+    position) into weighted simple paths of vertex and arc numbers.
+
+    Walks start at vertices with positive remaining divergence, in id
+    order, follow the positive arc whose id comes first, and stop at the
+    first allowed sink with unmet demand.  Cycles met on the way are
+    cancelled and discarded, so the paths' arc function is bounded by f
+    and differs from it by a nonnegative circulation.
+
+    A vertex listed both as source and sink takes the role its divergence
+    sign dictates.  Any other vertex must have zero divergence.
+    """
+    tail, head, arcs = g.tail, g.head, g.arcs
+    srcs = set(allowed_sources)
+    snks = set(allowed_sinks)
+
+    remaining: Dict[int, int] = {}
+    div: Dict[int, int] = {}
+    out_pos: Dict[int, List[int]] = {}
+    for k, w in enumerate(f):
+        if w:
+            if w < 0:
+                raise ContractViolation(f"negative flow on arc position {k}")
+            remaining[k] = w
+            t, h = tail[k], head[k]
+            div[t] = div.get(t, 0) + w
+            div[h] = div.get(h, 0) - w
+            out_pos.setdefault(t, []).append(k)
+
+    surplus: Dict[int, int] = {}
+    demand: Dict[int, int] = {}
+    for v, d in div.items():
+        if d > 0:
+            if v not in srcs:
+                raise ContractViolation(f"positive divergence at non-source {g.ids.vertex_ids[v]!r}")
+            surplus[v] = d
+        elif d < 0:
+            if v not in snks:
+                raise ContractViolation(f"negative divergence at non-sink {g.ids.vertex_ids[v]!r}")
+            demand[v] = -d
+
+    arc_rank = g.ids.rank_arcs()
+    for lst in out_pos.values():
+        lst.sort(key=lambda k: arc_rank[arcs[k]])
+    out_ptr: Dict[int, int] = {}
+
+    def next_arc(v) -> Optional[int]:
+        lst = out_pos.get(v)
+        if not lst:
+            return None
+        i = out_ptr.get(v, 0)
+        while i < len(lst) and remaining[lst[i]] <= 0:
+            i += 1
+        out_ptr[v] = i
+        return lst[i] if i < len(lst) else None
+
+    collected: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+
+    for s in _in_id_order(g, surplus):
+        while surplus[s] > 0:
+            path_arcs: List[int] = []
+            on_path = {s: 0}
+            v = s
+            while True:
+                if v != s and v in snks and demand.get(v, 0) > 0:
+                    break
+                a = next_arc(v)
+                if a is None:
+                    raise ContractViolation(f"path peeling stuck at {g.ids.vertex_ids[v]!r}")
+                nxt = head[a]
+                if nxt in on_path:
+                    # cancel the cycle immediately and keep walking
+                    k = on_path[nxt]
+                    cycle = path_arcs[k:] + [a]
+                    theta = min(remaining[c] for c in cycle)
+                    for c in cycle:
+                        remaining[c] -= theta
+                    for c in path_arcs[k:]:
+                        del on_path[head[c]]
+                    del path_arcs[k:]
+                    v = nxt
+                    if v != s:
+                        on_path[v] = len(path_arcs)
+                    continue
+                path_arcs.append(a)
+                on_path[nxt] = len(path_arcs)
+                v = nxt
+            t = v
+            theta = min(min(remaining[a] for a in path_arcs), surplus[s], demand[t])
+            for a in path_arcs:
+                remaining[a] -= theta
+            surplus[s] -= theta
+            demand[t] -= theta
+            key = (s, t, tuple(path_arcs))
+            collected[key] = collected.get(key, 0) + theta
+
+    if any(surplus.values()) or any(demand.values()):
+        raise ContractViolation("decomposition left unmet surplus or demand")
+    return [TerminalPath(s, t, tuple([arcs[k] for k in ks]), w) for (s, t, ks), w in collected.items()]

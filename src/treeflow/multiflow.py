@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Tuple
 
-from .flows import TerminalPath, decompose
-from .graphs import ArcId, Network, divergence, sort_key
+from .flows import decompose
+from .graphs import ArcId, Network, TerminalPath, divergence, sort_key
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,8 @@ def choose_balanced_edge(real: RealizationTree):
 
     Returns (u, v) with leaf counts of both sides (counting the new leaf
     a contraction would create) at most 2k/3 + 1, or None when every edge
-    touches a leaf.
+    touches a leaf.  Only adjacency(), edges() and component_without_edge()
+    are read, so the solver passes its numbered tree as well.
     """
     adj = real.adjacency()
     leaves = {v for v, ns in adj.items() if len(ns) == 1}

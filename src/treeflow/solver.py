@@ -8,6 +8,13 @@ star, handled by direct flow constructions.  Every level returns its
 flow as weighted TerminalPaths, glued on the cut's boundary arcs, and
 one saturated separating cut per tree arc; the lifted family certifies
 optimality of the final answer.
+
+solve and free_imf validate their input and intern it once (indexed.py):
+the recursion runs on vertex and arc numbers, contracts by relabelling,
+and builds no Network, Digraph or RealizationTree.  The tree is numbered
+too, in id order.  Paths and cuts return to ids once, before
+normalization is undone.  Ties break in id order throughout: numbers
+carry the rank of their ids, contraction vertices included.
 """
 
 from __future__ import annotations
@@ -17,13 +24,13 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .flows import TerminalPath, decompose, max_flow, min_cut_source_side, lex_max_flow
-from .graphs import (ArcId, Cut, Digraph, Network, VertexId, boundary, contract, fresh_id,
-                     is_eulerian_at, sort_key)
+from .graphs import Cut, Network, TerminalPath, is_eulerian_at, sort_key
+from .indexed import (IdTable, IntGraph, IntNetwork, boundary, contract, decompose, intern,
+                      lex_max_flow, max_flow, min_cut_source_side)
 from .multiflow import Multiflow
 from .realization import (
     NormalizeRecord,
@@ -34,7 +41,8 @@ from .realization import (
     validate_instance,
 )
 
-CutMap = Dict[Tuple[Hashable, Hashable], frozenset]
+# tree arc (u, v) of tree vertex numbers -> cut side of vertex numbers
+CutMap = Dict[Tuple[int, int], frozenset]
 
 
 @dataclass
@@ -52,13 +60,78 @@ class SolveOutput:
     stats: SolveStats
 
 
+@dataclass(frozen=True)
+class _Tree:
+    """The realization tree inside the recursion.
+
+    Tree vertices are numbers in id order, so sorting numbers sorts ids;
+    adj holds each vertex's neighbours in that order.  subtrees maps
+    terminal vertex numbers to sets of tree vertex numbers.  Arc lengths
+    matter only to the value, which solve computes on the input tree.
+    choose_balanced_edge reads this tree as it reads a RealizationTree.
+    """
+
+    vertices: FrozenSet[int]
+    adj: Dict[int, Tuple[int, ...]]
+    subtrees: Dict[int, FrozenSet[int]]
+
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        return self.adj
+
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v]
+
+    def component_without_edge(self, u: int, v: int) -> FrozenSet[int]:
+        """Vertices on u's side after removing edge uv."""
+        seen = {u, v}
+        queue = [u]
+        for w in queue:  # the list grows while it is walked
+            for x in self.adj[w]:
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+        seen.discard(v)
+        return frozenset(seen)
+
+
+def _internal(net: Network, real: RealizationTree):
+    """The validated instance as the recursion sees it: the interned
+    network, the numbered tree, and the tree vertex ids by number."""
+    inet = intern(net)
+    ids = inet.graph.ids
+    ids.rank_arcs()  # here at the boundary, not at the first peeling inside the recursion
+    tree_ids = sorted(real.vertices, key=sort_key)
+    tnum = {x: i for i, x in enumerate(tree_ids)}
+    adj = real.adjacency()
+    tree = _Tree(frozenset(range(len(tree_ids))),
+                 {tnum[x]: tuple(tnum[y] for y in adj[x]) for x in tree_ids},
+                 {ids.number[t]: frozenset(tnum[x] for x in real.subtrees[t]) for t in net.terminals})
+    return inet, tree, tree_ids
+
+
+def _external(ids: IdTable, tree_ids: List[Hashable], paths: List[TerminalPath], cuts: CutMap):
+    """Paths and cuts of the recursion, in ids.
+
+    cuts is emptied on the way, so the two forms of the large cut sides
+    are not all held at once.  A frozenset filled one id at a time keeps
+    the table it grew into, up to twice the one a copy sizes for its
+    contents, so each side is copied from a set.
+    """
+    vertex_ids = ids.vertex_ids
+    id_cuts = {}
+    while cuts:
+        (u, v), side = cuts.popitem()
+        id_cuts[(tree_ids[u], tree_ids[v])] = frozenset(set(map(vertex_ids.__getitem__, side)))
+    return [ids.path_ids(p) for p in paths], id_cuts
+
+
 # -- small helpers ---------------------------------------------------------
 
 
-def _add_arcfunc(target: Dict[ArcId, int], src: Dict[ArcId, int]) -> None:
-    for aid, w in src.items():
+def _add_arcfunc(target: Dict[int, int], src: Dict[int, int]) -> None:
+    for a, w in src.items():
         if w:
-            target[aid] = target.get(aid, 0) + w
+            target[a] = target.get(a, 0) + w
 
 
 def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[TerminalPath]:
@@ -66,7 +139,7 @@ def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[Te
     matching right path starts with; weights are split greedily and must
     all be used.  Glues regions to the core in _free_imf_paths and the
     two partition children in aggregate."""
-    queues: Dict[ArcId, deque] = {}
+    queues: Dict[int, deque] = {}
     for p in right:
         queues.setdefault(p.arcs[0], deque()).append([p, p.weight])
     out: List[TerminalPath] = []
@@ -89,6 +162,14 @@ def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[Te
     return out
 
 
+def _by_position(net: IntNetwork, f: Dict[int, int]) -> List[int]:
+    """A sparse flow on arc positions as one entry per position."""
+    dense = [0] * len(net.cap)
+    for k, w in f.items():
+        dense[k] = w
+    return dense
+
+
 # -- free multiflow (unit weights) -----------------------------------------
 
 
@@ -106,21 +187,22 @@ class _FreeCore:
     the cancelled unit's remainder to the walk and re-routes the donor.
     Rare configurations that need a simultaneous rotation of several
     units stall the search; callers fall back to capacity splitting.
+    Arcs are arc positions of the core network; flow components are keyed
+    by terminal indices (i, j).
     """
 
-    def __init__(self, net: Network, terminals: Sequence[VertexId], stats: SolveStats):
-        self.net = net
-        self.terms = list(terminals)
-        self.tset = set(terminals)
-        self.stats = stats
+    def __init__(self, net: IntNetwork, terminals: Sequence[int], stats: SolveStats):
         self.graph = net.graph
-        self.cap = net.capacity
-        self.flow: Dict[Tuple[int, int], Dict[ArcId, int]] = {}
-        self.used: Dict[ArcId, int] = {}
-        self.sigma = [sum(self.cap[a.id] for a in self.graph.out_arcs(t)) for t in self.terms]
+        self.terms = list(terminals)
+        self.index = {t: i for i, t in enumerate(self.terms)}
+        self.stats = stats
+        self.cap = net.cap
+        self.flow: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self.used = [0] * len(net.cap)
+        self.sigma = [sum(self.cap[a] for a in self.graph.arcs_out(t)) for t in self.terms]
         self.out_total = [0] * len(self.terms)
 
-    def run(self) -> Dict[Tuple[int, int], Dict[ArcId, int]]:
+    def run(self) -> Dict[Tuple[int, int], Dict[int, int]]:
         self._bulk()
         guard = sum(self.sigma) + 1
         while True:
@@ -145,8 +227,8 @@ class _FreeCore:
         discards the whole core.
         """
         kappa, vertex = i, None
-        prefix: Dict[ArcId, int] = {}
-        for _segment in range(8 * (len(self.net.vertices) * len(self.terms) + 8)):
+        prefix: Dict[int, int] = {}
+        for _segment in range(8 * (len(self.graph.vertices) * len(self.terms) + 8)):
             walk = self._find_walk(kappa, vertex)
             if walk is None:
                 return False
@@ -158,24 +240,25 @@ class _FreeCore:
 
     # bulk phase: one truncated max flow per terminal on leftover capacity
     def _bulk(self) -> None:
+        g = self.graph
+        position = g.position
         for i, t in enumerate(self.terms):
             others = [u for u in self.terms if u != t]
             # no arrivals at the source, no departures from sinks: capacity
             # 0 forbids an arc, so the k flows share the core's own graph
-            caps = {a.id: 0 if a.head == t or (a.tail in self.tset and a.tail != t)
-                    else self.cap[a.id] - self.used.get(a.id, 0)
-                    for a in self.graph.arcs}
-            sub = Network(self.graph, tuple(self.terms), caps)
+            caps = [0 if head == t or (tail in self.index and tail != t) else c - used
+                    for tail, head, c, used in zip(g.tail, g.head, self.cap, self.used)]
+            sub = IntNetwork(g, tuple(self.terms), caps)
             self.stats.maxflow_calls += 1
-            f, _v = max_flow(sub, [t], others)
-            if not f:
+            f, value = max_flow(sub, [t], others)
+            if not value:
                 continue
-            for p in decompose(sub, f, [t], others):
-                j = self.terms.index(p.target)
-                comp = self.flow.setdefault((i, j), {})
-                for aid in p.arcs:
-                    comp[aid] = comp.get(aid, 0) + p.weight
-                    self.used[aid] = self.used.get(aid, 0) + p.weight
+            for p in decompose(g, f, [t], others):
+                comp = self.flow.setdefault((i, self.index[p.target]), {})
+                for arc in p.arcs:
+                    a = position[arc]
+                    comp[a] = comp.get(a, 0) + p.weight
+                    self.used[a] += p.weight
                 self.out_total[i] += p.weight
 
     # augmenting walk search over states (vertex, carried commodity)
@@ -189,18 +272,20 @@ class _FreeCore:
         The walk ends at the first spare-capacity arrival at a terminal
         other than the one currently carried.
         """
+        g = self.graph
+        tail, head, used, cap, index = g.tail, g.head, self.used, self.cap, self.index
         parents = {}
         q = deque()
         if vertex is None:
             start = self.terms[kappa]
-            for a in self.graph.out_arcs(start):
-                if self.used.get(a.id, 0) < self.cap[a.id]:
-                    st = (a.head, kappa)
+            for a in g.arcs_out(start):
+                if used[a] < cap[a]:
+                    st = (head[a], kappa)
                     if st not in parents:
-                        parents[st] = (None, ("fwd", a.id, None))
-                        if a.head in self.tset and a.head != start:
+                        parents[st] = (None, ("fwd", a, None))
+                        if head[a] in index and head[a] != start:
                             return self._rebuild(parents, st)
-                        if a.head not in self.tset:
+                        if head[a] not in index:
                             q.append(st)
         else:
             seed = (vertex, kappa)
@@ -209,50 +294,52 @@ class _FreeCore:
         while q:
             state = q.popleft()
             v, kap = state
-            for a in self.graph.out_arcs(v):
-                if self.used.get(a.id, 0) < self.cap[a.id]:  # forward
-                    if a.head in self.tset:
-                        if a.head != self.terms[kap]:
-                            end = (a.head, kap)
+            home = self.terms[kap]
+            for a in g.arcs_out(v):
+                h = head[a]
+                if used[a] < cap[a]:  # forward
+                    if h in index:
+                        if h != home:
+                            end = (h, kap)
                             if end not in parents:
-                                parents[end] = (state, ("fwd", a.id, None))
+                                parents[end] = (state, ("fwd", a, None))
                                 return self._rebuild(parents, end)
                         continue
-                    nxt = (a.head, kap)
+                    nxt = (h, kap)
                     if nxt not in parents:
-                        parents[nxt] = (state, ("fwd", a.id, None))
+                        parents[nxt] = (state, ("fwd", a, None))
                         q.append(nxt)
-                elif a.head in self.tset and a.head != self.terms[kap]:
+                elif h in index and h != home:
                     # displace a unit arriving on this full arc
-                    j = self.terms.index(a.head)
-                    for donor in self._donors_for(a.id):
+                    for donor in self._donors_for(a):
                         nxt = (v, donor[0])
                         if nxt not in parents:
-                            parents[nxt] = (state, ("disp", a.id, donor))
+                            parents[nxt] = (state, ("disp", a, donor))
                             q.append(nxt)
-            if v in self.tset:
+            if v in index:
                 continue  # departures of other terminals stay untouched
-            for a in self.graph.in_arcs(v):  # reverse, re-sourcing a unit
-                if self.used.get(a.id, 0) <= 0:
+            for a in g.arcs_into(v):  # reverse, re-sourcing a unit
+                if used[a] <= 0:
                     continue
-                for donor in self._donors_for(a.id):
+                t = tail[a]
+                for donor in self._donors_for(a):
                     k, l = donor
                     if l == kap:
                         continue  # splicing would close a path onto its source
-                    if a.tail == self.terms[k]:
-                        resumed = (a.tail, k)
+                    if t == self.terms[k]:
+                        resumed = (t, k)
                         if resumed not in parents:
-                            parents[resumed] = (state, ("rev", a.id, donor))
+                            parents[resumed] = (state, ("rev", a, donor))
                             q.append(resumed)
                             # the same arc may be re-added at once (net zero)
-                            readd = (a.head, k)
+                            readd = (v, k)
                             if readd not in parents:
-                                parents[readd] = (resumed, ("fwd", a.id, None))
+                                parents[readd] = (resumed, ("fwd", a, None))
                                 q.append(readd)
                     else:
-                        nxt = (a.tail, k)
+                        nxt = (t, k)
                         if nxt not in parents:
-                            parents[nxt] = (state, ("rev", a.id, donor))
+                            parents[nxt] = (state, ("rev", a, donor))
                             q.append(nxt)
         return None
 
@@ -267,8 +354,8 @@ class _FreeCore:
         moves.reverse()
         return moves
 
-    def _donors_for(self, aid: ArcId):
-        out = [kl for kl, comp in self.flow.items() if comp.get(aid, 0) > 0]
+    def _donors_for(self, a: int):
+        out = [kl for kl, comp in self.flow.items() if comp.get(a, 0) > 0]
         out.sort()
         return out
 
@@ -286,22 +373,22 @@ class _FreeCore:
         width = None
         idx = 0
         while idx < len(moves):
-            kind, aid, donor_key = moves[idx]
+            kind, a, donor_key = moves[idx]
             composite = (kind == "rev" and idx + 1 < len(moves)
-                         and moves[idx + 1] == ("fwd", aid, None))
-            if aid in arcs_seen or (donor_key is not None and donor_key in donors_seen):
+                         and moves[idx + 1] == ("fwd", a, None))
+            if a in arcs_seen or (donor_key is not None and donor_key in donors_seen):
                 return 1
-            arcs_seen.add(aid)
+            arcs_seen.add(a)
             if kind == "fwd":
-                room = self.cap[aid] - self.used.get(aid, 0)
+                room = self.cap[a] - self.used[a]
             else:
                 donors_seen.add(donor_key)
-                room = self.flow.get(donor_key, {}).get(aid, 0)
+                room = self.flow.get(donor_key, {}).get(a, 0)
             width = room if width is None else min(width, room)
             idx += 2 if composite else 1
         return max(1, width if width is not None else 1)
 
-    def _apply_walk(self, kappa: int, position, prefix: Dict[ArcId, int], moves, width: int):
+    def _apply_walk(self, kappa: int, position, prefix: Dict[int, int], moves, width: int):
         """Execute planned moves until done or until the plan goes stale.
 
         Returns ("done", ...) after a completing arrival, or
@@ -310,19 +397,18 @@ class _FreeCore:
         Bundled plans are pre-validated by _walk_width and cannot go
         stale; a stale move there means a broken invariant.
         """
-        by_id = self.graph.arcs_by_id()
-        for kind, aid, donor_key in moves:
-            a = by_id[aid]
+        g = self.graph
+        for kind, a, donor_key in moves:
             if kind == "fwd":
-                if self.used.get(aid, 0) + width > self.cap[aid]:
+                if self.used[a] + width > self.cap[a]:
                     if width > 1:
                         raise ContractViolation("bundled walk went stale")
                     return "dangling", kappa, position, prefix
-                prefix[aid] = prefix.get(aid, 0) + width
-                self.used[aid] = self.used.get(aid, 0) + width
-                position = a.head
-                if a.head in self.tset:  # completing arrival
-                    j = self.terms.index(a.head)
+                prefix[a] = prefix.get(a, 0) + width
+                self.used[a] += width
+                position = g.head[a]
+                j = self.index.get(position)
+                if j is not None:  # completing arrival
                     if j == kappa:
                         raise ContractViolation("augmenting walk arrived at its own source")
                     _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
@@ -331,44 +417,44 @@ class _FreeCore:
             elif kind == "rev":
                 k, l = donor_key
                 donor = self.flow.get((k, l), {})
-                if l == kappa or donor.get(aid, 0) < width:
+                if l == kappa or donor.get(a, 0) < width:
                     if width > 1:
                         raise ContractViolation("bundled walk went stale")
                     return "dangling", kappa, position, prefix
-                donor[aid] -= width
-                self.used[aid] -= width
+                donor[a] -= width
+                self.used[a] -= width
                 # the carried half joins the donor's abandoned tail
-                tail_piece = _extract(donor, self.graph, a.head, self.terms[l], width)
+                tail_piece = _extract(donor, g, g.head[a], self.terms[l], width)
                 target = self.flow.setdefault((kappa, l), {})
                 _add_arcfunc(target, prefix)
                 _add_arcfunc(target, tail_piece)
                 self.out_total[kappa] += width
                 # pick up the donor's head half and keep walking for it
-                prefix = _extract(donor, self.graph, self.terms[k], a.tail, width)
+                prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
                 self.out_total[k] -= width
                 kappa = k
-                position = a.tail
+                position = g.tail[a]
             else:  # displace a full arrival arc
                 k, j = donor_key
                 donor = self.flow.get((k, j), {})
-                if j == kappa or donor.get(aid, 0) < width:
+                if j == kappa or donor.get(a, 0) < width:
                     if width > 1:
                         raise ContractViolation("bundled walk went stale")
                     return "dangling", kappa, position, prefix
-                donor[aid] -= width
-                prefix[aid] = prefix.get(aid, 0) + width
+                donor[a] -= width
+                prefix[a] = prefix.get(a, 0) + width
                 _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
                 self.out_total[kappa] += width
-                prefix = _extract(donor, self.graph, self.terms[k], a.tail, width)
+                prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
                 self.out_total[k] -= width
                 kappa = k
-                position = a.tail
+                position = g.tail[a]
         if prefix:
             raise ContractViolation("augmenting walk ended with a dangling unit")
         return "done", kappa, None, {}
 
 
-def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStats):
+def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     """Exact but slow core solver: split capacity through inner vertices.
 
     Repeatedly replaces an in/out capacity pair at an inner vertex by a
@@ -376,28 +462,39 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
     per-terminal minimum cut at its target in both directions.  Once no
     inner vertex carries capacity, every arc runs between two terminals
     and expands back into a walk of original arcs.
+
+    Arcs are keyed by their position in the core, bypasses by the next
+    keys.  Arcs are tried in id order, and a bypass has the id ("~", c)
+    for the c-th split, ranked where that id sorts; the trial networks
+    list their arcs in that order too.
     """
+    g = net.graph
+    ids = g.ids
     tset = set(terms)
-    tails: Dict[ArcId, VertexId] = {}
-    heads: Dict[ArcId, VertexId] = {}
-    cap: Dict[ArcId, int] = {}
-    prov: Dict[ArcId, Tuple[ArcId, ArcId]] = {}
-    for a in net.graph.arcs:
-        tails[a.id], heads[a.id], cap[a.id] = a.tail, a.head, net.capacity[a.id]
-    order = sorted(cap, key=sort_key)  # every arc id, bypasses included, in id order
-    out_target = {t: sum(cap[i] for i in cap if tails[i] == t) for t in terms}
-    in_target = {t: sum(cap[i] for i in cap if heads[i] == t) for t in terms}
-    counter = [0]
+    m = len(net.cap)
+    tails = list(g.tail)
+    heads = list(g.head)
+    cap = list(net.cap)
+    arc_rank = ids.rank_arcs()
+    rank = [(2 * arc_rank[a] + 1,) for a in g.arcs]
+    prov: Dict[int, Tuple[int, int]] = {}
+    order = sorted(range(m), key=rank.__getitem__)  # every arc, bypasses included, in id order
+    out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
+    in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
 
     def snapshot_net(extra=None):
-        arcs = [(i, tails[i], heads[i]) for i in order if cap[i] > 0]
-        caps = {i: cap[i] for i, _t, _h in arcs}
+        arcs = [i for i in order if cap[i] > 0]
+        tail = [tails[i] for i in arcs]
+        head = [heads[i] for i in arcs]
+        caps = [cap[i] for i in arcs]
         if extra is not None:
-            aid, u, w, g = extra
-            if u != w and g > 0:
-                arcs.append((aid, u, w))
-                caps[aid] = g
-        return Network(Digraph.build(net.vertices, arcs), tuple(terms), caps)
+            u, w, gamma = extra
+            if u != w and gamma > 0:
+                arcs.append(len(tails))  # the trial split: a key no arc has yet
+                tail.append(u)
+                head.append(w)
+                caps.append(gamma)
+        return IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
 
     def feasible(a_id, b_id, gamma) -> bool:
         if gamma == 0:
@@ -405,7 +502,7 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
         u, w = tails[a_id], heads[b_id]
         cap[a_id] -= gamma
         cap[b_id] -= gamma
-        trial = snapshot_net(("?split", u, w, gamma))
+        trial = snapshot_net((u, w, gamma))
         cap[a_id] += gamma
         cap[b_id] += gamma
         for t in terms:
@@ -420,7 +517,7 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
     progress = True
     while progress:
         progress = False
-        for v in sorted(net.vertices, key=sort_key):
+        for v in sorted(g.vertices, key=ids.vertex_rank.__getitem__):
             if v in tset:
                 continue
             while True:
@@ -449,11 +546,13 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
                             cap[a_id] -= best
                             cap[b_id] -= best
                             if u != w:
-                                counter[0] += 1
-                                nid = ("~", counter[0])
-                                tails[nid], heads[nid], cap[nid] = u, w, best
+                                nid = len(tails)
+                                tails.append(u)
+                                heads.append(w)
+                                cap.append(best)
+                                rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
                                 prov[nid] = (a_id, b_id)
-                                insort(order, nid, key=sort_key)
+                                insort(order, nid, key=rank.__getitem__)
                             committed = True
                             progress = True
                             break
@@ -463,8 +562,8 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
                     raise ContractViolation("no admissible capacity split at an inner vertex")
 
     index = {t: i for i, t in enumerate(terms)}
-    flow: Dict[Tuple[int, int], Dict[ArcId, int]] = {}
-    memo: Dict[ArcId, Dict[ArcId, int]] = {}
+    flow: Dict[Tuple[int, int], Dict[int, int]] = {}
+    memo: Dict[int, Dict[int, int]] = {}
     for aid in order:
         if cap[aid] <= 0:
             continue
@@ -477,8 +576,8 @@ def _core_by_splitting(net: Network, terms: Sequence[VertexId], stats: SolveStat
     return flow
 
 
-def _expand_arc(aid, prov, memo) -> Dict[ArcId, int]:
-    """Arc multiset of original arcs behind a (possibly split) arc id."""
+def _expand_arc(aid, prov, memo) -> Dict[int, int]:
+    """Arc multiset of original arcs behind a (possibly split) arc key."""
     stack = [aid]
     while stack:
         cur = stack[-1]
@@ -502,12 +601,12 @@ def _expand_arc(aid, prov, memo) -> Dict[ArcId, int]:
     return memo[aid]
 
 
-def _extract(f: Dict[ArcId, int], graph: Digraph, src: VertexId, dst: VertexId,
-             amount: int) -> Dict[ArcId, int]:
+def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int) -> Dict[int, int]:
     """Remove `amount` units of src->dst path mass from f and return it."""
-    taken: Dict[ArcId, int] = {}
+    taken: Dict[int, int] = {}
     if src == dst or amount <= 0:
         return taken
+    head, tail = graph.head, graph.tail
     left = amount
     while left > 0:
         prev = {src: None}
@@ -515,40 +614,40 @@ def _extract(f: Dict[ArcId, int], graph: Digraph, src: VertexId, dst: VertexId,
         found = src == dst
         while q and not found:
             u = q.popleft()
-            for a in graph.out_arcs(u):
-                if f.get(a.id, 0) > 0 and a.head not in prev:
-                    prev[a.head] = a
-                    if a.head == dst:
+            for a in graph.arcs_out(u):
+                if f.get(a, 0) > 0 and head[a] not in prev:
+                    prev[head[a]] = a
+                    if head[a] == dst:
                         found = True
                         break
-                    q.append(a.head)
+                    q.append(head[a])
         if dst not in prev:
             raise ContractViolation("component surgery found no connecting path")
         path = []
         v = dst
         while prev[v] is not None:
             path.append(prev[v])
-            v = prev[v].tail
-        theta = min(min(f[a.id] for a in path), left)
+            v = tail[prev[v]]
+        theta = min(min(f[a] for a in path), left)
         for a in path:
-            f[a.id] -= theta
-            taken[a.id] = taken.get(a.id, 0) + theta
+            f[a] -= theta
+            taken[a] = taken.get(a, 0) + theta
         left -= theta
     return taken
 
 
-def _minimal_terminal_cuts(net: Network, stats: SolveStats) -> Dict[VertexId, frozenset]:
+def _minimal_terminal_cuts(net: IntNetwork, stats: SolveStats) -> Dict[int, frozenset]:
     """Inclusion-minimal minimum (t, S-t)-cuts; disjoint for inner-Eulerian nets."""
     cuts = {}
-    terms = sorted(net.terminals, key=sort_key)
+    terms = sorted(net.terminals, key=net.graph.ids.vertex_rank.__getitem__)
     for t in terms:
         others = [u for u in terms if u != t]
         stats.maxflow_calls += 1
         f, _v = max_flow(net, [t], others)
-        cuts[t] = min_cut_source_side(net, f, [t], sinks=others).source_side
-    for a in terms:
-        for b in terms:
-            if sort_key(a) < sort_key(b) and cuts[a] & cuts[b]:
+        cuts[t] = min_cut_source_side(net, f, [t], sinks=others)
+    for i, a in enumerate(terms):
+        for b in terms[i + 1:]:
+            if cuts[a] & cuts[b]:
                 raise ContractViolation("minimal terminal cuts overlap")
     return cuts
 
@@ -568,12 +667,16 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
     for v in net.inner_vertices():
         if not is_eulerian_at(net, v):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
-    paths, sides = _free_imf_paths(net, _minimal_terminal_cuts(net, stats), {}, stats)
-    return Multiflow.from_paths(net, paths), {t: Cut(side) for t, side in sides.items()}
+    inet = intern(net)
+    ids = inet.graph.ids
+    paths, sides = _free_imf_paths(inet, _minimal_terminal_cuts(inet, stats), {}, stats)
+    return (Multiflow.from_paths(net, [ids.path_ids(p) for p in paths]),
+            {ids.vertex_ids[t]: Cut(frozenset([ids.vertex_ids[v] for v in side]))
+             for t, side in sides.items()})
 
 
-def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
-                    misplaced: Dict[VertexId, Sequence[VertexId]], stats: SolveStats):
+def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
+                    misplaced: Dict[int, Sequence[int]], stats: SolveStats):
     """Path-form free multiflow, via cut contraction and region expansion.
 
     cuts maps every terminal to its minimal cut side, misplaced maps a
@@ -583,15 +686,14 @@ def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
     vertices is emitted as it is.  Returns the paths and every region's
     cut side, which shrinks only where vertices were expelled.
     """
-    terms = sorted(net.terminals, key=sort_key)
+    ids = net.graph.ids
+    terms = sorted(net.terminals, key=ids.vertex_rank.__getitem__)
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
-    taken = set(net.vertices)
-    core_term: Dict[VertexId, VertexId] = {}
+    core_term: Dict[int, int] = {}
     for t in terms:
-        core_term[t] = fresh_id(taken, "@", "w")
-        taken.add(core_term[t])
+        core_term[t] = ids.fresh_vertex([*net.terminals, *core_term.values()], "@", "w")
     core_net = contract(net, {core_term[t]: cuts[t] for t in terms})
 
     core = _FreeCore(core_net, [core_term[t] for t in terms], stats)
@@ -603,18 +705,19 @@ def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
     for (i, j) in sorted(core_flow):
         comp = core_flow[(i, j)]
         if any(comp.values()):
-            core_paths += decompose(core_net, comp, [core.terms[i]], [core.terms[j]])
+            core_paths += decompose(core_net.graph, _by_position(core_net, comp),
+                                    [core.terms[i]], [core.terms[j]])
 
     # expand every contracted side: each region's outside is one vertex z
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
     lead_out: List[TerminalPath] = []  # cut boundary -> terminal
     expelled: List[TerminalPath] = []  # terminal <-> misplaced vertex
-    sides: Dict[VertexId, frozenset] = {}
+    sides: Dict[int, frozenset] = {}
     bound = 0
     for t in terms:
         sides[t], z, region, forward, backward = repair_three_leaves(
             net, t, cuts[t], misplaced.get(t, ()), stats)
-        bound += sum(region.capacity[a.id] for a in region.graph.in_arcs(z))
+        bound += sum(region.cap[a] for a in region.graph.arcs_into(z))
         for p in forward:
             (lead_in if p.target == z else expelled).append(p)
         for p in backward:
@@ -632,29 +735,29 @@ def _free_imf_paths(net: Network, cuts: Dict[VertexId, frozenset],
 # -- base cases -------------------------------------------------------------
 
 
-def base_two_vertices(net: Network, real: RealizationTree, stats: SolveStats):
+def base_two_vertices(net: IntNetwork, tree: _Tree, stats: SolveStats):
     """Single tree edge: one max flow forward, its capacity complement back.
 
     Terminals realized by the whole edge have distance zero to everything
     and act as balanced through-vertices; they never carry components.
     """
-    v1, v2 = sorted(real.vertices, key=sort_key)
-    src = [t for t in net.terminals if real.subtrees[t] == {v1}]
-    dst = [t for t in net.terminals if real.subtrees[t] == {v2}]
+    v1, v2 = sorted(tree.vertices)
+    src = [t for t in net.terminals if tree.subtrees[t] == {v1}]
+    dst = [t for t in net.terminals if tree.subtrees[t] == {v2}]
     if not src or not dst:
         raise ContractViolation("two-vertex base without terminals at both ends")
     stats.maxflow_calls += 1
     f, _val = max_flow(net, src, dst)
-    x = min_cut_source_side(net, f, src, sinks=dst).source_side
-    g = {a.id: net.capacity[a.id] - f.get(a.id, 0) for a in net.graph.arcs}
-    ends = sorted(set(src) | set(dst), key=sort_key)
-    paths = decompose(net, f, src, dst) + decompose(net, g, ends, ends)
-    cuts: CutMap = {(v1, v2): x, (v2, v1): net.vertices - x}
+    x = min_cut_source_side(net, f, src, sinks=dst)
+    g = [c - used for c, used in zip(net.cap, f)]
+    ends = set(src) | set(dst)
+    paths = decompose(net.graph, f, src, dst) + decompose(net.graph, g, ends, ends)
+    cuts: CutMap = {(v1, v2): x, (v2, v1): net.graph.vertices - x}
     return paths, cuts
 
 
-def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
-                        q_terms: Sequence[VertexId], stats: SolveStats):
+def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset,
+                        q_terms: Sequence[int], stats: SolveStats):
     """Expand one terminal's cut region, expelling the misplaced q_terms.
 
     Contracts everything outside the cut side into z and takes the
@@ -666,25 +769,25 @@ def repair_three_leaves(net: Network, s_i: VertexId, side: frozenset,
     Returns (side, z, region, forward, backward), the paths on the region.
     """
     q = list(q_terms)
-    z = fresh_id(net.vertices, "@", "rz")
-    region = contract(net, {z: net.vertices - side})
+    z = net.graph.ids.fresh_vertex(net.terminals, "@", "rz")
+    region = contract(net, {z: net.graph.vertices - side})
+    rg = region.graph
     # capacity 0 forbids z's out-arcs: they belong to the backward flow
-    doctored = Network(region.graph, region.terminals,
-                       {a.id: 0 if a.tail == z else region.capacity[a.id]
-                        for a in region.graph.arcs})
+    doctored = IntNetwork(rg, region.terminals,
+                          [0 if tail == z else c for tail, c in zip(rg.tail, region.cap)])
     stats.maxflow_calls += 2 if q else 1
     g = lex_max_flow(doctored, s_i, z, q)
-    new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + q).source_side
-    for a in region.graph.in_arcs(z):
-        if g.get(a.id, 0) != region.capacity[a.id]:
+    new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + q)
+    for a in rg.arcs_into(z):
+        if g[a] != region.cap[a]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    forward = decompose(doctored, g, [s_i], [z] + q)
-    h = {a.id: region.capacity[a.id] - g.get(a.id, 0) for a in region.graph.arcs}
-    backward = decompose(region, h, [z] + q, [s_i])
+    forward = decompose(rg, g, [s_i], [z] + q)
+    h = [c - used for c, used in zip(region.cap, g)]
+    backward = decompose(rg, h, [z] + q, [s_i])
     return new_side, z, region, forward, backward
 
 
-def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
+def base_three_leaves(net: IntNetwork, tree: _Tree, stats: SolveStats):
     """Star tree (two or three leaves): a free multiflow on the leaf terminals.
 
     Simple terminals on the same leaf merge into one representative.  A
@@ -693,18 +796,20 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
     leaf's region with the two-phase flow that expels it, so each region
     is solved once and its cut already separates correctly.
     """
-    adj = real.adjacency()
-    leaves = [v for v in sorted(real.vertices, key=sort_key) if len(adj[v]) == 1]
-    centers = [v for v in sorted(real.vertices, key=sort_key) if len(adj[v]) > 1]
-    if len(centers) != 1 or len(leaves) + 1 != len(real.vertices):
+    adj = tree.adjacency()
+    leaves = [v for v in sorted(tree.vertices) if len(adj[v]) == 1]
+    centers = [v for v in sorted(tree.vertices) if len(adj[v]) > 1]
+    if len(centers) != 1 or len(leaves) + 1 != len(tree.vertices):
         raise ContractViolation("star base called on a non-star tree")
     center = centers[0]
     nleaf = len(leaves)
+    ids = net.graph.ids
+    rank = ids.vertex_rank.__getitem__
 
-    simples: Dict[int, List] = {i: [] for i in range(nleaf)}
-    complexes: List = []
+    simples: Dict[int, List[int]] = {i: [] for i in range(nleaf)}
+    complexes: List[int] = []
     for t in net.terminals:
-        sub = real.subtrees[t]
+        sub = tree.subtrees[t]
         hit = [i for i, v in enumerate(leaves) if v in sub]
         if len(sub) == 1:
             if sub == {center}:
@@ -716,28 +821,28 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
 
     # merge similar simple terminals into one representative per leaf
     merged = net
-    groups: Dict[VertexId, List[VertexId]] = {}
-    reps: List[VertexId] = []
+    groups: Dict[int, List[int]] = {}
+    reps: List[int] = []
     for i in range(nleaf):
         if not simples[i]:
             raise ContractViolation("star leaf without a simple terminal")
-        bunch = sorted(simples[i], key=sort_key)
+        bunch = sorted(simples[i], key=rank)
         if len(bunch) == 1:
             reps.append(bunch[0])
             continue
-        m = fresh_id(merged.vertices, "@", "m")
+        m = ids.fresh_vertex(merged.terminals, "@", "m")
         merged = contract(merged, {m: bunch})
         groups[m] = bunch
         reps.append(m)
 
-    free_net = Network(merged.graph, tuple(reps), merged.capacity)
+    free_net = IntNetwork(merged.graph, tuple(reps), merged.cap)
     cuts = _minimal_terminal_cuts(free_net, stats)
     # complex terminals trapped in a leaf's cut whose subtree misses that leaf
     misplaced = {}
     for i in range(nleaf):
-        q = [t for t in complexes if t in cuts[reps[i]] and leaves[i] not in real.subtrees[t]]
+        q = [t for t in complexes if t in cuts[reps[i]] and leaves[i] not in tree.subtrees[t]]
         if q:
-            misplaced[reps[i]] = sorted(q, key=sort_key)
+            misplaced[reps[i]] = sorted(q, key=rank)
     paths, sides = _free_imf_paths(free_net, cuts, misplaced, stats)
 
     def widen(side: frozenset) -> frozenset:
@@ -746,35 +851,40 @@ def base_three_leaves(net: Network, real: RealizationTree, stats: SolveStats):
             out.update(groups.get(v, [v]))
         return frozenset(out)
 
-    # undo the merge: endpoints are read off the original arc endpoints
-    by_id = net.graph.arcs_by_id()
-    paths = [TerminalPath(by_id[p.arcs[0]].tail, by_id[p.arcs[-1]].head, p.arcs, p.weight)
-             for p in paths]
+    if groups:
+        # undo the merge: endpoints are read off the original arc endpoints
+        g = net.graph
+        position = g.position
+        paths = [TerminalPath(g.tail[position[p.arcs[0]]], g.head[position[p.arcs[-1]]],
+                              p.arcs, p.weight)
+                 for p in paths]
     cuts_out: CutMap = {}
     for i in range(nleaf):
         side = widen(sides[reps[i]])
         cuts_out[(leaves[i], center)] = side
-        cuts_out[(center, leaves[i])] = net.vertices - side
+        cuts_out[(center, leaves[i])] = net.graph.vertices - side
     return paths, cuts_out
 
 
 # -- partition step ----------------------------------------------------------
 
 
-def aggregate(net: Network, paths1: List[TerminalPath], paths2: List[TerminalPath],
-              x1: frozenset, x2: frozenset, z2: VertexId, z1: VertexId) -> List[TerminalPath]:
+def aggregate(net: IntNetwork, paths1: List[TerminalPath], paths2: List[TerminalPath],
+              x1: frozenset, z2: int, z1: int) -> List[TerminalPath]:
     """Glue two child solutions across a saturated partition cut.
 
-    Child 1 lives on x1 plus z2 (x2 contracted), child 2 on x2 plus z1.
-    Paths inside one side carry over.  A child-1 path into z2 ends with
-    an arc from x1 to x2 that child-2 paths out of z1 start with, and
-    _join_on_arc joins them on it; backward, child-2 paths into z1 join
-    child-1 paths out of z2.  The two halves of a joined path lie on
-    disjoint sides, so it is simple and crosses every lifted child cut as
-    often as its half did.  Each boundary arc must carry its capacity.
+    Child 1 lives on x1 plus z2 (the rest contracted), child 2 on the
+    rest plus z1.  Paths inside one side carry over.  A child-1 path into
+    z2 ends with an arc from x1 to the rest that child-2 paths out of z1
+    start with, and _join_on_arc joins them on it; backward, child-2
+    paths into z1 join child-1 paths out of z2.  The two halves of a
+    joined path lie on disjoint sides, so it is simple and crosses every
+    lifted child cut as often as its half did.  Each boundary arc must
+    carry its capacity.
     """
-    out_ids, in_ids = boundary(net, x1)
-    crossing = out_ids | in_ids
+    g = net.graph
+    leaving, entering = boundary(g, x1)
+    crossing = {g.arcs[k] for k in leaving} | {g.arcs[k] for k in entering}
     internal, into, out_of = [], {z1: [], z2: []}, {z1: [], z2: []}
     for paths, z in ((paths1, z2), (paths2, z1)):
         for p in paths:
@@ -787,44 +897,44 @@ def aggregate(net: Network, paths1: List[TerminalPath], paths2: List[TerminalPat
             else:
                 raise ContractViolation("side-internal path touches the partition boundary")
 
-    for z, ids, direction in ((z2, out_ids, "forward"), (z1, in_ids, "backward")):
-        load = dict.fromkeys(ids, 0)
+    for z, positions, direction in ((z2, leaving, "forward"), (z1, entering, "backward")):
+        load = {g.arcs[k]: 0 for k in positions}
         for p in into[z]:
             load[p.arcs[-1]] += p.weight
-        if any(load[aid] != net.capacity[aid] for aid in ids):
+        if any(load[g.arcs[k]] != net.cap[k] for k in positions):
             raise ContractViolation(f"partition boundary not saturated {direction}")
 
     return (internal + _join_on_arc(into[z2], out_of[z1])
             + _join_on_arc(into[z1], out_of[z2]))
 
 
-def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats, depth: int):
+def partition_step(net: IntNetwork, tree: _Tree, edge, stats: SolveStats, depth: int):
     """Split at a balanced tree edge along a minimum terminal-group cut."""
     v1, v2 = edge
-    side1 = real.component_without_edge(v1, v2)
-    side2 = real.vertices - side1
-    s1_group = [t for t in net.terminals if real.subtrees[t] <= side1]
-    s2_group = [t for t in net.terminals if real.subtrees[t] <= side2]
+    side1 = tree.component_without_edge(v1, v2)
+    side2 = tree.vertices - side1
+    s1_group = [t for t in net.terminals if tree.subtrees[t] <= side1]
+    s2_group = [t for t in net.terminals if tree.subtrees[t] <= side2]
     if not s1_group or not s2_group:
         raise ContractViolation("partition with an empty terminal group")
 
     stats.maxflow_calls += 1
     f, _val = max_flow(net, s1_group, s2_group)
-    x1 = min_cut_source_side(net, f, s1_group, sinks=s2_group).source_side
-    x2 = net.vertices - x1
+    x1 = min_cut_source_side(net, f, s1_group, sinks=s2_group)
+    x2 = net.graph.vertices - x1
 
-    z2 = fresh_id(net.vertices, "@", "cut")
-    z1 = fresh_id(net.vertices | {z2}, "@", "cut")
+    ids = net.graph.ids
+    z2 = ids.fresh_vertex(net.terminals, "@", "cut")
+    z1 = ids.fresh_vertex(net.terminals + (z2,), "@", "cut")
 
-    net1 = contract(net, {z2: x2})
-    net2 = contract(net, {z1: x1})
-    real1 = _contract_real(real, side1, v2, [t for t in net.terminals if t in x1], z2)
-    real2 = _contract_real(real, side2, v1, [t for t in net.terminals if t in x2], z1)
+    tree1 = _contract_tree(tree, side1, v2, [t for t in net.terminals if t in x1], z2)
+    tree2 = _contract_tree(tree, side2, v1, [t for t in net.terminals if t in x2], z1)
 
-    paths1, cuts1 = _solve_rec(net1, real1, stats, depth + 1)
-    paths2, cuts2 = _solve_rec(net2, real2, stats, depth + 1)
+    # each child network lives only while its own recursion runs
+    paths1, cuts1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1)
+    paths2, cuts2 = _solve_rec(contract(net, {z1: x1}), tree2, stats, depth + 1)
 
-    paths = aggregate(net, paths1, paths2, x1, x2, z2, z1)
+    paths = aggregate(net, paths1, paths2, x1, z2, z1)
 
     cuts: CutMap = {(v1, v2): x1, (v2, v1): x2}
     for arc, side in cuts1.items():
@@ -838,39 +948,34 @@ def partition_step(net: Network, real: RealizationTree, edge, stats: SolveStats,
     return paths, cuts
 
 
-def _contract_real(real: RealizationTree, keep_side: frozenset, anchor,
-                   kept_terminals, z) -> RealizationTree:
+def _contract_tree(tree: _Tree, keep_side: frozenset, anchor: int,
+                   kept_terminals: Sequence[int], z: int) -> _Tree:
     """The tree on one side of a partition edge plus its far endpoint
     anchor, which realizes the contraction vertex z."""
-    verts = set(keep_side) | {anchor}
-    lengths = {}
-    for (u, v), ell in real.arc_length.items():
-        if u in verts and v in verts:
-            lengths[(u, v)] = ell
+    verts = keep_side | {anchor}
+    adj = {u: tuple(w for w in tree.adj[u] if w in verts) for u in verts}
     subs = {}
     for t in kept_terminals:
-        sub = real.subtrees[t]
-        rest = set(sub & keep_side)
-        if sub - keep_side:
-            rest.add(anchor)
-        subs[t] = frozenset(rest)
+        sub = tree.subtrees[t]
+        rest = sub & keep_side
+        subs[t] = rest | {anchor} if sub - keep_side else rest
     subs[z] = frozenset({anchor})
-    return RealizationTree(frozenset(verts), lengths, subs)
+    return _Tree(verts, adj, subs)
 
 
 # -- recursion and public entry ---------------------------------------------
 
 
-def _solve_rec(net: Network, real: RealizationTree, stats: SolveStats, depth: int):
+def _solve_rec(net: IntNetwork, tree: _Tree, stats: SolveStats, depth: int):
     stats.recursion_depth = max(stats.recursion_depth, depth)
-    if len(real.vertices) == 1:
+    if len(tree.vertices) == 1:
         return [], {}
-    edge = choose_balanced_edge(real)
+    edge = choose_balanced_edge(tree)
     if edge is not None:
-        return partition_step(net, real, edge, stats, depth)
-    if len(real.vertices) == 2:
-        return base_two_vertices(net, real, stats)
-    return base_three_leaves(net, real, stats)
+        return partition_step(net, tree, edge, stats, depth)
+    if len(tree.vertices) == 2:
+        return base_two_vertices(net, tree, stats)
+    return base_three_leaves(net, tree, stats)
 
 
 def solve(net: Network, real: RealizationTree) -> SolveOutput:
@@ -887,7 +992,9 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     stats = SolveStats()
 
     norm_net, norm_real, record = normalize(net, real)
-    paths, cuts = _solve_rec(norm_net, norm_real, stats, 0)
+    inet, tree, tree_ids = _internal(norm_net, norm_real)
+    paths, cuts = _solve_rec(inet, tree, stats, 0)
+    paths, cuts = _external(inet.graph.ids, tree_ids, paths, cuts)
     paths, cert = _undo_normalization(net, real, norm_real, record, paths, cuts)
 
     flow = Multiflow.from_paths(net, paths)
@@ -897,7 +1004,7 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
 
 
 def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: RealizationTree,
-                        record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
+                        record: NormalizeRecord, paths: List[TerminalPath], cuts):
     """Map paths and cuts of the normalized instance back to the input.
 
     A split terminal s lies between its halves on the arcs out_arc
@@ -941,6 +1048,9 @@ def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: Realiz
         side = cuts.get(mapped)
         if side is None:
             raise ContractViolation(f"missing certificate cut for {mapped!r}")
+        if not record.splits:
+            cert[arc] = side
+            continue
         side = set(side)
         tail_side = norm_real.component_without_edge(*mapped)
         for rec in reversed(record.splits):

@@ -124,6 +124,28 @@ def test_result_round_trip(e1):
     assert cert2.cuts == out.certificate.cuts
 
 
+def test_certificate_sides_serialize_in_id_order_with_mixed_ids():
+    # every side in sort_key order, as sorting each side on its own gives
+    from treeflow.certify import Certificate
+    from treeflow.graphs import sort_key
+
+    ids = [3, 10, -1, "a", "b10", "b9", (1, 2), ("x",), (1, "y"), "10"]
+    cuts = {("u", "v"): frozenset(ids[::2]), ("v", "u"): frozenset(ids[1::2]),
+            (2, "w"): frozenset(ids), ("w", 2): frozenset([(1, 2), 3])}
+    text = serialize_result(Fraction(7, 2), None, Certificate(cuts), {"n": 10})
+    expected = {
+        "value": "7/2",
+        "certificate": [{"tree_arc": [u, v], "cut": sorted(side, key=sort_key)}
+                        for (u, v), side in sorted(cuts.items(),
+                                                   key=lambda kv: (str(kv[0][0]), str(kv[0][1])))],
+        "stats": {"n": 10},
+    }
+    assert text == json.dumps(expected, indent=2) + "\n"
+    # ids sort by type name, then by repr
+    assert json.loads(text)["certificate"][0]["cut"] == [-1, 10, 3, "10", "a", "b10", "b9",
+                                                         ["x"], [1, "y"], [1, 2]]
+
+
 def test_generator_determinism_and_validity():
     a = generate_instance(7, 30, 10, 4, 4)
     b = generate_instance(7, 30, 10, 4, 4)

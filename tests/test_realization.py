@@ -22,17 +22,53 @@ from treeflow.realization import RealizationTree
 from conftest import make_net, make_real
 
 
+def _walk_table(vertices, lengths):
+    """For a tree given by its vertices and arc lengths: per ordered vertex
+    pair (x, y), the length of the x -> y path and the set of its arcs,
+    found by this oracle's own walk from every vertex, not by the library."""
+    nbrs = {x: [] for x in vertices}
+    for (u, v) in lengths:
+        nbrs[u].append(v)
+    table = {}
+    for x in nbrs:
+        table[(x, x)] = (Fraction(0), frozenset())
+        stack = [x]
+        while stack:
+            u = stack.pop()
+            du, arcs = table[(x, u)]
+            for v in nbrs[u]:
+                if (x, v) not in table:
+                    table[(x, v)] = (du + lengths[(u, v)], arcs | {(u, v)})
+                    stack.append(v)
+    return table
+
+
+_tables = {}
+_latest = [None, None]  # the last realization asked about, and its table
+
+
+def _pair_table(real):
+    """The walk table of the tree of real, built once per tree: the cases
+    of one tree differ only in their subtrees."""
+    if _latest[0] is not real:
+        key = (real.vertices, frozenset(real.arc_length.items()))
+        if key not in _tables:
+            _tables[key] = _walk_table(real.vertices, real.arc_length)
+        _latest[:] = [real, _tables[key]]
+    return _latest[1]
+
+
 def brute_mu(real, s, t):
     if s == t:
         return Fraction(0)
-    return min(tree_distance(real, u, v)
-               for u in real.subtrees[s] for v in real.subtrees[t])
+    table = _pair_table(real)
+    return min(table[(u, v)][0] for u in real.subtrees[s] for v in real.subtrees[t])
 
 
 def brute_pi_members(real, terminals, arc):
     """Pairwise reading: (s, t) feels the arc iff every distance-minimizing
     subtree pair routes its unique directed path through the arc."""
-    u, v = arc
+    table = _pair_table(real)
     members = set()
     for s in terminals:
         for t in terminals:
@@ -40,13 +76,8 @@ def brute_pi_members(real, terminals, arc):
                 continue
             best = brute_mu(real, s, t)
             mins = [(x, y) for x in real.subtrees[s] for y in real.subtrees[t]
-                    if tree_distance(real, x, y) == best]
-
-            def uses(x, y):
-                path = real.path_between(x, y)
-                return any((a, b) == (u, v) for a, b in zip(path, path[1:]))
-
-            if mins and all(uses(x, y) for x, y in mins):
+                    if table[(x, y)][0] == best]
+            if mins and all(arc in table[(x, y)][1] for x, y in mins):
                 members.add((s, t))
     return members
 

@@ -19,6 +19,7 @@ from treeflow import (
     verify_certificate,
 )
 from treeflow.generator import generate_network
+from treeflow.indexed import intern
 from treeflow.solver import (
     SolveStats,
     aggregate,
@@ -26,7 +27,9 @@ from treeflow.solver import (
     base_two_vertices,
     partition_step,
     repair_three_leaves,
+    _external,
     _free_imf_paths,
+    _internal,
 )
 
 from conftest import make_net, make_real
@@ -68,7 +71,8 @@ def test_e2(e2):
 
 def test_base_two_direct(e1):
     net, real = e1
-    paths, cuts = base_two_vertices(net, real, SolveStats())
+    inet, tree, tree_ids = _internal(net, real)
+    paths, cuts = _external(inet.graph.ids, tree_ids, *base_two_vertices(inet, tree, SolveStats()))
     assert cuts[("v1", "v2")] == frozenset(["s"])
     assert paths == [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
 
@@ -127,16 +131,17 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
                 total[p.source] = total.get(p.source, 0) + p.weight
         return total
 
-    def checking(net, paths1, paths2, x1, x2, z2, z1):
-        glued = orig(net, paths1, paths2, x1, x2, z2, z1)
+    def checking(net, paths1, paths2, x1, z2, z1):
+        glued = orig(net, paths1, paths2, x1, z2, z1)
         child = out_weights(paths1, z2)
         child.update(out_weights(paths2, z1))
         assert out_weights(glued, None) == child, "a source's out-weight changed in aggregation"
         # every glued path walks the parent's arcs from its source to its target
-        by_id = net.graph.arcs_by_id()
+        g = net.graph
+        ends = {a: (t, h) for a, t, h in zip(g.arcs, g.tail, g.head)}
         for p in glued:
-            walk = [p.source] + [by_id[aid].head for aid in p.arcs]
-            assert [by_id[aid].tail for aid in p.arcs] == walk[:-1]
+            walk = [p.source] + [ends[a][1] for a in p.arcs]
+            assert [ends[a][0] for a in p.arcs] == walk[:-1]
             assert walk[-1] == p.target and len(set(walk)) == len(walk)
         calls[0] += 1
         return glued
@@ -153,37 +158,47 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
 
 def _aggregate_fixture():
     # x1 = {a, c} and x2 = {b}: e and g cross forward, f backward
-    net = make_net(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "b")],
-                   ["a", "b", "c"], {"e": 2, "f": 1, "g": 1})
-    paths1 = [TerminalPath("a", "z2", ("e",), 2), TerminalPath("c", "z2", ("g",), 1),
-              TerminalPath("z2", "c", ("f",), 1)]
-    paths2 = [TerminalPath("z1", "b", ("e",), 2), TerminalPath("z1", "b", ("g",), 1),
-              TerminalPath("b", "z1", ("f",), 1)]
-    return net, paths1, paths2, frozenset("ac"), frozenset("b")
+    net = intern(make_net(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "b")],
+                          ["a", "b", "c"], {"e": 2, "f": 1, "g": 1}))
+    ids = net.graph.ids
+    z2 = ids.fresh_vertex(net.terminals, "z2")
+    z1 = ids.fresh_vertex(net.terminals, "z1")
+
+    def path(s, t, arcs, w):
+        # the fixture's vertex and arc ids as the network's numbers
+        num = {**ids.number, ("z2", 0): z2, ("z1", 0): z1}
+        return TerminalPath(num[s], num[t], tuple(ids.arc_ids.index(a) for a in arcs), w)
+
+    paths1 = [path("a", ("z2", 0), ("e",), 2), path("c", ("z2", 0), ("g",), 1),
+              path(("z2", 0), "c", ("f",), 1)]
+    paths2 = [path(("z1", 0), "b", ("e",), 2), path(("z1", 0), "b", ("g",), 1),
+              path("b", ("z1", 0), ("f",), 1)]
+    return net, path, paths1, paths2, frozenset([ids.number["a"], ids.number["c"]]), z2, z1
 
 
 def test_aggregate_joins_on_boundary_arcs():
-    net, paths1, paths2, x1, x2 = _aggregate_fixture()
-    assert aggregate(net, paths1, paths2, x1, x2, "z2", "z1") == [
+    net, _path, paths1, paths2, x1, z2, z1 = _aggregate_fixture()
+    glued = aggregate(net, paths1, paths2, x1, z2, z1)
+    assert [net.graph.ids.path_ids(p) for p in glued] == [
         TerminalPath("a", "b", ("e",), 2), TerminalPath("c", "b", ("g",), 1),
         TerminalPath("b", "c", ("f",), 1)]
 
 
 def test_aggregate_rejects_unsaturated_boundary():
-    net, paths1, paths2, x1, x2 = _aggregate_fixture()
-    short = [TerminalPath("a", "z2", ("e",), 1)] + paths1[1:]
+    net, path, paths1, paths2, x1, z2, z1 = _aggregate_fixture()
+    short = [path("a", ("z2", 0), ("e",), 1)] + paths1[1:]
     with pytest.raises(ContractViolation, match="not saturated forward"):
-        aggregate(net, short, paths2, x1, x2, "z2", "z1")
+        aggregate(net, short, paths2, x1, z2, z1)
     with pytest.raises(ContractViolation, match="not saturated backward"):
-        aggregate(net, paths1, paths2[:2], x1, x2, "z2", "z1")
+        aggregate(net, paths1, paths2[:2], x1, z2, z1)
 
 
 def test_aggregate_rejects_internal_path_on_the_boundary():
-    net, paths1, paths2, x1, x2 = _aggregate_fixture()
+    net, path, paths1, paths2, x1, z2, z1 = _aggregate_fixture()
     # a to c through the contraction vertex z2
-    through = paths1 + [TerminalPath("a", "c", ("e", "f"), 1)]
+    through = paths1 + [path("a", "c", ("e", "f"), 1)]
     with pytest.raises(ContractViolation, match="touches the partition boundary"):
-        aggregate(net, through, paths2, x1, x2, "z2", "z1")
+        aggregate(net, through, paths2, x1, z2, z1)
 
 
 def test_free_imf_two_terminals():
@@ -234,10 +249,12 @@ def test_repair_keeps_capacity_complement():
             ("s2b", "s2", "s3")]
     net = make_net(["s1", "s2", "s3", "qv"], arcs, ["s1", "s2", "s3", "qv"],
                    {"sq": 2, "qs2": 1, "qs1": 1, "s2b": 1})
-    side = frozenset(["s1", "qv"])
+    inet = intern(net)
+    num = inet.graph.ids.number
+    side = frozenset([num["s1"], num["qv"]])
     stats = SolveStats()
-    new_side, z, region, fwd, back = repair_three_leaves(net, "s1", side, ["qv"], stats)
-    assert "qv" not in new_side and "s1" in new_side
+    new_side, z, region, fwd, back = repair_three_leaves(inet, num["s1"], side, [num["qv"]], stats)
+    assert num["qv"] not in new_side and num["s1"] in new_side
     # forward plus backward flow reconstructs the region capacity arc by arc
     g = {}
     for p in fwd:
@@ -247,14 +264,15 @@ def test_repair_keeps_capacity_complement():
     for p in back:
         for aid in p.arcs:
             h[aid] = h.get(aid, 0) + p.weight
-    for a in region.graph.arcs:
-        assert g.get(a.id, 0) + h.get(a.id, 0) == region.capacity[a.id]
+    rg = region.graph
+    for aid, c in zip(rg.arcs, region.cap):
+        assert g.get(aid, 0) + h.get(aid, 0) == c
     # both boundary directions at z are fully used
-    for a in region.graph.arcs:
-        if a.head == z:
-            assert g.get(a.id, 0) == region.capacity[a.id]
-        if a.tail == z:
-            assert h.get(a.id, 0) == region.capacity[a.id]
+    for aid, tail, head, c in zip(rg.arcs, rg.tail, rg.head, region.cap):
+        if head == z:
+            assert g.get(aid, 0) == c
+        if tail == z:
+            assert h.get(aid, 0) == c
 
 
 def test_base_three_with_misplaced_complex_terminal():
@@ -379,3 +397,90 @@ def test_certificate_is_length_independent():
                               {t: sorted(real.subtrees[t]) for t in net.terminals})
             assert verify_certificate(net, real2, out.multiflow, out.certificate) is None
             assert mu_value(real2, out.multiflow, net) == dual_value(net, real2)
+
+
+# (value, max flows, recursion depth) of corpus instances: every 25th seed
+# and the two slowest fallback seeds, as solved before the recursion moved
+# onto interned numbers.  Same work, not only the same answers.
+PINNED_WORK = {
+    25: ('130', 47, 3),
+    50: ('42', 26, 2),
+    75: ('43', 41, 4),
+    100: ('113/2', 15, 1),
+    125: ('107/2', 24, 2),
+    150: ('16', 26, 2),
+    175: ('35', 9, 0),
+    200: ('300', 44, 4),
+    225: ('14', 19, 1),
+    250: ('6', 1, 0),
+    275: ('43/2', 26, 2),
+    300: ('307/2', 49, 3),
+    325: ('70', 19, 1),
+    350: ('37', 6, 0),
+    375: ('83/2', 29, 2),
+    400: ('14', 1, 0),
+    425: ('20', 26, 2),
+    450: ('2', 16, 1),
+    475: ('38', 16, 1),
+    500: ('195', 9, 0),
+    239: ('41/2', 769, 2),
+    416: ('23', 629, 2),
+}
+
+
+def test_pinned_corpus_work_and_no_builds_inside_the_recursion(monkeypatch):
+    from test_acceptance import corpus_params
+    from treeflow import Digraph, Network
+
+    builds = [0]
+    post_init, build = Network.__post_init__, Digraph.build
+
+    def counted_post_init(self):
+        builds[0] += 1
+        post_init(self)
+
+    def counted_build(*args, **kwargs):
+        builds[0] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(Network, "__post_init__", counted_post_init)
+    monkeypatch.setattr(Digraph, "build", staticmethod(counted_build))
+    depths = set()
+    for seed, expected in PINNED_WORK.items():
+        net, real = generate_network(seed, *corpus_params(seed))
+        builds[0] = 0
+        normalize(net, real)
+        at_boundary = builds[0]
+        builds[0] = 0
+        out = solve(net, real)
+        assert (str(out.value), out.stats.maxflow_calls, out.stats.recursion_depth) == expected, seed
+        # validation and normalization build networks; the recursion builds none
+        assert builds[0] == at_boundary, seed
+        depths.add(out.stats.recursion_depth)
+    assert depths == {0, 1, 2, 3, 4}
+
+
+def test_input_ids_shaped_like_the_solvers_own(monkeypatch):
+    # contraction vertices were ids ('@', name, k) and splitting bypasses
+    # arcs ('~', c); input ids of those shapes must not collide with them
+    import treeflow.solver as S
+
+    def always_stall(self):
+        self._bulk()
+        raise S._AugmentationStall("forced")
+
+    monkeypatch.setattr(S._FreeCore, "run", always_stall)
+    rng = random.Random(67)
+    for _ in range(6):
+        seed = rng.randrange(10**6)
+        net, real = generate_network(seed, 6 + seed % 6, 3 + seed % 5, seed % 4, 2 + seed % 3)
+        vname = {v: ("@", "cut", i) for i, v in enumerate(sorted(net.vertices, key=repr))}
+        aname = {a.id: ("~", i + 1) for i, a in enumerate(net.graph.arcs)}
+        net = make_net(list(vname.values()),
+                       [(aname[a.id], vname[a.tail], vname[a.head]) for a in net.graph.arcs],
+                       [vname[t] for t in net.terminals],
+                       {aname[a]: c for a, c in net.capacity.items()})
+        real = make_real(sorted(real.vertices, key=repr),
+                         [(u, v, real.arc_length[(u, v)], real.arc_length[(v, u)]) for u, v in real.edges()],
+                         {vname[t]: sorted(s, key=repr) for t, s in real.subtrees.items()})
+        assert_solution_checks(net, real, solve(net, real))
