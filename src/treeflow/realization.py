@@ -469,16 +469,16 @@ def normalize(net: Network, real: RealizationTree):
             keep, move = neighbors[:2], neighbors[2:]
             v2 = fresh_id(tverts, "+", ("deg", v))
             tverts.add(v2)
+            moved = set(move)
             for w in move:
                 lengths[(v2, w)] = lengths.pop((v, w))
                 lengths[(w, v2)] = lengths.pop((w, v))
-                record.arc_map = {
-                    a: (_rename_arc(m, v, v2, w) if m is not None else None)
-                    for a, m in record.arc_map.items()
-                }
+            record.arc_map = {
+                a: (_rename_arc(m, v, v2, moved) if m is not None else None)
+                for a, m in record.arc_map.items()
+            }
             lengths[(v, v2)] = Fraction(0)
             lengths[(v2, v)] = Fraction(0)
-            moved = set(move)
             for sub in subs.values():
                 if v in sub and sub & moved:
                     sub.add(v2)
@@ -526,10 +526,11 @@ def normalize(net: Network, real: RealizationTree):
     raise ContractViolation("normalization did not reach a fixed point")
 
 
-def _rename_arc(arc: TreeArc, v, v2, w) -> TreeArc:
+def _rename_arc(arc: TreeArc, v, v2, moved) -> TreeArc:
+    """The arc with v renamed to v2 where v's other end is in moved."""
     a, b = arc
-    if (a, b) == (v, w):
-        return (v2, w)
-    if (a, b) == (w, v):
-        return (w, v2)
+    if a == v and b in moved:
+        return (v2, b)
+    if b == v and a in moved:
+        return (a, v2)
     return arc

@@ -455,18 +455,43 @@ class _FreeCore:
 
 
 def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
-    """Exact but slow core solver: split capacity through inner vertices.
+    """Exact core solver: split capacity off pairs at inner vertices.
 
-    Repeatedly replaces an in/out capacity pair at an inner vertex by a
-    direct bypass arc, committing the largest amount that keeps every
-    per-terminal minimum cut at its target in both directions.  Once no
-    inner vertex carries capacity, every arc runs between two terminals
-    and expands back into a walk of original arcs.
+    Splitting g units off a pair (u->v, v->w) at an inner vertex v takes g
+    from both arcs and adds a bypass u->w of g units.  A split is
+    admissible when every terminal t keeps its targets: the max flow from
+    t to the other terminals stays d+({t}) and the one into t stays
+    d-({t}).  The core's trivial cuts are minimum, so the targets are the
+    smallest d+(X) and d-(X) over the sets X that hold t and no other
+    terminal.  Vertices are emptied in id order; at each, the first pair
+    (in arcs before out arcs, each in id order) with a positive admissible
+    amount gets all of it.  A split makes no arc at an emptied vertex, so
+    one pass empties them all; then every arc joins two terminals and
+    expands back into a walk of original arcs.
+
+    The split lowers d+(X) and d-(X) by exactly g when X separates v from
+    u and w, and moves no other cut.  Two facts follow.
+
+    Free splits.  Say all of v's in arcs come from u, or all its out arcs
+    go to w, and X separates v from both.  Moving v across (X + v or
+    X - v) keeps every terminal on its side, and lowers d+ and d- by at
+    least c(vw) or c(uv) respectively, using that v is Eulerian.  The moved
+    set meets its targets, so X exceeds them by at least
+    min(c(uv), c(vw)): every pair at such a vertex is admissible at full
+    width, with no max flow, and the vertex stays so until it is empty.
+
+    Exact amount from one trial.  Elsewhere the pair is tried once at
+    full width hi = min(c(uv), c(vw)).  For each terminal and direction
+    the trial value is min(A, B - hi), where A >= target bounds the sets
+    the split leaves alone and B bounds the ones it lowers; the largest
+    admissible g is B - target.  A trial value short of its target is B -
+    hi, so the amount is hi minus the largest shortfall, and the trial
+    stops once the shortfall reaches hi.  This is the amount a binary
+    search over g would find.
 
     Arcs are keyed by their position in the core, bypasses by the next
-    keys.  Arcs are tried in id order, and a bypass has the id ("~", c)
-    for the c-th split, ranked where that id sorts; the trial networks
-    list their arcs in that order too.
+    keys.  A bypass has the id ("~", c) for the c-th split, ranked where
+    that id sorts; the trial networks list their arcs in id order.
     """
     g = net.graph
     ids = g.ids
@@ -482,84 +507,64 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
     in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
 
-    def snapshot_net(extra=None):
+    def admissible(a_id: int, b_id: int) -> int:
+        """The largest amount the pair can split, from one trial at full width."""
+        hi = min(cap[a_id], cap[b_id])
+        cap[a_id] -= hi
+        cap[b_id] -= hi
         arcs = [i for i in order if cap[i] > 0]
         tail = [tails[i] for i in arcs]
         head = [heads[i] for i in arcs]
         caps = [cap[i] for i in arcs]
-        if extra is not None:
-            u, w, gamma = extra
-            if u != w and gamma > 0:
-                arcs.append(len(tails))  # the trial split: a key no arc has yet
-                tail.append(u)
-                head.append(w)
-                caps.append(gamma)
-        return IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
-
-    def feasible(a_id, b_id, gamma) -> bool:
-        if gamma == 0:
-            return True
+        cap[a_id] += hi
+        cap[b_id] += hi
         u, w = tails[a_id], heads[b_id]
-        cap[a_id] -= gamma
-        cap[b_id] -= gamma
-        trial = snapshot_net((u, w, gamma))
-        cap[a_id] += gamma
-        cap[b_id] += gamma
+        if u != w:
+            arcs.append(len(tails))  # the trial bypass: a key no arc has yet
+            tail.append(u)
+            head.append(w)
+            caps.append(hi)
+        trial = IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
+        short = 0
         for t in terms:
             others = [x for x in terms if x != t]
-            stats.maxflow_calls += 2
-            if max_flow(trial, [t], others)[1] != out_target[t]:
-                return False
-            if max_flow(trial, others, [t])[1] != in_target[t]:
-                return False
-        return True
+            for src, dst, target in (([t], others, out_target[t]), (others, [t], in_target[t])):
+                stats.maxflow_calls += 1
+                short = max(short, target - max_flow(trial, src, dst)[1])
+                if short >= hi:
+                    return 0
+        return hi - short
 
-    progress = True
-    while progress:
-        progress = False
-        for v in sorted(g.vertices, key=ids.vertex_rank.__getitem__):
-            if v in tset:
-                continue
-            while True:
-                ins = [i for i in order if heads[i] == v and cap[i] > 0]
-                outs = [i for i in order if tails[i] == v and cap[i] > 0]
-                if not ins and not outs:
-                    break
-                if not ins or not outs:
-                    raise ContractViolation("unbalanced inner vertex during splitting")
-                committed = False
-                for a_id in ins:
-                    for b_id in outs:
-                        hi = min(cap[a_id], cap[b_id])
-                        if feasible(a_id, b_id, hi):
-                            best = hi
-                        else:
-                            lo, best = 0, 0
-                            while lo + 1 < hi:
-                                mid = (lo + hi) // 2
-                                if feasible(a_id, b_id, mid):
-                                    lo, best = mid, mid
-                                else:
-                                    hi = mid
-                        if best > 0:
-                            u, w = tails[a_id], heads[b_id]
-                            cap[a_id] -= best
-                            cap[b_id] -= best
-                            if u != w:
-                                nid = len(tails)
-                                tails.append(u)
-                                heads.append(w)
-                                cap.append(best)
-                                rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
-                                prov[nid] = (a_id, b_id)
-                                insort(order, nid, key=rank.__getitem__)
-                            committed = True
-                            progress = True
-                            break
-                    if committed:
-                        break
-                if not committed:
+    for v in sorted(g.vertices, key=ids.vertex_rank.__getitem__):
+        if v in tset:
+            continue
+        while True:
+            ins = [i for i in order if heads[i] == v and cap[i] > 0]
+            outs = [i for i in order if tails[i] == v and cap[i] > 0]
+            if not ins and not outs:
+                break
+            if not ins or not outs:
+                raise ContractViolation("unbalanced inner vertex during splitting")
+            if len({tails[i] for i in ins}) == 1 or len({heads[i] for i in outs}) == 1:
+                # a free split: the first pair is admissible at full width
+                split = (ins[0], outs[0], min(cap[ins[0]], cap[outs[0]]))
+            else:
+                split = next(((a_id, b_id, amount) for a_id in ins for b_id in outs
+                              if (amount := admissible(a_id, b_id))), None)
+                if split is None:
                     raise ContractViolation("no admissible capacity split at an inner vertex")
+            a_id, b_id, amount = split
+            cap[a_id] -= amount
+            cap[b_id] -= amount
+            u, w = tails[a_id], heads[b_id]
+            if u != w:
+                nid = len(tails)
+                tails.append(u)
+                heads.append(w)
+                cap.append(amount)
+                rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
+                prov[nid] = (a_id, b_id)
+                insort(order, nid, key=rank.__getitem__)
 
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[int, int]] = {}

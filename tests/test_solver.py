@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treeflow import (
     ContractViolation,
@@ -346,15 +348,19 @@ def test_solver_randomized_against_dual_oracle():
         assert_solution_checks(net, real, out)
 
 
+def _always_stall(core):
+    """A _FreeCore.run that stops after the bulk flows, so that the
+    splitting fallback solves every core."""
+    import treeflow.solver as S
+    core._bulk()
+    raise S._AugmentationStall("forced")
+
+
 def test_splitting_fallback_is_exact(monkeypatch):
-    # drive every core through the slow splitting routine
+    # drive every core through the splitting routine
     import treeflow.solver as S
 
-    def always_stall(self):
-        self._bulk()
-        raise S._AugmentationStall("forced")
-
-    monkeypatch.setattr(S._FreeCore, "run", always_stall)
+    monkeypatch.setattr(S._FreeCore, "run", _always_stall)
     rng = random.Random(61)
     for _ in range(8):
         seed = rng.randrange(10**6)
@@ -364,20 +370,79 @@ def test_splitting_fallback_is_exact(monkeypatch):
         assert verify_certificate(net, real, out.multiflow, out.certificate) is None
 
 
-def test_large_capacities_stay_fast_and_exact():
-    # augmenting walks must move capacity in bundles, not unit by unit
+def test_splitting_fallback_matches_the_binary_search_oracle():
+    # every core goes through both the one-trial fallback and the oracle
+    import treeflow.solver as S
+    from splitting_oracle import core_by_splitting
+
+    split = S._core_by_splitting
+    cores = [0]
+
+    def checked(net, terms, stats):
+        mine, oracle = SolveStats(), SolveStats()
+        flow = split(net, terms, mine)
+        assert flow == core_by_splitting(net, terms, oracle)
+        assert mine.maxflow_calls <= oracle.maxflow_calls
+        stats.maxflow_calls += mine.maxflow_calls
+        cores[0] += 1
+        return flow
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    @example(5)  # seeds 5 and 43 split an amount below the pair's width
+    @example(43)
+    def prop(seed):
+        net, real = generate_network(seed, 6 + seed % 6, 3 + seed % 5, seed % 4, 2 + seed % 3)
+        assert solve(net, real).value == dual_value(net, real)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S._FreeCore, "run", _always_stall)
+        mp.setattr(S, "_core_by_splitting", checked)
+        prop()
+    assert cores[0] > 0
+
+
+def test_large_capacities_stay_fast_and_exact(monkeypatch):
+    # the walks of seeds 3, 248 and 516 never need a width-one plan, so
+    # they move capacity in whole bundles; a plan that does need one still
+    # runs once per unit.  Seeds 239, 416 and 493 fall back to splitting,
+    # whose max flows do not depend on the size of the capacities.
     import time
+    import treeflow.solver as S
+    from test_acceptance import corpus_params
+    from treeflow import Network
+
+    split = S._core_by_splitting
+    fallbacks = [0]
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(S, "_core_by_splitting", counted)
+
+    def scaled(net, k):
+        return Network(net.graph, net.terminals, {a.id: net.capacity[a.id] * k for a in net.graph.arcs})
+
+    def solve_checked(net, real):
+        t0 = time.time()
+        out = solve(net, real)
+        assert time.time() - t0 < 5.0
+        assert out.value == dual_value(net, real)
+        assert verify_certificate(net, real, out.multiflow, out.certificate) is None
+        return out
+
     for seed in (3, 248, 516):
         n = 4 + (seed % 9) * 3
         net, real = generate_network(seed, n, 2 + seed % 9, seed % 5, 2 + seed % 5)
-        caps = {a.id: net.capacity[a.id] * 10**6 for a in net.graph.arcs}
-        from treeflow import Network
-        big = Network(net.graph, net.terminals, caps)
-        t0 = time.time()
-        out = solve(big, real)
-        assert time.time() - t0 < 5.0
-        assert out.value == dual_value(big, real)
-        assert verify_certificate(big, real, out.multiflow, out.certificate) is None
+        solve_checked(scaled(net, 10**6), real)
+    for seed in (239, 416, 493):
+        net, real = generate_network(seed, *corpus_params(seed))
+        calls = solve(net, real).stats.maxflow_calls
+        fallbacks[0] = 0
+        out = solve_checked(scaled(net, 10**6), real)
+        assert fallbacks[0] > 0, seed
+        assert out.stats.maxflow_calls == calls, seed
 
 
 def test_certificate_is_length_independent():
@@ -401,7 +466,9 @@ def test_certificate_is_length_independent():
 
 # (value, max flows, recursion depth) of corpus instances: every 25th seed
 # and the two slowest fallback seeds, as solved before the recursion moved
-# onto interned numbers.  Same work, not only the same answers.
+# onto interned numbers.  Same work, not only the same answers; the
+# fallback seeds make fewer max flows since split amounts come from one
+# trial and free splits need none.
 PINNED_WORK = {
     25: ('130', 47, 3),
     50: ('42', 26, 2),
@@ -423,8 +490,8 @@ PINNED_WORK = {
     450: ('2', 16, 1),
     475: ('38', 16, 1),
     500: ('195', 9, 0),
-    239: ('41/2', 769, 2),
-    416: ('23', 629, 2),
+    239: ('41/2', 286, 2),
+    416: ('23', 178, 2),
 }
 
 
@@ -465,11 +532,7 @@ def test_input_ids_shaped_like_the_solvers_own(monkeypatch):
     # arcs ('~', c); input ids of those shapes must not collide with them
     import treeflow.solver as S
 
-    def always_stall(self):
-        self._bulk()
-        raise S._AugmentationStall("forced")
-
-    monkeypatch.setattr(S._FreeCore, "run", always_stall)
+    monkeypatch.setattr(S._FreeCore, "run", _always_stall)
     rng = random.Random(67)
     for _ in range(6):
         seed = rng.randrange(10**6)
