@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, List, Optional, Union
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 from .errors import InputError
-from .flows import max_flow
-from .graphs import ArcId, Network, boundary, sort_key
-from .multiflow import Multiflow, TerminalPath
+from .graphs import ArcId, Network, TerminalPath, boundary, sort_key
+from .indexed import intern, max_flow
 from .realization import RealizationTree, TreeArc, mu, pi_set
 
 
@@ -39,66 +38,28 @@ class CertificateViolation:
         return f"{self.kind}{where}{extra}"
 
 
-def mu_value(real: RealizationTree, flow: Union[Multiflow, List[TerminalPath]],
-             net: Optional[Network] = None) -> Fraction:
-    """Total distance-weighted value of a multiflow or path packing."""
-    total = Fraction(0)
-    if isinstance(flow, Multiflow):
-        if net is None:
-            raise InputError("component form needs the network for values", code="invalid-input")
-        for pair in flow.pairs():
-            s, t = pair
-            if s not in real.subtrees or t not in real.subtrees:
-                raise InputError(f"terminal pair {pair!r} has no subtree", code="dangling-reference")
-            v = flow.component_value(net, pair)
-            if v:
-                total += mu(real, s, t) * v
-        return total
+def mu_value(real: RealizationTree, flow: Iterable[TerminalPath]) -> Fraction:
+    """Total distance-weighted value of a path packing or Multiflow."""
+    weight: Dict[Tuple[Hashable, Hashable], int] = {}
     for p in flow:
         if p.source not in real.subtrees or p.target not in real.subtrees:
             raise InputError(f"path endpoint without subtree: {p.source!r}->{p.target!r}",
                              code="dangling-reference")
-        total += mu(real, p.source, p.target) * p.weight
-    return total
+        weight[(p.source, p.target)] = weight.get((p.source, p.target), 0) + p.weight
+    return sum((mu(real, s, t) * w for (s, t), w in weight.items()), Fraction(0))
 
 
-def check_feasible(net: Network, flow: Union[Multiflow, List[TerminalPath]]):
-    """None when the flow is feasible, else what violates it.
+def check_feasible(net: Network, flow: Iterable[TerminalPath]):
+    """None when the path packing (or Multiflow) is feasible, else what
+    violates it.
 
-    A component-form flow must have nonnegative int arc values that
-    respect capacities, and each component may have positive divergence
-    only at its source and negative only at its target; the violating
-    arc id is returned.  A path packing must consist of walks with a
-    positive integer weight between two distinct terminals: a path with
-    bad endpoints or weight, or whose arcs do not run from its source to
-    its target, is returned; otherwise the id of the first arc that is
-    unknown, does not continue its walk, or is loaded beyond its capacity.
+    The paths must be walks with a positive integer weight between two
+    distinct terminals: a path with bad endpoints or weight, or whose arcs
+    do not run from its source to its target, is returned; otherwise the
+    id of the first arc that is unknown, does not continue its walk, or is
+    loaded beyond its capacity.
     """
     by_id = net.graph.arcs_by_id()
-    if isinstance(flow, Multiflow):
-        for pair in flow.pairs():
-            for aid, w in flow.components[pair].items():
-                if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                    return aid
-        totals = flow.total_arc_flow()
-        for aid, w in sorted(totals.items(), key=lambda kv: sort_key(kv[0])):
-            if aid not in by_id or w > net.capacity[aid]:
-                return aid
-        for pair in flow.pairs():
-            s, t = pair
-            f = flow.components[pair]
-            div: Dict[Hashable, int] = {}
-            for aid, w in f.items():
-                if w:
-                    a = by_id[aid]
-                    div[a.tail] = div.get(a.tail, 0) + w
-                    div[a.head] = div.get(a.head, 0) - w
-            for v, d in div.items():
-                if d > 0 and v != s:
-                    return next(iter(f))
-                if d < 0 and v != t:
-                    return next(iter(f))
-        return None
     terminals = set(net.terminals)
     totals: Dict[ArcId, int] = {}
     for p in flow:
@@ -121,23 +82,20 @@ def check_feasible(net: Network, flow: Union[Multiflow, List[TerminalPath]]):
     return None
 
 
-def verify_certificate(net: Network, real: RealizationTree,
-                       flow: Union[Multiflow, List[TerminalPath]],
+def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[TerminalPath],
                        cert: Certificate) -> Optional[CertificateViolation]:
     """None when the certificate proves optimality of the multiflow.
 
     Checks, in order: feasibility of the flow, then for every tree arc
     with a nonempty pair set: the cut separates the pair set, every
     positive path meets the cut boundary at most once, and the arcs
-    leaving the cut are used to exactly their capacity.  Component form
-    is converted to paths with the deterministic peeling; a path packing
-    is checked as given.
+    leaving the cut are used to exactly their capacity.  The flow is a
+    path packing or a Multiflow, checked as given.
     """
     bad = check_feasible(net, flow)
     if bad is not None:
         return CertificateViolation("infeasible", detail=bad)
 
-    paths = flow.to_paths(net) if isinstance(flow, Multiflow) else flow
     terminals = net.terminals
 
     for a in real.quasi_arcs():
@@ -157,7 +115,7 @@ def verify_certificate(net: Network, real: RealizationTree,
                 return CertificateViolation("separation", a, t)
         out_arcs, in_arcs = boundary(net, side)
         used = {aid: 0 for aid in out_arcs}
-        for p in paths:
+        for p in flow:
             crossings = 0
             for aid in p.arcs:
                 if aid in out_arcs:
@@ -177,18 +135,20 @@ def dual_value(net: Network, real: RealizationTree) -> Fraction:
     """Sum over tree arcs of length times the minimum separating cut.
 
     Each arc with nonempty pair set A x B contributes its length times
-    the minimum capacity of an (A, B)-cut, found by one max-flow run.
-    For valid instances this equals the optimal distance-weighted value,
-    which makes it the testing oracle for the solver.
+    the minimum capacity of an (A, B)-cut, found by one max-flow run on
+    the network, interned once for all of them.  For valid instances
+    this equals the optimal distance-weighted value, which makes it the
+    testing oracle for the solver.
     """
+    inet = intern(net)
+    num = inet.graph.ids.number
     total = Fraction(0)
     for a in real.quasi_arcs():
         ell = real.arc_length[a]
         pi = pi_set(real, net.terminals, a)
         if pi.empty or ell == 0:
             continue
-        sources = sorted(pi.tail_side_terminals, key=sort_key)
-        sinks = sorted(pi.head_side_terminals, key=sort_key)
-        _flow, value = max_flow(net, sources, sinks)
+        _flow, value = max_flow(inet, [num[s] for s in pi.tail_side_terminals],
+                                [num[t] for t in pi.head_side_terminals])
         total += ell * value
     return total

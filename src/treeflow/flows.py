@@ -9,41 +9,19 @@ are deterministic: arcs are scanned in the order they appear in the
 network, sources and sinks are taken in id order, and path peeling
 always follows the positive arc whose id comes first.
 
-Only the latest graph's interned form is kept, so flows with any
-capacities on one Digraph (every tree arc of dual_value, the components
-of one multiflow) intern it once.
+Every call interns the graph afresh and keeps nothing: a caller that
+runs many flows on one graph (dual_value) interns it once itself and
+calls the kernels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from . import indexed
 from .errors import InputError
-from .graphs import ArcId, Cut, Digraph, Network, TerminalPath, VertexId
-from .indexed import IntGraph, IntNetwork, intern_graph
-
-
-# The latest graph's interned form, as one (graph, IntGraph) pair.  One
-# slot serves the runs of flows on one graph; a form cached on each
-# Digraph would live as long as its graph.
-_slot: Tuple[Optional[Digraph], Optional[IntGraph]] = (None, None)
-
-
-def _interned(graph: Digraph) -> IntGraph:
-    global _slot
-    owner, interned = _slot  # one read: the pair is replaced, never half-written
-    if owner is not graph:
-        interned = intern_graph(graph)
-        _slot = (graph, interned)
-    return interned
-
-
-def _network(net: Network) -> IntNetwork:
-    graph = _interned(net.graph)
-    ids = graph.ids
-    return IntNetwork(graph, tuple(map(ids.number.__getitem__, net.terminals)),
-                      list(map(net.capacity.__getitem__, ids.arc_ids)))
+from .graphs import ArcId, Cut, Network, TerminalPath, VertexId
+from .indexed import IntGraph, intern, intern_graph
 
 
 def _on_positions(graph: IntGraph, f: Dict[ArcId, int]) -> List[int]:
@@ -85,7 +63,7 @@ def max_flow(net: Network, sources: Iterable[VertexId], sinks: Iterable[VertexId
     src, snk = _check_endpoint_sets(net, sources, sinks)
     if not src or not snk:
         return {}, 0
-    inet = _network(net)
+    inet = intern(net)
     num = inet.graph.ids.number
     flow, value = indexed.max_flow(inet, [num[v] for v in src], [num[v] for v in snk])
     return _by_arc_id(inet.graph, flow), value
@@ -101,7 +79,7 @@ def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[Ver
     """
     src = set(sources)
     _check_vertices(net, src)
-    inet = _network(net)
+    inet = intern(net)
     ids = inet.graph.ids
     side = indexed.min_cut_source_side(inet, _on_positions(inet.graph, f), [ids.number[v] for v in src],
                                        [ids.number[t] for t in sinks if t in ids.number])
@@ -120,7 +98,7 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
     """
     sec = set(secondary_sinks)
     _check_endpoint_sets(net, [source], sec | {primary_sink})
-    inet = _network(net)
+    inet = intern(net)
     num = inet.graph.ids.number
     flow = indexed.lex_max_flow(inet, num[source], num[primary_sink], [num[v] for v in sec])
     return _by_arc_id(inet.graph, flow)
@@ -143,7 +121,7 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
     srcs = set(allowed_sources)
     snks = set(allowed_sinks)
     _check_vertices(net, srcs | snks)
-    graph = _interned(net.graph)
+    graph = intern_graph(net.graph)
     ids = graph.ids
     negative = [ids.arc_number[a] for a, w in f.items() if w < 0 and a in ids.arc_number]
     if negative:

@@ -7,10 +7,10 @@ network can be mapped back to the original arcs.  Parallel and
 antiparallel arcs are first class; self-loops are dropped on
 construction and whenever a contraction creates them.
 
-Every structure here is frozen.  A Digraph builds one index of its arcs
-(by id, and out of and into each vertex, in arc order) the first time a
-lookup needs it and keeps it for its lifetime; code that needs these
-lookups reads them from the graph instead of building its own copy.
+Every structure here is frozen.  A Digraph indexes its arcs (by id, and
+out of and into each vertex, in arc order) in the same pass that builds
+it, and keeps the index for its lifetime; code that needs these lookups
+reads them from the graph instead of building its own copy.
 
 Validation happens here and in the other public entry points only.  The
 solver interns a validated network once into the integer-indexed form of
@@ -19,9 +19,8 @@ indexed.py and never builds these types inside its recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Hashable, Iterable, Mapping, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .errors import InputError
 
@@ -53,16 +52,25 @@ class Arc:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable directed multigraph. Loops are removed on construction."""
+    """Immutable directed multigraph. Loops are removed on construction.
+
+    Built by build, which fills the index in the same pass: every arc by
+    its id, and the arcs out of and into each vertex, in arc order.  The
+    per-vertex lists stay lists: on graphs of 8k arcs, turning them into
+    tuples cost more than building the rest of the index.
+    """
 
     vertices: frozenset
     arcs: Tuple[Arc, ...]
+    _by_id: Mapping[ArcId, Arc] = field(repr=False, compare=False)
+    _out: Mapping[VertexId, List[Arc]] = field(repr=False, compare=False)
+    _into: Mapping[VertexId, List[Arc]] = field(repr=False, compare=False)
 
     @staticmethod
     def build(vertices: Iterable[VertexId], arcs: Iterable[Tuple[ArcId, VertexId, VertexId]]) -> "Digraph":
         vset = frozenset(vertices)
         seen = set()
-        kept = []
+        by_id, out, into = {}, {}, {}
         for aid, tail, head in arcs:
             if aid in seen:
                 raise InputError(f"duplicate arc id {aid!r}", code="duplicate-arc")
@@ -71,31 +79,22 @@ class Digraph:
                 raise InputError(f"arc {aid!r} references unknown vertex", code="dangling-reference")
             if tail == head:
                 continue  # loops carry no flow and no cut capacity
-            kept.append(Arc(aid, tail, head))
-        return Digraph(vset, tuple(kept))
-
-    @cached_property
-    def _index(self):
-        by_id, out, into = {}, {}, {}
-        for a in self.arcs:
-            by_id[a.id] = a
-            out.setdefault(a.tail, []).append(a)
-            into.setdefault(a.head, []).append(a)
-        return (by_id,
-                {v: tuple(arcs) for v, arcs in out.items()},
-                {v: tuple(arcs) for v, arcs in into.items()})
+            a = by_id[aid] = Arc(aid, tail, head)
+            out.setdefault(tail, []).append(a)
+            into.setdefault(head, []).append(a)
+        return Digraph(vset, tuple(by_id.values()), by_id, out, into)
 
     def arcs_by_id(self) -> Mapping[ArcId, Arc]:
         """Every arc by its id; the graph's own copy, not to be modified."""
-        return self._index[0]
+        return self._by_id
 
-    def out_arcs(self, v: VertexId) -> Tuple[Arc, ...]:
-        """Arcs leaving v, in arc order."""
-        return self._index[1].get(v, ())
+    def out_arcs(self, v: VertexId) -> Sequence[Arc]:
+        """Arcs leaving v, in arc order; the graph's own list, not to be modified."""
+        return self._out.get(v, ())
 
-    def in_arcs(self, v: VertexId) -> Tuple[Arc, ...]:
-        """Arcs entering v, in arc order."""
-        return self._index[2].get(v, ())
+    def in_arcs(self, v: VertexId) -> Sequence[Arc]:
+        """Arcs entering v, in arc order; the graph's own list, not to be modified."""
+        return self._into.get(v, ())
 
 
 @dataclass(frozen=True)

@@ -1,56 +1,40 @@
-"""Integer multiflows kept as per-(source, target) flow components.
+"""Integer multiflows as weighted path packings.
 
-The solver sums its weighted paths into components once, at the end;
-to_paths turns them back into an explicit weighted path packing.
+A multiflow is a packing of weighted TerminalPaths, each from one
+terminal to another, as the paper defines it: flows F(P) on paths.  The
+solver returns the packing its recursion glued, without summing it into
+arc functions, and iterating a Multiflow yields its paths, so every
+function that takes a packing takes a Multiflow too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Tuple
 
-from .flows import decompose
-from .graphs import ArcId, Network, TerminalPath, divergence, sort_key
+# kept for bench/pipeline.py LAYERS, which wraps decompose under this module's name
+from .flows import decompose  # noqa: F401
+from .graphs import Network, TerminalPath, sort_key
 
 
 @dataclass(frozen=True)
 class Multiflow:
-    """Map from ordered terminal pairs to integer flow functions."""
+    """A weighted packing of paths between distinct terminals."""
 
-    components: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = field(default_factory=dict)
+    paths: Tuple[TerminalPath, ...] = ()
 
-    @staticmethod
-    def from_paths(net: Network, paths: Iterable[TerminalPath]) -> "Multiflow":
-        """Sum weighted paths into components, keyed by the tail of each
-        path's first arc and the head of its last."""
-        by_id = net.graph.arcs_by_id()
-        comps: Dict[Tuple[Hashable, Hashable], Dict[ArcId, int]] = {}
-        for p in paths:
-            f = comps.setdefault((by_id[p.arcs[0]].tail, by_id[p.arcs[-1]].head), {})
-            for aid in p.arcs:
-                f[aid] = f.get(aid, 0) + p.weight
-        return Multiflow(comps)
+    def __iter__(self) -> Iterator[TerminalPath]:
+        return iter(self.paths)
 
     def pairs(self):
-        return sorted(self.components, key=lambda st: (sort_key(st[0]), sort_key(st[1])))
+        """The (source, target) pairs of the paths, in id order."""
+        return sorted({(p.source, p.target) for p in self.paths},
+                      key=lambda st: (sort_key(st[0]), sort_key(st[1])))
 
     def component_value(self, net: Network, pair) -> int:
-        """Net outflow of the pair's component at its source."""
-        return divergence(net, self.components[pair], pair[0])
-
-    def total_arc_flow(self) -> Dict[ArcId, int]:
-        out: Dict[ArcId, int] = {}
-        for f in self.components.values():
-            for aid, w in f.items():
-                if w:
-                    out[aid] = out.get(aid, 0) + w
-        return out
+        """Total weight of the paths from pair[0] to pair[1]."""
+        return sum(p.weight for p in self.paths if (p.source, p.target) == pair)
 
     def to_paths(self, net: Network) -> List[TerminalPath]:
-        """Deterministic conversion to a weighted path packing."""
-        out: List[TerminalPath] = []
-        for (s, t) in self.pairs():
-            f = self.components[(s, t)]
-            if any(f.values()):
-                out.extend(decompose(net, f, [s], [t]))
-        return out
+        """The packing as a list of paths."""
+        return list(self.paths)

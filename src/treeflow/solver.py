@@ -38,7 +38,7 @@ from .realization import (
     choose_balanced_edge,
     normalize,
     pi_set,
-    validate_instance,
+    validate_instance,  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.validate_instance
 )
 
 # tree arc (u, v) of tree vertex numbers -> cut side of vertex numbers
@@ -187,8 +187,8 @@ class _FreeCore:
     the cancelled unit's remainder to the walk and re-routes the donor.
     Rare configurations that need a simultaneous rotation of several
     units stall the search; callers fall back to capacity splitting.
-    Arcs are arc positions of the core network; flow components are keyed
-    by terminal indices (i, j).
+    Arcs are arc positions of the core network; the flow maps each pair
+    of terminal indices (i, j) to the arc function it carries.
     """
 
     def __init__(self, net: IntNetwork, terminals: Sequence[int], stats: SolveStats):
@@ -491,7 +491,9 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
 
     Arcs are keyed by their position in the core, bypasses by the next
     keys.  A bypass has the id ("~", c) for the c-th split, ranked where
-    that id sorts; the trial networks list their arcs in id order.
+    that id sorts; the trial networks list their arcs in id order, and
+    each vertex keeps its in and out arcs in id order, so a split reads
+    only the arcs at its vertex.
     """
     g = net.graph
     ids = g.ids
@@ -504,6 +506,11 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     rank = [(2 * arc_rank[a] + 1,) for a in g.arcs]
     prov: Dict[int, Tuple[int, int]] = {}
     order = sorted(range(m), key=rank.__getitem__)  # every arc, bypasses included, in id order
+    ins_of: Dict[int, List[int]] = {}  # per vertex, the arcs into it and out of it in id order
+    outs_of: Dict[int, List[int]] = {}
+    for i in order:
+        ins_of.setdefault(heads[i], []).append(i)
+        outs_of.setdefault(tails[i], []).append(i)
     out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
     in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
 
@@ -539,8 +546,8 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
         if v in tset:
             continue
         while True:
-            ins = [i for i in order if heads[i] == v and cap[i] > 0]
-            outs = [i for i in order if tails[i] == v and cap[i] > 0]
+            ins = [i for i in ins_of.get(v, ()) if cap[i] > 0]
+            outs = [i for i in outs_of.get(v, ()) if cap[i] > 0]
             if not ins and not outs:
                 break
             if not ins or not outs:
@@ -565,6 +572,8 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
                 rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
                 prov[nid] = (a_id, b_id)
                 insort(order, nid, key=rank.__getitem__)
+                insort(outs_of.setdefault(u, []), nid, key=rank.__getitem__)
+                insort(ins_of.setdefault(w, []), nid, key=rank.__getitem__)
 
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -675,7 +684,7 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
     inet = intern(net)
     ids = inet.graph.ids
     paths, sides = _free_imf_paths(inet, _minimal_terminal_cuts(inet, stats), {}, stats)
-    return (Multiflow.from_paths(net, [ids.path_ids(p) for p in paths]),
+    return (Multiflow(tuple(map(ids.path_ids, paths))),
             {ids.vertex_ids[t]: Cut(frozenset([ids.vertex_ids[v] for v in side]))
              for t, side in sides.items()})
 
@@ -744,7 +753,7 @@ def base_two_vertices(net: IntNetwork, tree: _Tree, stats: SolveStats):
     """Single tree edge: one max flow forward, its capacity complement back.
 
     Terminals realized by the whole edge have distance zero to everything
-    and act as balanced through-vertices; they never carry components.
+    and act as balanced through-vertices; no path starts or ends at one.
     """
     v1, v2 = sorted(tree.vertices)
     src = [t for t in net.terminals if tree.subtrees[t] == {v1}]
@@ -991,19 +1000,16 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     per tree arc with a nonempty pair set.
     """
     t0 = time.perf_counter()
-    issue = validate_instance(net, real)
-    if issue is not None:
-        raise InputError(f"instance invalid at {issue.vertex!r}: {issue.reason}", code="not-eulerian")
     stats = SolveStats()
 
-    norm_net, norm_real, record = normalize(net, real)
+    norm_net, norm_real, record = normalize(net, real)  # validates the instance first
     inet, tree, tree_ids = _internal(norm_net, norm_real)
     paths, cuts = _solve_rec(inet, tree, stats, 0)
     paths, cuts = _external(inet.graph.ids, tree_ids, paths, cuts)
     paths, cert = _undo_normalization(net, real, norm_real, record, paths, cuts)
 
-    flow = Multiflow.from_paths(net, paths)
-    value = mu_value(real, flow, net)
+    flow = Multiflow(tuple(paths))
+    value = mu_value(real, flow)
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveOutput(flow, Certificate(cert), value, stats)
 

@@ -18,8 +18,7 @@ from conftest import make_net, make_real
 
 def test_mu_value_empty():
     real = make_real(["v1", "v2"], [("v1", "v2", 3, 0)], {"s": ["v1"], "t": ["v2"]})
-    net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 1})
-    assert mu_value(real, Multiflow({}), net) == 0
+    assert mu_value(real, Multiflow()) == 0
     assert mu_value(real, []) == 0
 
 
@@ -34,17 +33,20 @@ def test_mu_value_e2_solution(e2):
              TerminalPath("s2", "s3", ("a3", "a4"), 1),
              TerminalPath("s3", "s1", ("a5", "a6"), 1)]
     assert mu_value(real, paths) == 6
-    assert mu_value(real, Multiflow.from_paths(net, paths), net) == 6
+    assert mu_value(real, Multiflow(tuple(paths))) == 6
+    # weight summed per pair: two paths of one pair count like one path
+    split = [TerminalPath("s1", "s2", ("a1", "a2"), 1), TerminalPath("s1", "s2", ("a1", "a2"), 2)]
+    assert mu_value(real, split) == 6
 
 
 def test_check_feasible():
     net = make_net(["s", "t"], [("a", "s", "t"), ("b", "s", "t")], ["s", "t"],
                    {"a": 1, "b": 1})
-    assert check_feasible(net, Multiflow({("s", "t"): {"a": 1}})) is None
-    assert check_feasible(net, Multiflow({("s", "t"): {"a": 2}})) == "a"
-    both = Multiflow({("s", "t"): {"a": 1, "b": 1}})
+    assert check_feasible(net, Multiflow((TerminalPath("s", "t", ("a",), 1),))) is None
+    assert check_feasible(net, Multiflow((TerminalPath("s", "t", ("a",), 2),))) == "a"
+    both = Multiflow((TerminalPath("s", "t", ("a",), 1), TerminalPath("s", "t", ("b",), 1)))
     assert check_feasible(net, both) is None
-    # a path packing: walks of positive integer weight between distinct terminals
+    # walks of positive integer weight between distinct terminals
     assert check_feasible(net, [TerminalPath("s", "t", ("a",), 1)]) is None
     assert check_feasible(net, [TerminalPath("s", "t", ("a",), 1),
                                 TerminalPath("s", "t", ("a",), 1)]) == "a"
@@ -60,16 +62,20 @@ def test_check_feasible():
 
 
 def test_check_feasible_rejects_negative_component_entries(e1):
-    # a -2 entry in the t->s component cancels the s->t flow on a1 in the
-    # totals, yet the pair would count 2 units at distance 3
+    # a forged pair: 2 units s->t and -2 units t->s; the negative path
+    # lowers the load of a2, so the arc totals stay within capacity and
+    # only the weight check can reject it
     net, _real = e1
     real = make_real(["v1", "v2"], [("v1", "v2", 0, 3)], {"s": ["v1"], "t": ["v2"]})
-    forged = Multiflow({("s", "t"): {"a1": 2}, ("t", "s"): {"a1": -2}})
-    assert mu_value(real, forged, net) == 6 != dual_value(net, real) == 3
-    assert check_feasible(net, forged) == "a1"
-    assert verify_certificate(net, real, forged, Certificate({})) is not None
+    back = TerminalPath("t", "s", ("a2",), -2)
+    forged = Multiflow((TerminalPath("s", "t", ("a1",), 2), back))
+    assert mu_value(real, forged) == -6 != dual_value(net, real) == 3
+    assert check_feasible(net, forged) == back
+    issue = verify_certificate(net, real, forged, Certificate({}))
+    assert issue is not None and issue.kind == "infeasible"
     for w in (1.0, True, Fraction(1)):
-        assert check_feasible(net, Multiflow({("s", "t"): {"a1": w}})) == "a1"
+        path = TerminalPath("s", "t", ("a1",), w)
+        assert check_feasible(net, Multiflow((path,))) == path
 
 
 def test_verify_zero_capacity_any_separating_cut():
@@ -77,7 +83,7 @@ def test_verify_zero_capacity_any_separating_cut():
                    {"a": 0, "b": 0})
     real = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"], "t": ["v2"]})
     cert = Certificate({("v1", "v2"): frozenset(["s"]), ("v2", "v1"): frozenset(["t"])})
-    assert verify_certificate(net, real, Multiflow({}), cert) is None
+    assert verify_certificate(net, real, Multiflow(), cert) is None
 
 
 def test_verify_e1_and_negative_control(e1):
@@ -94,7 +100,7 @@ def test_verify_e1_and_negative_control(e1):
 def test_verify_checks_feasibility_first(e1):
     net, real = e1
     out = solve(net, real)
-    flow = Multiflow({("s", "t"): {"a1": 3}})  # above capacity
+    flow = Multiflow((TerminalPath("s", "t", ("a1",), 3),))  # above capacity
     issue = verify_certificate(net, real, flow, out.certificate)
     assert issue is not None and issue.kind == "infeasible"
 

@@ -314,3 +314,7 @@ def test_flows_keep_no_graph_alive_but_the_latest():
     assert max_flow(b, ["s"], ["t"]) == ({"e": 2}, 2)
     del a
     assert graph_a() is None
+    # nor the latest one: a flow interns its graph afresh and keeps nothing
+    graph_b = weakref.ref(b.graph)
+    del b
+    assert graph_b() is None

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from treeflow import (
     ContractViolation,
     Cut,
+    InputError,
     Multiflow,
     TerminalPath,
     check_feasible,
@@ -39,7 +40,7 @@ from conftest import make_net, make_real
 
 def assert_solution_checks(net, real, out):
     assert check_feasible(net, out.multiflow) is None
-    assert out.value == mu_value(real, out.multiflow, net)
+    assert out.value == mu_value(real, out.multiflow)
     assert out.value == dual_value(net, real)
     assert verify_certificate(net, real, out.multiflow, out.certificate) is None
 
@@ -49,7 +50,7 @@ def test_single_terminal():
                    {"a": 2, "b": 2})
     real = make_real(["v1"], [], {"s": ["v1"]})
     out = solve(net, real)
-    assert out.value == 0 and out.multiflow.components == {}
+    assert out.value == 0 and out.multiflow.paths == ()
 
 
 def test_e1(e1):
@@ -69,6 +70,58 @@ def test_e2(e2):
     out = solve(net, real)
     assert out.value == 6
     assert_solution_checks(net, real, out)
+
+
+def test_solve_validates_once(e1, monkeypatch):
+    # normalize validates; solve itself does not validate again
+    import treeflow.realization as R
+    import treeflow.solver as S
+
+    validate = R.validate_instance
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return validate(*args)
+
+    monkeypatch.setattr(R, "validate_instance", counted)
+    monkeypatch.setattr(S, "validate_instance", counted)
+    assert solve(*e1).value == 6
+    assert calls[0] == 1
+    # x takes 2 units in and sends 1 out
+    net = make_net(["s", "t", "x"], [("a", "s", "x"), ("b", "x", "t"), ("c", "t", "s")],
+                   ["s", "t"], {"a": 2, "b": 1, "c": 1})
+    real = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"], "t": ["v2"]})
+    calls[0] = 0
+    with pytest.raises(InputError, match="instance invalid at 'x'") as e:
+        solve(net, real)
+    assert e.value.code == "not-eulerian"
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("case", ["e1", "e2", 25, 75, 239])
+def test_decompose_runs_only_on_max_flows(case, request, monkeypatch):
+    # the solve result is the glued packing: emitting, checking and
+    # verifying it peel no arc function, and the dual needs no peeling
+    import treeflow.flows
+    import treeflow.multiflow
+    from test_acceptance import corpus_params
+
+    if isinstance(case, str):
+        net, real = request.getfixturevalue(case)
+    else:
+        net, real = generate_network(case, *corpus_params(case))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("decompose ran on a flow that is not a max flow")
+
+    monkeypatch.setattr(treeflow.flows, "decompose", refuse)
+    monkeypatch.setattr(treeflow.multiflow, "decompose", refuse)
+    out = solve(net, real)
+    assert out.multiflow.to_paths(net) == list(out.multiflow.paths)
+    assert check_feasible(net, out.multiflow) is None
+    assert verify_certificate(net, real, out.multiflow, out.certificate) is None
+    assert out.value == dual_value(net, real)
 
 
 def test_base_two_direct(e1):
@@ -461,7 +514,7 @@ def test_certificate_is_length_independent():
             real2 = make_real(sorted(real.vertices), edges2,
                               {t: sorted(real.subtrees[t]) for t in net.terminals})
             assert verify_certificate(net, real2, out.multiflow, out.certificate) is None
-            assert mu_value(real2, out.multiflow, net) == dual_value(net, real2)
+            assert mu_value(real2, out.multiflow) == dual_value(net, real2)
 
 
 # (value, max flows, recursion depth) of corpus instances: every 25th seed
