@@ -9,9 +9,11 @@ through the value computation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import InputError
 from .graphs import ArcId, Network, TerminalPath, boundary, sort_key
@@ -90,13 +92,22 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
     with a nonempty pair set: the cut separates the pair set, every
     positive path meets the cut boundary at most once, and the arcs
     leaving the cut are used to exactly their capacity.  The flow is a
-    path packing or a Multiflow, checked as given.
+    path packing or a Multiflow, checked as given.  A violation names
+    the first offending terminal or arc in id order, or the first
+    offending path in packing order.  Each cut reads only the paths on
+    its boundary arcs: every arc is indexed once to the paths that use
+    it, one entry per use.
     """
-    bad = check_feasible(net, flow)
+    paths = list(flow)
+    bad = check_feasible(net, paths)
     if bad is not None:
         return CertificateViolation("infeasible", detail=bad)
 
     terminals = net.terminals
+    uses: Dict[ArcId, List[int]] = {}
+    for i, p in enumerate(paths):
+        for aid in p.arcs:
+            uses.setdefault(aid, []).append(i)
 
     for a in real.quasi_arcs():
         pi = pi_set(real, terminals, a)
@@ -107,27 +118,19 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
             return CertificateViolation("missing-cut", a)
         if not side or not (side < net.vertices):
             return CertificateViolation("separation", a, "invalid cut")
-        for s in sorted(pi.tail_side_terminals, key=sort_key):
-            if s not in side:
-                return CertificateViolation("separation", a, s)
-        for t in sorted(pi.head_side_terminals, key=sort_key):
-            if t in side:
-                return CertificateViolation("separation", a, t)
+        wrong = [s for s in pi.tail_side_terminals if s not in side]
+        wrong = wrong or [t for t in pi.head_side_terminals if t in side]
+        if wrong:
+            return CertificateViolation("separation", a, min(wrong, key=sort_key))
         out_arcs, in_arcs = boundary(net, side)
-        used = {aid: 0 for aid in out_arcs}
-        for p in flow:
-            crossings = 0
-            for aid in p.arcs:
-                if aid in out_arcs:
-                    crossings += 1
-                    used[aid] += p.weight
-                elif aid in in_arcs:
-                    crossings += 1
-            if crossings > 1:
-                return CertificateViolation("crossing", a, (p.source, p.target))
-        for aid in sorted(out_arcs, key=sort_key):
-            if used[aid] != net.capacity[aid]:
-                return CertificateViolation("capacity", a, aid)
+        crossings = [i for aid in chain(out_arcs, in_arcs) for i in uses.get(aid, ())]
+        if len(set(crossings)) < len(crossings):
+            p = paths[min(i for i, c in Counter(crossings).items() if c > 1)]
+            return CertificateViolation("crossing", a, (p.source, p.target))
+        unmet = [aid for aid in out_arcs
+                 if sum(paths[i].weight for i in uses.get(aid, ())) != net.capacity[aid]]
+        if unmet:
+            return CertificateViolation("capacity", a, min(unmet, key=sort_key))
     return None
 
 

@@ -4,8 +4,9 @@ A solve interns its validated network once (intern): vertex ids are
 numbered in id order, arc ids in arc order, and one IdTable keeps the
 ids and their order for every network of the recursion.  Vertex and arc
 numbers stay stable across contraction, as ids do on the public types;
-a contraction vertex takes the next free vertex number.  Paths and cuts
-go back to ids once, when they leave the solver.
+a contraction vertex takes the next free vertex number, so it sorts
+after every vertex made before it.  Paths and cuts go back to ids once,
+when they leave the solver.
 
 An IntGraph lists its arcs in arc order: position k holds arc number
 arcs[k] from tail[k] to head[k].  Its adjacency lists, indexed by vertex
@@ -17,65 +18,39 @@ the public entry points (graphs, flows, solver.solve) check input.
 
 Kernels speak numbers: vertex numbers, flows as one entry per arc
 position, paths as TerminalPaths of vertex and arc numbers.  Ties break
-as they do on ids: Dinic scans arcs in arc order and attaches sources
-and sinks in id order; peeling starts at sources in id order and
-follows the positive arc whose id comes first.
+by vertex number, which is id order on input vertices: Dinic scans arcs
+in arc order and attaches sources and sinks in number order; peeling
+starts at sources in number order and follows the positive arc whose id
+comes first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
-from .graphs import MAX_CAPACITY, Digraph, Network, TerminalPath, fresh_id, sort_key
-
-
-def _tuple_keys(keys: Sequence[Tuple[str, str]]) -> Tuple[int, List[str]]:
-    """From sorted sort_keys: how many keys come before the tuple ids, and
-    the reprs of the tuple ids in order.  New ids are tuples, so this is
-    all that places them; input tuple ids are few (normalization makes
-    some), and the other keys need not be kept."""
-    lo = bisect_left(keys, ("tuple", ""))
-    hi = bisect_left(keys, ("tuple\0", ""), lo)  # the next type name
-    return lo, [r for _cls, r in keys[lo:hi]]
-
-
-def _fresh_rank(tuple_keys: Tuple[int, List[str]], new_id: tuple) -> Tuple:
-    """Rank of a new tuple id stem + (k,) among ids ranked (2i + 1,) in
-    sort_key order: it sorts after the ids whose key is below the key
-    prefix that every id stem + (k,) shares (an input id with that same
-    prefix would tie with it), and among new ids by repr, as sort_key
-    orders tuples."""
-    lo, reprs = tuple_keys
-    prefix = "(" + "".join(f"{s!r}, " for s in new_id[:-1])
-    return (2 * (lo + bisect_left(reprs, prefix)), repr(new_id))
+from .graphs import MAX_CAPACITY, Digraph, Network, TerminalPath, sort_key
 
 
 class IdTable:
     """The ids behind the vertex and arc numbers of one interned network.
 
-    vertex_ids[v] is the id of vertex v and vertex_rank[v] its place in
-    id order.  Input vertices are numbered in id order and ranked (2v + 1,);
-    contraction vertices are added by fresh_vertex.  arc_ids[a] is the id
-    of arc a, numbered in arc order; rank_arcs() gives each arc's place in
-    id order.  number and arc_number map input ids to their numbers.
+    vertex_ids[v] is the id of vertex v.  Input vertices are numbered in
+    id order, and each vertex the solver makes takes the next number
+    (new_vertex), so sorting vertex numbers is the tie order.  arc_ids[a]
+    is the id of arc a, numbered in arc order; rank_arcs() gives each
+    arc's place in id order.  number and arc_number map input ids to their
+    numbers.
     """
 
     def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
         self._ints: List[int] = []
-        vs = list(vertex_ids)
-        keys = [sort_key(v) for v in vs]
-        order = sorted(range(len(vs)), key=keys.__getitem__)
-        self.vertex_ids: List[Hashable] = [vs[i] for i in order]
-        self.vertex_rank: List[Tuple] = [(2 * v + 1,) for v in range(len(vs))]
-        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(vs))))
-        self._vertex_tuples = _tuple_keys([keys[i] for i in order])
+        self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
+        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(self.vertex_ids))))
         self.arc_ids: List[Hashable] = list(arc_ids)
         self._arc_rank: Optional[List[int]] = None
-        self._arc_tuples: Tuple[int, List[str]] = (0, [])
 
     def ints(self, n: int) -> List[int]:
         """A list holding at least the numbers 0..n-1, the same int objects
@@ -101,25 +76,16 @@ class IdTable:
             rank = [0] * len(keys)
             for r, a in zip(self.ints(len(keys)), order):
                 rank[a] = r
-            self._arc_tuples = _tuple_keys([keys[a] for a in order])
             self._arc_rank = rank
         return self._arc_rank
 
-    def new_arc_rank(self, new_id: tuple) -> Tuple:
-        """Rank of an arc id stem + (k,) that no arc has, against arcs
-        ranked (2r + 1,) for their rank r."""
-        self.rank_arcs()
-        return _fresh_rank(self._arc_tuples, new_id)
-
-    def fresh_vertex(self, near: Iterable[int], *stem) -> int:
-        """Number of a new vertex with the id stem + (k,), for the smallest
-        k that no vertex in near has.  The solver passes the terminals of
-        the network the vertex is made for: every contraction vertex is a
-        terminal of the network it lives in."""
-        new_id = fresh_id({self.vertex_ids[v] for v in near}, *stem)
-        self.vertex_ids.append(new_id)
-        self.vertex_rank.append(_fresh_rank(self._vertex_tuples, new_id))
-        return len(self.vertex_ids) - 1
+    def new_vertex(self) -> int:
+        """Number of a new vertex, after every vertex so far.  Its id is a
+        placeholder that only error messages print: solver-made vertices
+        never leave the solver."""
+        v = len(self.vertex_ids)
+        self.vertex_ids.append(("@", v))
+        return v
 
     def path_ids(self, p: TerminalPath) -> TerminalPath:
         """The path with ids in place of vertex and arc numbers."""
@@ -198,7 +164,7 @@ def intern(net: Network) -> IntNetwork:
 def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork:
     """Contract disjoint vertex sets, each into its own new vertex.
 
-    groups maps each new vertex number z (from IdTable.fresh_vertex) to
+    groups maps each new vertex number z (from IdTable.new_vertex) to
     the set it replaces.  Arcs inside one set disappear; all others keep
     their numbers, capacities and order.  The terminals become those
     outside the sets, followed by the new vertices in the order of groups.
@@ -358,15 +324,11 @@ class _Dinic:
         return self.cap[1:2 * self.m:2]
 
 
-def _in_id_order(graph: IntGraph, vertices: Iterable[int]) -> List[int]:
-    return sorted(set(vertices), key=graph.ids.vertex_rank.__getitem__)
-
-
 def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int]) -> Tuple[List[int], int]:
     """Integer maximum flow from a source set to a disjoint sink set: the
     flow on every arc position, and its value."""
-    src = _in_id_order(net.graph, sources)
-    snk = _in_id_order(net.graph, sinks)
+    src = sorted(set(sources))
+    snk = sorted(set(sinks))
     if not src or not snk:
         return [0] * len(net.cap), 0
     d = _Dinic(net)
@@ -414,7 +376,7 @@ def lex_max_flow(net: IntNetwork, source: int, primary_sink: int,
     disturbs the primary inflow because the phase-one minimum cut stays
     saturated.
     """
-    sec = _in_id_order(net.graph, secondary_sinks)
+    sec = sorted(set(secondary_sinks))
     d = _Dinic(net)
     d.attach_super([source], [primary_sink])
     d.run()
@@ -484,7 +446,7 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
 
     collected: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
 
-    for s in _in_id_order(g, surplus):
+    for s in sorted(surplus):
         while surplus[s] > 0:
             path_arcs: List[int] = []
             on_path = {s: 0}

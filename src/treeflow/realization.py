@@ -215,7 +215,7 @@ def classify_terminal(real: RealizationTree, s) -> str:
     if ends is None:
         return "complex"
     t1, t2 = ends
-    if _path_length(real, t1, t2) == 0 or _path_length(real, t2, t1) == 0:
+    if tree_distance(real, t1, t2) == 0 or tree_distance(real, t2, t1) == 0:
         return "linear"
     return "complex"
 
@@ -231,11 +231,6 @@ def _path_endpoints(real: RealizationTree, sub: frozenset):
         return None
     ends.sort(key=sort_key)
     return ends[0], ends[1]
-
-
-def _path_length(real: RealizationTree, x, y) -> Fraction:
-    path = real.path_between(x, y)
-    return sum((real.arc_length[(a, b)] for a, b in zip(path, path[1:])), Fraction(0))
 
 
 def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
@@ -322,8 +317,6 @@ class SplitRecord:
     terminal: Hashable
     source_half: Hashable  # s2, the new departing terminal
     target_half: Hashable  # s1, the new arriving terminal
-    arrive_vertex: TreeVertex  # t1, zero-length path end
-    depart_vertex: TreeVertex  # t2, zero-length path start
     in_arc: Hashable  # arc s -> s1
     out_arc: Hashable  # arc s2 -> s
 
@@ -347,9 +340,9 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     if classify_terminal(real, s) != "linear":
         raise ContractViolation(f"terminal {s!r} is not linear")
     t1, t2 = _path_endpoints(real, real.subtrees[s])
-    if _path_length(real, t2, t1) != 0:
+    if tree_distance(real, t2, t1) != 0:
         t1, t2 = t2, t1
-    if _path_length(real, t2, t1) != 0:
+    if tree_distance(real, t2, t1) != 0:
         raise ContractViolation("linear terminal has no zero-length direction")
 
     g = net.graph
@@ -375,7 +368,7 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     subs[s1] = frozenset({t1})
     subs[s2] = frozenset({t2})
     new_real = RealizationTree(real.vertices, dict(real.arc_length), subs)
-    rec = SplitRecord(s, s2, s1, t1, t2, a_in, a_out)
+    rec = SplitRecord(s, s2, s1, a_in, a_out)
     return new_net, new_real, rec
 
 

@@ -13,14 +13,14 @@ solve and free_imf validate their input and intern it once (indexed.py):
 the recursion runs on vertex and arc numbers, contracts by relabelling,
 and builds no Network, Digraph or RealizationTree.  The tree is numbered
 too, in id order.  Paths and cuts return to ids once, before
-normalization is undone.  Ties break in id order throughout: numbers
-carry the rank of their ids, contraction vertices included.
+normalization is undone.  Ties break by number throughout: input
+vertices are numbered in id order, and each vertex the solver makes
+takes the next number.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -490,10 +490,10 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     search over g would find.
 
     Arcs are keyed by their position in the core, bypasses by the next
-    keys.  A bypass has the id ("~", c) for the c-th split, ranked where
-    that id sorts; the trial networks list their arcs in id order, and
-    each vertex keeps its in and out arcs in id order, so a split reads
-    only the arcs at its vertex.
+    keys.  Core arcs are tried in id order and each bypass after all of
+    them, in the order it was made; the trial networks list their arcs
+    in that order, and each vertex keeps its in and out arcs in it, so a
+    split reads only the arcs at its vertex.
     """
     g = net.graph
     ids = g.ids
@@ -503,10 +503,9 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     heads = list(g.head)
     cap = list(net.cap)
     arc_rank = ids.rank_arcs()
-    rank = [(2 * arc_rank[a] + 1,) for a in g.arcs]
     prov: Dict[int, Tuple[int, int]] = {}
-    order = sorted(range(m), key=rank.__getitem__)  # every arc, bypasses included, in id order
-    ins_of: Dict[int, List[int]] = {}  # per vertex, the arcs into it and out of it in id order
+    order = sorted(range(m), key=lambda i: arc_rank[g.arcs[i]])  # core arcs, then bypasses
+    ins_of: Dict[int, List[int]] = {}  # per vertex, the arcs into it and out of it in order
     outs_of: Dict[int, List[int]] = {}
     for i in order:
         ins_of.setdefault(heads[i], []).append(i)
@@ -542,7 +541,7 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
                     return 0
         return hi - short
 
-    for v in sorted(g.vertices, key=ids.vertex_rank.__getitem__):
+    for v in sorted(g.vertices):
         if v in tset:
             continue
         while True:
@@ -569,11 +568,10 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
                 tails.append(u)
                 heads.append(w)
                 cap.append(amount)
-                rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
                 prov[nid] = (a_id, b_id)
-                insort(order, nid, key=rank.__getitem__)
-                insort(outs_of.setdefault(u, []), nid, key=rank.__getitem__)
-                insort(ins_of.setdefault(w, []), nid, key=rank.__getitem__)
+                order.append(nid)
+                outs_of.setdefault(u, []).append(nid)
+                ins_of.setdefault(w, []).append(nid)
 
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[int, int]] = {}
@@ -653,7 +651,7 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
 def _minimal_terminal_cuts(net: IntNetwork, stats: SolveStats) -> Dict[int, frozenset]:
     """Inclusion-minimal minimum (t, S-t)-cuts; disjoint for inner-Eulerian nets."""
     cuts = {}
-    terms = sorted(net.terminals, key=net.graph.ids.vertex_rank.__getitem__)
+    terms = sorted(net.terminals)
     for t in terms:
         others = [u for u in terms if u != t]
         stats.maxflow_calls += 1
@@ -701,13 +699,11 @@ def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
     cut side, which shrinks only where vertices were expelled.
     """
     ids = net.graph.ids
-    terms = sorted(net.terminals, key=ids.vertex_rank.__getitem__)
+    terms = sorted(net.terminals)
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
-    core_term: Dict[int, int] = {}
-    for t in terms:
-        core_term[t] = ids.fresh_vertex([*net.terminals, *core_term.values()], "@", "w")
+    core_term = {t: ids.new_vertex() for t in terms}
     core_net = contract(net, {core_term[t]: cuts[t] for t in terms})
 
     core = _FreeCore(core_net, [core_term[t] for t in terms], stats)
@@ -783,7 +779,7 @@ def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset,
     Returns (side, z, region, forward, backward), the paths on the region.
     """
     q = list(q_terms)
-    z = net.graph.ids.fresh_vertex(net.terminals, "@", "rz")
+    z = net.graph.ids.new_vertex()
     region = contract(net, {z: net.graph.vertices - side})
     rg = region.graph
     # capacity 0 forbids z's out-arcs: they belong to the backward flow
@@ -818,7 +814,6 @@ def base_three_leaves(net: IntNetwork, tree: _Tree, stats: SolveStats):
     center = centers[0]
     nleaf = len(leaves)
     ids = net.graph.ids
-    rank = ids.vertex_rank.__getitem__
 
     simples: Dict[int, List[int]] = {i: [] for i in range(nleaf)}
     complexes: List[int] = []
@@ -840,11 +835,11 @@ def base_three_leaves(net: IntNetwork, tree: _Tree, stats: SolveStats):
     for i in range(nleaf):
         if not simples[i]:
             raise ContractViolation("star leaf without a simple terminal")
-        bunch = sorted(simples[i], key=rank)
+        bunch = sorted(simples[i])
         if len(bunch) == 1:
             reps.append(bunch[0])
             continue
-        m = ids.fresh_vertex(merged.terminals, "@", "m")
+        m = ids.new_vertex()
         merged = contract(merged, {m: bunch})
         groups[m] = bunch
         reps.append(m)
@@ -856,7 +851,7 @@ def base_three_leaves(net: IntNetwork, tree: _Tree, stats: SolveStats):
     for i in range(nleaf):
         q = [t for t in complexes if t in cuts[reps[i]] and leaves[i] not in tree.subtrees[t]]
         if q:
-            misplaced[reps[i]] = sorted(q, key=rank)
+            misplaced[reps[i]] = sorted(q)
     paths, sides = _free_imf_paths(free_net, cuts, misplaced, stats)
 
     def widen(side: frozenset) -> frozenset:
@@ -938,8 +933,8 @@ def partition_step(net: IntNetwork, tree: _Tree, edge, stats: SolveStats, depth:
     x2 = net.graph.vertices - x1
 
     ids = net.graph.ids
-    z2 = ids.fresh_vertex(net.terminals, "@", "cut")
-    z1 = ids.fresh_vertex(net.terminals + (z2,), "@", "cut")
+    z2 = ids.new_vertex()
+    z1 = ids.new_vertex()
 
     tree1 = _contract_tree(tree, side1, v2, [t for t in net.terminals if t in x1], z2)
     tree2 = _contract_tree(tree, side2, v1, [t for t in net.terminals if t in x2], z1)
@@ -1041,7 +1036,8 @@ def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: Realiz
             continue
         out_paths.append(TerminalPath(s, t, arcs, p.weight))
 
-    # side membership of the split halves, read in the normalized tree
+    # side membership of the split halves, read in the normalized tree:
+    # later reductions may have moved them from where they were split
     half_spot = {}
     for rec in record.splits:
         (t1,) = norm_real.subtrees[rec.target_half]

@@ -1,16 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from treeflow import Digraph, Network, RealizationTree
-
-
-def make_net(vertices, arcs, terminals, caps):
-    return Network(Digraph.build(vertices, arcs), tuple(terminals), caps)
-
-
-def make_real(vertices, edges, subtrees):
-    return RealizationTree.build(vertices, edges, subtrees)
+from builders import make_net, make_real
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ step checks exactly the condition it relies on, so the tests keep it as
 an exact oracle for solver._core_by_splitting.
 """
 
-from bisect import insort
 from typing import Dict, Sequence, Tuple
 
 from treeflow.errors import ContractViolation
@@ -23,9 +22,9 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     and expands back into a walk of original arcs.
 
     Arcs are keyed by their position in the core, bypasses by the next
-    keys.  Arcs are tried in id order, and a bypass has the id ("~", c)
-    for the c-th split, ranked where that id sorts; the trial networks
-    list their arcs in that order too.
+    keys.  Core arcs are tried in id order and each bypass after all of
+    them, in the order it was made; the trial networks list their arcs
+    in that order too.
     """
     g = net.graph
     ids = g.ids
@@ -35,9 +34,8 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     heads = list(g.head)
     cap = list(net.cap)
     arc_rank = ids.rank_arcs()
-    rank = [(2 * arc_rank[a] + 1,) for a in g.arcs]
     prov: Dict[int, Tuple[int, int]] = {}
-    order = sorted(range(m), key=rank.__getitem__)  # every arc, bypasses included, in id order
+    order = sorted(range(m), key=lambda i: arc_rank[g.arcs[i]])  # core arcs, then bypasses
     out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
     in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
 
@@ -76,7 +74,7 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     progress = True
     while progress:
         progress = False
-        for v in sorted(g.vertices, key=ids.vertex_rank.__getitem__):
+        for v in sorted(g.vertices):
             if v in tset:
                 continue
             while True:
@@ -109,9 +107,8 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
                                 tails.append(u)
                                 heads.append(w)
                                 cap.append(best)
-                                rank.append(ids.new_arc_rank(("~", len(prov) + 1)))
                                 prov[nid] = (a_id, b_id)
-                                insort(order, nid, key=rank.__getitem__)
+                                order.append(nid)
                             committed = True
                             progress = True
                             break

@@ -13,7 +13,7 @@ from treeflow import (
 )
 from treeflow.generator import generate_network
 
-from conftest import make_net, make_real
+from builders import make_net, make_real
 
 
 def test_mu_value_empty():
@@ -103,6 +103,36 @@ def test_verify_checks_feasibility_first(e1):
     flow = Multiflow((TerminalPath("s", "t", ("a1",), 3),))  # above capacity
     issue = verify_certificate(net, real, flow, out.certificate)
     assert issue is not None and issue.kind == "infeasible"
+
+
+def _zigzag():
+    # s -> y -> x -> t and back t -> x -> y -> s, one unit each
+    net = make_net(["s", "t", "x", "y"],
+                   [("a1", "s", "y"), ("a2", "y", "x"), ("a3", "x", "t"),
+                    ("b1", "t", "x"), ("b2", "x", "y"), ("b3", "y", "s")],
+                   ["s", "t"], {a: 1 for a in ("a1", "a2", "a3", "b1", "b2", "b3")})
+    real = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"], "t": ["v2"]})
+    return net, real
+
+
+def test_verify_rejects_a_cut_holding_the_head_side():
+    net, real = _zigzag()
+    cert = Certificate({("v1", "v2"): frozenset(["s", "t"]), ("v2", "v1"): frozenset(["t", "s"])})
+    issue = verify_certificate(net, real, [], cert)
+    assert issue is not None and issue.kind == "separation"
+    assert issue.detail == {("v1", "v2"): "t", ("v2", "v1"): "s"}[issue.tree_arc]
+
+
+def test_verify_rejects_paths_crossing_a_cut_twice():
+    # both paths zigzag through x and y, so each crosses both cuts three times
+    net, real = _zigzag()
+    cert = Certificate({("v1", "v2"): frozenset(["s", "x"]), ("v2", "v1"): frozenset(["t", "y"])})
+    forward = TerminalPath("s", "t", ("a1", "a2", "a3"), 1)
+    backward = TerminalPath("t", "s", ("b1", "b2", "b3"), 1)
+    for flow, first in (([forward, backward], ("s", "t")), ([backward, forward], ("t", "s"))):
+        assert check_feasible(net, flow) is None
+        issue = verify_certificate(net, real, flow, cert)
+        assert issue is not None and issue.kind == "crossing" and issue.detail == first
 
 
 def test_dual_value_examples(e1, e2):

@@ -16,7 +16,7 @@ from treeflow import (
     min_cut_source_side,
 )
 
-from conftest import make_net
+from builders import make_net
 
 
 def paths_to_arc_function(paths):

@@ -18,7 +18,7 @@ from treeflow import (
 from treeflow.graphs import boundary
 from treeflow.realization import ValidationIssue
 
-from conftest import make_net, make_real
+from builders import make_net, make_real
 
 
 def test_divergence_isolated_vertex():

@@ -19,7 +19,7 @@ from treeflow import (
 from treeflow.generator import generate_network
 from treeflow.realization import RealizationTree
 
-from conftest import make_net, make_real
+from builders import make_net, make_real
 
 
 def _walk_table(vertices, lengths):
