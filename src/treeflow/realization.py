@@ -126,22 +126,34 @@ class RealizationTree:
         path.reverse()
         return path
 
-    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
-        """Vertices on u's side after removing edge uv."""
-        if (u, v) not in self.arc_length:
-            raise InputError(f"unknown tree arc {(u, v)!r}", code="dangling-reference")
+    @cached_property
+    def _sides(self) -> Mapping[TreeArc, FrozenSet]:
+        """u's side of every tree arc (u, v), from one walk of the tree."""
         adj = self.adjacency()
-        seen = {u}
-        q = deque([u])
-        while q:
-            w = q.popleft()
+        root = next(iter(self.vertices))
+        parent = {root: None}
+        order = [root]
+        for w in order:
             for x in adj[w]:
-                if (w, x) == (u, v) or (w, x) == (v, u):
-                    continue
-                if x not in seen:
-                    seen.add(x)
-                    q.append(x)
-        return frozenset(seen)
+                if x not in parent:
+                    parent[x] = w
+                    order.append(x)
+        below: Dict[TreeVertex, set] = {w: {w} for w in order}
+        sides: Dict[TreeArc, FrozenSet] = {}
+        for w in reversed(order[1:]):
+            p = parent[w]
+            side = sides[(w, p)] = frozenset(below[w])
+            sides[(p, w)] = self.vertices - side
+            below[p] |= side
+        return sides
+
+    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
+        """Vertices on u's side after removing edge uv; the tree keeps one
+        copy per arc, built on first use."""
+        side = self._sides.get((u, v))
+        if side is None:
+            raise InputError(f"unknown tree arc {(u, v)!r}", code="dangling-reference")
+        return side
 
 
 def _connected(vset, adj) -> bool:
@@ -237,7 +249,7 @@ def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
     """Terminals whose subtrees lie entirely on the tail/head side of a."""
     u, v = a
     side_u = real.component_without_edge(u, v)
-    side_v = real.vertices - side_u
+    side_v = real.component_without_edge(v, u)
     tail, head = set(), set()
     for s in terminals:
         sub = real.subtrees.get(s)

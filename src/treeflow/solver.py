@@ -487,7 +487,21 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     admissible g is B - target.  A trial value short of its target is B -
     hi, so the amount is hi minus the largest shortfall, and the trial
     stops once the shortfall reaches hi.  This is the amount a binary
-    search over g would find.
+    search over g would find.  Two more facts cut the trial to at most
+    one max flow per terminal:
+    - The flow into t is never needed.  Inner vertices are balanced, so
+      every set X has d+(X) - d-(X) = sum of exc(x) over x in X, where
+      exc(x) = d+({x}) - d-({x}); for X holding t and no other terminal
+      that is exc(t), and d-(X) = d+(X) - exc(t).  The trial keeps every
+      excess: v loses hi both in and out, and the bypass u->w gives back
+      what arcs uv and vw took from u and w (if u = w, u loses hi both
+      ways).  The targets obey d-({t}) = d+({t}) - exc(t) too, so the
+      shortfall into t equals the shortfall out of t.
+    - A terminal no lowered set can hold needs no flow.  If t is u or w
+      and the other endpoint is another terminal, every set separating v
+      from {u, w} holds that other terminal or misses t, so every set
+      holding t and no other terminal keeps its value: the shortfall is
+      0.
 
     Arcs are keyed by their position in the core, bypasses by the next
     keys.  Core arcs are tried in id order and each bypass after all of
@@ -510,8 +524,7 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     for i in order:
         ins_of.setdefault(heads[i], []).append(i)
         outs_of.setdefault(tails[i], []).append(i)
-    out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
-    in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
+    out_target = {t: sum(cap[i] for i in outs_of.get(t, ())) for t in terms}
 
     def admissible(a_id: int, b_id: int) -> int:
         """The largest amount the pair can split, from one trial at full width."""
@@ -531,14 +544,16 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
             head.append(w)
             caps.append(hi)
         trial = IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
+        # u and w both terminals: no set holding only one of them is lowered
+        untouched = {u, w} if u != w and u in tset and w in tset else ()
         short = 0
         for t in terms:
-            others = [x for x in terms if x != t]
-            for src, dst, target in (([t], others, out_target[t]), (others, [t], in_target[t])):
-                stats.maxflow_calls += 1
-                short = max(short, target - max_flow(trial, src, dst)[1])
-                if short >= hi:
-                    return 0
+            if t in untouched:
+                continue
+            stats.maxflow_calls += 1
+            short = max(short, out_target[t] - max_flow(trial, [t], [x for x in terms if x != t])[1])
+            if short >= hi:
+                return 0
         return hi - short
 
     for v in sorted(g.vertices):

@@ -2,7 +2,7 @@ import itertools
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeflow import (
@@ -15,6 +15,7 @@ from treeflow import (
     max_flow,
     min_cut_source_side,
 )
+from treeflow.generator import generate_network
 
 from builders import make_net
 
@@ -231,6 +232,24 @@ def test_decompose_round_trip(net):
         return out
 
     assert totals(paths) == totals(again)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 14), st.integers(1, 8), st.integers(0, 5),
+       st.integers(2, 6))
+@example(45, 12, 6, 3, 2)  # x0: out 5, in 4, both short by 3
+@example(101, 8, 6, 5, 3)  # x6: out 7, in 8, both short by 4
+def test_terminal_shortfall_is_the_same_out_and_in(seed, n, cycles, pairs, leaves):
+    # with every inner vertex balanced, a set X holding terminal t and no
+    # other terminal has d-(X) = d+(X) - exc(t); so the out-cut and the
+    # in-cut of t fall short of t's own arcs by the same amount, even
+    # where t itself is unbalanced
+    net, _real = generate_network(seed, n, cycles, pairs, leaves)
+    for t in net.terminals:
+        others = [x for x in net.terminals if x != t]
+        d_out = sum(net.capacity[a.id] for a in net.graph.arcs if a.tail == t)
+        d_in = sum(net.capacity[a.id] for a in net.graph.arcs if a.head == t)
+        assert d_out - max_flow(net, [t], others)[1] == d_in - max_flow(net, others, [t])[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -313,6 +313,25 @@ def test_pi_set_matches_pairwise_oracle():
     assert cases > 300
 
 
+def test_component_without_edge_matches_walks():
+    # u's side of arc (u, v) holds exactly the vertices whose walk to v
+    # ends with that arc; the walks are this file's oracle, not the tree's
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        verts = [f"n{i}" for i in range(n)]
+        edges = [(verts[rng.randrange(i)], verts[i], 1, 1) for i in range(1, n)]
+        real = RealizationTree.build(verts, edges, {"s": [verts[0]]})
+        table = _walk_table(real.vertices, real.arc_length)
+        for (u, v) in real.arc_length:
+            side = real.component_without_edge(u, v)
+            assert side == {x for x in verts if (u, v) in table[(x, v)][1]}
+            assert side is real.component_without_edge(u, v)
+    with pytest.raises(InputError) as e:
+        real.component_without_edge(verts[0], verts[0])
+    assert e.value.code == "dangling-reference"
+
+
 def test_choose_balanced_edge_base_cases():
     two = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"]})
     assert choose_balanced_edge(two) is None

@@ -423,13 +423,14 @@ def test_splitting_fallback_is_exact(monkeypatch):
         assert verify_certificate(net, real, out.multiflow, out.certificate) is None
 
 
-def test_splitting_fallback_matches_the_binary_search_oracle():
-    # every core goes through both the one-trial fallback and the oracle
+def _oracle_checked(core_sizes):
+    """A _core_by_splitting that also runs the binary-search oracle on every
+    core, wants the same flow from no more max flows, and appends each
+    core's terminal count to core_sizes."""
     import treeflow.solver as S
     from splitting_oracle import core_by_splitting
 
     split = S._core_by_splitting
-    cores = [0]
 
     def checked(net, terms, stats):
         mine, oracle = SolveStats(), SolveStats()
@@ -437,8 +438,17 @@ def test_splitting_fallback_matches_the_binary_search_oracle():
         assert flow == core_by_splitting(net, terms, oracle)
         assert mine.maxflow_calls <= oracle.maxflow_calls
         stats.maxflow_calls += mine.maxflow_calls
-        cores[0] += 1
+        core_sizes.append(len(terms))
         return flow
+
+    return checked
+
+
+def test_splitting_fallback_matches_the_binary_search_oracle():
+    # every core goes through both the one-trial fallback and the oracle
+    import treeflow.solver as S
+
+    cores = []
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
@@ -450,9 +460,31 @@ def test_splitting_fallback_matches_the_binary_search_oracle():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(S._FreeCore, "run", _always_stall)
-        mp.setattr(S, "_core_by_splitting", checked)
+        mp.setattr(S, "_core_by_splitting", _oracle_checked(cores))
         prop()
-    assert cores[0] > 0
+    assert cores
+
+
+def test_splitting_fallback_matches_the_oracle_for_any_k(monkeypatch):
+    # inside solve every core has 2 or 3 terminals; free_imf on criterion-4
+    # networks drives cores with up to 8 through both the one-trial
+    # fallback and the oracle
+    import treeflow.solver as S
+    from treeflow import Digraph, Network
+    from treeflow.generator import superpose_walks
+
+    cores = []
+    monkeypatch.setattr(S._FreeCore, "run", _always_stall)
+    monkeypatch.setattr(S, "_core_by_splitting", _oracle_checked(cores))
+    for seed in range(1, 101):
+        rng = random.Random(90_000 + seed)
+        n = 6 + seed % 25
+        k = 2 + seed % 7
+        verts = [f"x{i}" for i in range(n)]
+        terms = verts[:k]
+        arcs, caps = superpose_walks(rng, verts, 3 + seed % 12, seed % 7, terms)
+        free_imf(Network(Digraph.build(verts, arcs), tuple(terms), caps))
+    assert set(cores) == set(range(2, 9))
 
 
 def test_large_capacities_stay_fast_and_exact(monkeypatch):
@@ -518,12 +550,13 @@ def test_certificate_is_length_independent():
 
 
 # (value, max flows, recursion depth) of corpus instances: every 25th seed
-# and the two slowest fallback seeds, as solved before the recursion moved
-# onto interned numbers.  Same work, not only the same answers; the
-# fallback seeds make fewer max flows since split amounts come from one
-# trial and free splits need none.  Seeds 124 and 215 fell back to
-# splitting (130 and 97 max flows) while solver-made vertices sorted by
-# made-up ids; numbered in creation order, their free cores complete.
+# and the three fallback seeds, as solved before the recursion moved onto
+# interned numbers.  Same work, not only the same answers; the fallback
+# seeds make fewer max flows since split amounts come from one trial, free
+# splits need none and a trial runs at most one max flow per terminal.
+# Seeds 124 and 215 fell back to splitting (130 and 97 max flows) while
+# solver-made vertices sorted by made-up ids; numbered in creation order,
+# their free cores complete.
 PINNED_WORK = {
     25: ('130', 47, 3),
     50: ('42', 26, 2),
@@ -545,8 +578,9 @@ PINNED_WORK = {
     450: ('2', 16, 1),
     475: ('38', 16, 1),
     500: ('195', 9, 0),
-    239: ('41/2', 286, 2),
-    416: ('23', 178, 2),
+    239: ('41/2', 152, 2),
+    416: ('23', 100, 2),
+    493: ('4', 57, 0),
     124: ('55', 46, 3),
     215: ('219/2', 79, 4),
 }
