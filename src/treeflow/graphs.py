@@ -1,11 +1,9 @@
 """Directed multigraphs with integer arc capacities and terminal sets.
 
 These are the public types: vertices and arcs are identified by opaque
-hashable ids, and building a Network validates every capacity.  Arc ids
-stay stable across contraction so that paths computed in a contracted
-network can be mapped back to the original arcs.  Parallel and
-antiparallel arcs are first class; self-loops are dropped on
-construction and whenever a contraction creates them.
+hashable ids, and building a Network validates every capacity.  Parallel
+and antiparallel arcs are first class; self-loops are dropped on
+construction.
 
 Every structure here is frozen.  A Digraph indexes its arcs (by id, and
 out of and into each vertex, in arc order) in the same pass that builds
@@ -14,7 +12,8 @@ reads them from the graph instead of building its own copy.
 
 Validation happens here and in the other public entry points only.  The
 solver interns a validated network once into the integer-indexed form of
-indexed.py and never builds these types inside its recursion.
+indexed.py, normalizes, recurses and undoes the normalization on that
+form, and maps only its answer back to these types.
 """
 
 from __future__ import annotations
@@ -33,14 +32,6 @@ MAX_CAPACITY = 2**63 - 1
 def sort_key(x):
     """Stable ordering key for mixed-type ids."""
     return (x.__class__.__name__, repr(x))
-
-
-def fresh_id(taken, *stem) -> Hashable:
-    """The id stem + (k,) for the smallest k >= 0 that is not in taken."""
-    k = 0
-    while (*stem, k) in taken:
-        k += 1
-    return (*stem, k)
 
 
 @dataclass(frozen=True)
@@ -190,39 +181,3 @@ def cut_capacity(net: Network, cut: Cut) -> int:
     """Total capacity of arcs leaving the cut's source side."""
     cut.validate(net)
     return sum(net.capacity[aid] for aid in boundary(net, cut.source_side)[0])
-
-
-def contract(net: Network, groups: Mapping[VertexId, Iterable[VertexId]]) -> Network:
-    """Contract disjoint vertex sets, each into its own fresh vertex.
-
-    groups maps each fresh vertex z to the set it replaces.  Arcs inside
-    one set disappear; all other arcs keep their ids and capacities.  The
-    terminal set becomes S minus the sets, followed by the fresh vertices
-    in the order of groups.
-    """
-    image: Dict[VertexId, VertexId] = {}
-    for z, which in groups.items():
-        if z in net.vertices:
-            raise InputError(f"contraction vertex {z!r} already exists", code="invalid-input")
-        xs = set(which)
-        if not xs:
-            raise InputError("cannot contract an empty vertex set", code="invalid-input")
-        for v in xs:
-            if v not in net.vertices:
-                raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
-            if v in image:
-                raise InputError(f"vertex {v!r} is in two contracted sets", code="invalid-input")
-            image[v] = z
-
-    new_vertices = net.vertices.difference(image).union(groups)
-    new_arcs = []
-    new_caps = {}
-    for a in net.graph.arcs:
-        t, h = image.get(a.tail, a.tail), image.get(a.head, a.head)
-        if t == h:
-            continue
-        new_arcs.append((a.id, t, h))
-        new_caps[a.id] = net.capacity[a.id]
-    terminals = tuple(t for t in net.terminals if t not in image) + tuple(groups)
-    return Network(Digraph.build(new_vertices, new_arcs), terminals, new_caps)
-

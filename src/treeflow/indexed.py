@@ -1,12 +1,12 @@
-"""The integer-indexed network the solver recurses on, and its flow kernels.
+"""The integer-indexed network the solver works on, and its flow kernels.
 
 A solve interns its validated network once (intern): vertex ids are
 numbered in id order, arc ids in arc order, and one IdTable keeps the
-ids and their order for every network of the recursion.  Vertex and arc
-numbers stay stable across contraction, as ids do on the public types;
-a contraction vertex takes the next free vertex number, so it sorts
-after every vertex made before it.  Paths and cuts go back to ids once,
-when they leave the solver.
+ids and their order for every network the solve makes.  Normalization,
+the recursion and its undo run on these numbers, which stay stable
+across contraction; each vertex or arc made takes the next number, so
+it sorts after everything made before it.  Paths and cuts go back to
+ids once, when they leave the solver.
 
 An IntGraph lists its arcs in arc order: position k holds arc number
 arcs[k] from tail[k] to head[k].  Its adjacency lists, indexed by vertex
@@ -28,21 +28,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
 from .graphs import MAX_CAPACITY, Digraph, Network, TerminalPath, sort_key
 
 
+@dataclass(frozen=True)
+class _Made:
+    """The id of a vertex, arc or tree vertex made by a solve or a
+    normalization.  Its generation exceeds that of every made id among its
+    table's input ids, so it equals no input id, not even one made earlier."""
+
+    generation: int
+    number: int
+
+
 class IdTable:
-    """The ids behind the vertex and arc numbers of one interned network.
+    """The ids behind the vertex and arc numbers of one interned network,
+    or behind the vertex numbers of one numbered tree.
 
     vertex_ids[v] is the id of vertex v.  Input vertices are numbered in
-    id order, and each vertex the solver makes takes the next number
+    id order, and each vertex made afterwards takes the next number
     (new_vertex), so sorting vertex numbers is the tie order.  arc_ids[a]
-    is the id of arc a, numbered in arc order; rank_arcs() gives each
-    arc's place in id order.  number and arc_number map input ids to their
-    numbers.
+    is the id of arc a: input arcs are numbered in arc order, made arcs
+    after them (new_arc); rank_arcs() gives each arc's place in id order.
+    number and arc_number map input ids to their numbers.
     """
 
     def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
@@ -50,7 +62,10 @@ class IdTable:
         self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
         self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(self.vertex_ids))))
         self.arc_ids: List[Hashable] = list(arc_ids)
+        self._input_arcs = len(self.arc_ids)
         self._arc_rank: Optional[List[int]] = None
+        self._generation = 1 + max((x.generation for x in chain(self.vertex_ids, self.arc_ids)
+                                    if x.__class__ is _Made), default=-1)
 
     def ints(self, n: int) -> List[int]:
         """A list holding at least the numbers 0..n-1, the same int objects
@@ -69,23 +84,30 @@ class IdTable:
         return {a: i for i, a in enumerate(self.arc_ids)}
 
     def rank_arcs(self) -> List[int]:
-        """Each arc's place in id order, computed on the first call."""
-        if self._arc_rank is None:
-            keys = [sort_key(a) for a in self.arc_ids]
+        """Each arc's place in id order, sorted on the first call; made
+        arcs rank after every input arc, in the order they were made."""
+        rank = self._arc_rank
+        if rank is None:
+            keys = [sort_key(a) for a in self.arc_ids[:self._input_arcs]]
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            rank = [0] * len(keys)
+            rank = self._arc_rank = [0] * len(keys)
             for r, a in zip(self.ints(len(keys)), order):
                 rank[a] = r
-            self._arc_rank = rank
-        return self._arc_rank
+        if len(rank) < len(self.arc_ids):
+            rank.extend(range(len(rank), len(self.arc_ids)))
+        return rank
 
     def new_vertex(self) -> int:
-        """Number of a new vertex, after every vertex so far.  Its id is a
-        placeholder that only error messages print: solver-made vertices
-        never leave the solver."""
+        """Number of a new vertex, after every vertex so far."""
         v = len(self.vertex_ids)
-        self.vertex_ids.append(("@", v))
+        self.vertex_ids.append(_Made(self._generation, v))
         return v
+
+    def new_arc(self) -> int:
+        """Number of a new arc, after every arc so far."""
+        a = len(self.arc_ids)
+        self.arc_ids.append(_Made(self._generation, a))
+        return a
 
     def path_ids(self, p: TerminalPath) -> TerminalPath:
         """The path with ids in place of vertex and arc numbers."""

@@ -11,25 +11,62 @@ relies on: splitting linear terminals into simple pairs, pruning bare
 leaves, relocating simple terminals to pendant vertices, bounding inner
 degrees by three, and merging chains, all while preserving the induced
 distance and a provenance map from original tree arcs to surviving ones.
+They run on numbers (intern_instance, Reduction), and the solver
+recurses on the IntTree they leave; the public normalize and
+split_linear_terminal are thin wrappers that take and return ids.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from .errors import InputError, ContractViolation
-from .graphs import Network, Digraph, VertexId, fresh_id, sort_key
+from .graphs import Network, Digraph, VertexId, sort_key
+from .indexed import IdTable, IntGraph, IntNetwork, intern
 
 TreeVertex = Hashable
 TreeArc = Tuple[TreeVertex, TreeVertex]
 
 
+class _Sides:
+    """Tree sides, for RealizationTree and IntTree alike."""
+
+    @cached_property
+    def _sides(self) -> Mapping[TreeArc, FrozenSet]:
+        """u's side of every tree arc (u, v), from one walk of the tree."""
+        adj = self.adjacency()
+        root = next(iter(self.vertices))
+        parent = {root: None}
+        order = [root]
+        for w in order:
+            for x in adj[w]:
+                if x not in parent:
+                    parent[x] = w
+                    order.append(x)
+        below: Dict[TreeVertex, set] = {w: {w} for w in order}
+        sides: Dict[TreeArc, FrozenSet] = {}
+        for w in reversed(order[1:]):
+            p = parent[w]
+            side = sides[(w, p)] = frozenset(below[w])
+            sides[(p, w)] = self.vertices - side
+            below[p] |= side
+        return sides
+
+    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
+        """Vertices on u's side after removing edge uv; the tree keeps one
+        copy per arc, built on first use."""
+        side = self._sides.get((u, v))
+        if side is None:
+            raise InputError(f"unknown tree arc {(u, v)!r}", code="dangling-reference")
+        return side
+
+
 @dataclass(frozen=True)
-class RealizationTree:
+class RealizationTree(_Sides):
     """Undirected tree with per-direction arc lengths and terminal subtrees.
 
     The neighbour lists are built on first use and kept; every tree walk
@@ -92,12 +129,7 @@ class RealizationTree:
         return self._adjacency
 
     def edges(self) -> List[Tuple[TreeVertex, TreeVertex]]:
-        out = []
-        for (u, v) in self.arc_length:
-            if sort_key(u) < sort_key(v):
-                out.append((u, v))
-        out.sort(key=lambda e: (sort_key(e[0]), sort_key(e[1])))
-        return out
+        return [(u, v) for u, v in self.quasi_arcs() if sort_key(u) < sort_key(v)]
 
     def quasi_arcs(self) -> List[TreeArc]:
         return sorted(self.arc_length, key=lambda a: (sort_key(a[0]), sort_key(a[1])))
@@ -105,55 +137,6 @@ class RealizationTree:
     def leaves(self) -> List[TreeVertex]:
         adj = self.adjacency()
         return [v for v in sorted(self.vertices, key=sort_key) if len(adj[v]) == 1]
-
-    def path_between(self, x: TreeVertex, y: TreeVertex) -> List[TreeVertex]:
-        if x not in self.vertices or y not in self.vertices:
-            raise InputError("unknown tree vertex", code="dangling-reference")
-        adj = self.adjacency()
-        prev = {x: None}
-        q = deque([x])
-        while q:
-            u = q.popleft()
-            if u == y:
-                break
-            for w in adj[u]:
-                if w not in prev:
-                    prev[w] = u
-                    q.append(w)
-        path = [y]
-        while path[-1] != x:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
-    @cached_property
-    def _sides(self) -> Mapping[TreeArc, FrozenSet]:
-        """u's side of every tree arc (u, v), from one walk of the tree."""
-        adj = self.adjacency()
-        root = next(iter(self.vertices))
-        parent = {root: None}
-        order = [root]
-        for w in order:
-            for x in adj[w]:
-                if x not in parent:
-                    parent[x] = w
-                    order.append(x)
-        below: Dict[TreeVertex, set] = {w: {w} for w in order}
-        sides: Dict[TreeArc, FrozenSet] = {}
-        for w in reversed(order[1:]):
-            p = parent[w]
-            side = sides[(w, p)] = frozenset(below[w])
-            sides[(p, w)] = self.vertices - side
-            below[p] |= side
-        return sides
-
-    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
-        """Vertices on u's side after removing edge uv; the tree keeps one
-        copy per arc, built on first use."""
-        side = self._sides.get((u, v))
-        if side is None:
-            raise InputError(f"unknown tree arc {(u, v)!r}", code="dangling-reference")
-        return side
 
 
 def _connected(vset, adj) -> bool:
@@ -190,11 +173,31 @@ class PiSet:
 
 def tree_distance(real: RealizationTree, x: TreeVertex, y: TreeVertex) -> Fraction:
     """Length of the unique directed x -> y path in the quasi-tree."""
-    path = real.path_between(x, y)
-    total = Fraction(0)
-    for a, b in zip(path, path[1:]):
-        total += real.arc_length[(a, b)]
-    return total
+    if x not in real.vertices or y not in real.vertices:
+        raise InputError("unknown tree vertex", code="dangling-reference")
+    return _path_length(real.adjacency(), real.arc_length, (x,), {y})
+
+
+def _path_length(adj, length, sources, targets) -> Fraction:
+    """Length of the directed path from one connected set of tree vertices
+    to another.  The path between any two of their vertices contains the
+    one joining the sets, and lengths are nonnegative, so that one is the
+    shortest.  adj and length are a tree's neighbours and arc lengths, in
+    ids or in numbers."""
+    prev = dict.fromkeys(sources)
+    queue = list(prev)
+    for u in queue:  # the list grows while it is walked
+        if u in targets:
+            total = Fraction(0)
+            while prev[u] is not None:
+                total += length[(prev[u], u)]
+                u = prev[u]
+            return total
+        for w in adj[u]:
+            if w not in prev:
+                prev[w] = u
+                queue.append(w)
+    raise ContractViolation("the tree does not join the two vertex sets")
 
 
 def mu(real: RealizationTree, s, t) -> Fraction:
@@ -203,13 +206,7 @@ def mu(real: RealizationTree, s, t) -> Fraction:
         raise InputError("unknown terminal", code="dangling-reference")
     if s == t:
         return Fraction(0)
-    best = None
-    for u in sorted(real.subtrees[s], key=sort_key):
-        for v in sorted(real.subtrees[t], key=sort_key):
-            d = tree_distance(real, u, v)
-            if best is None or d < best:
-                best = d
-    return best
+    return _path_length(real.adjacency(), real.arc_length, real.subtrees[s], real.subtrees[t])
 
 
 def classify_terminal(real: RealizationTree, s) -> str:
@@ -223,26 +220,28 @@ def classify_terminal(real: RealizationTree, s) -> str:
         raise InputError(f"unknown terminal {s!r}", code="dangling-reference")
     if len(sub) == 1:
         return "simple"
-    ends = _path_endpoints(real, sub)
-    if ends is None:
-        return "complex"
-    t1, t2 = ends
-    if tree_distance(real, t1, t2) == 0 or tree_distance(real, t2, t1) == 0:
-        return "linear"
-    return "complex"
+    linear = _linear_ends(sub, real.adjacency(), real.arc_length, key=sort_key) is not None
+    return "linear" if linear else "complex"
 
 
-def _path_endpoints(real: RealizationTree, sub: frozenset):
-    """Endpoints if the subtree induces a path, else None."""
-    adj = real.adjacency()
-    degs = {}
+def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeVertex]]:
+    """The ends (t1, t2) of a subtree that is a path of two or more
+    vertices with length zero from t2 to t1, t1 first in key order where
+    both directions have length zero; None for any other subtree.  adj
+    and length as for _path_length."""
+    ends = []
     for v in sub:
-        degs[v] = sum(1 for w in adj[v] if w in sub)
-    ends = [v for v in sub if degs[v] == 1]
-    if any(d > 2 for d in degs.values()) or len(ends) != 2:
+        inside = sum(1 for w in adj[v] if w in sub)
+        if inside > 2:
+            return None
+        if inside == 1:
+            ends.append(v)
+    if len(ends) != 2:
         return None
-    ends.sort(key=sort_key)
-    return ends[0], ends[1]
+    t1, t2 = sorted(ends, key=key)
+    if _path_length(adj, length, (t2,), {t1}) == 0:
+        return t1, t2
+    return (t2, t1) if _path_length(adj, length, (t1,), {t2}) == 0 else None
 
 
 def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
@@ -268,7 +267,7 @@ def choose_balanced_edge(real: RealizationTree):
     Returns (u, v) with leaf counts of both sides (counting the new leaf
     a contraction would create) at most 2k/3 + 1, or None when every edge
     touches a leaf.  Only adjacency(), edges() and component_without_edge()
-    are read, so the solver passes its numbered tree as well.
+    are read, so the solver passes its IntTree as well.
     """
     adj = real.adjacency()
     leaves = {v for v, ns in adj.items() if len(ns) == 1}
@@ -296,7 +295,8 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
 
     Structural problems (missing subtrees, dangling references) raise
     InputError.  A capacity imbalance at an inner vertex or at a complex
-    terminal is reported as a ValidationIssue instead.
+    terminal is reported as a ValidationIssue instead, for the first such
+    vertex in id order.
     """
     for t in net.terminals:
         if t not in real.subtrees:
@@ -308,18 +308,54 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
         caps_out[a.tail] = caps_out.get(a.tail, 0) + c
         caps_in[a.head] = caps_in.get(a.head, 0) + c
     terms = set(net.terminals)
-    for v in sorted(net.vertices, key=sort_key):
-        balanced = caps_out.get(v, 0) == caps_in.get(v, 0)
+    issues = []
+    for v in net.vertices:
+        if caps_out.get(v, 0) == caps_in.get(v, 0):
+            continue
         if v not in terms:
-            if not balanced:
-                return ValidationIssue(v, "inner vertex is not Eulerian")
+            issues.append(ValidationIssue(v, "inner vertex is not Eulerian"))
         elif classify_terminal(real, v) == "complex":
-            if not balanced:
-                return ValidationIssue(v, "complex terminal is not Eulerian")
-    return None
+            issues.append(ValidationIssue(v, "complex terminal is not Eulerian"))
+    return min(issues, key=lambda issue: sort_key(issue.vertex), default=None)
 
 
-# -- reductions -----------------------------------------------------------
+# -- the instance on numbers and its reductions -----------------------------
+
+
+@dataclass(frozen=True)
+class IntTree(_Sides):
+    """A realization tree on numbers of one tree IdTable, read by the
+    recursion, choose_balanced_edge and pi_set as they read a
+    RealizationTree.  adj holds every vertex's neighbours in number
+    order; subtrees maps terminal vertex numbers to sets of tree vertex
+    numbers.  No lengths: a solve computes its value on the input tree.
+    """
+
+    vertices: FrozenSet[int]
+    adj: Dict[int, Tuple[int, ...]]
+    subtrees: Dict[int, FrozenSet[int]]
+
+    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
+        return self.adj
+
+    def edges(self) -> List[Tuple[int, int]]:
+        return [(u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v]
+
+
+def intern_instance(net: Network, real: RealizationTree):
+    """The instance on numbers: the interned network, with its arcs ranked
+    in id order, the IdTable of the tree vertices (in id order), the
+    IntTree and its arc lengths.  Checks nothing."""
+    inet = intern(net)
+    inet.graph.ids.rank_arcs()  # here at the boundary, not at the first peeling after it
+    tree_ids = IdTable(real.vertices, ())
+    tnum = tree_ids.number
+    length = {(tnum[u], tnum[v]): ell for (u, v), ell in real.arc_length.items()}
+    num = inet.graph.ids.number
+    tree = IntTree(frozenset(tnum.values()),  # adjacency() lists neighbours in id order
+                   {tnum[x]: tuple(tnum[y] for y in ns) for x, ns in real.adjacency().items()},
+                   {num[t]: frozenset([tnum[x] for x in real.subtrees[t]]) for t in net.terminals})
+    return inet, tree_ids, tree, length
 
 
 @dataclass(frozen=True)
@@ -335,10 +371,209 @@ class SplitRecord:
 
 @dataclass
 class NormalizeRecord:
-    """Provenance of a normalization run, enough to undo its effects."""
+    """Provenance of a normalization run, enough to undo its effects.
 
-    splits: List[SplitRecord] = field(default_factory=list)
-    arc_map: Dict[TreeArc, Optional[TreeArc]] = field(default_factory=dict)
+    Inside a solve it holds vertex, arc and tree vertex numbers; the
+    public normalize and split_linear_terminal return it in ids.
+    """
+
+    splits: List[SplitRecord]
+    arc_map: Dict[TreeArc, Optional[TreeArc]]
+
+
+class Reduction:
+    """The five reductions on a numbered instance, run to a fixed point.
+
+    The tree is held as neighbour sets, and each tree arc's length and the
+    input tree arcs it stands for (origin) by its pair of numbers.  Made
+    tree vertices, split vertices and split arcs take the next numbers of
+    their IdTables; the network is rebuilt once, at the end (network).
+    """
+
+    def __init__(self, net: IntNetwork, tree_ids: IdTable, tree: IntTree,
+                 length: Dict[Tuple[int, int], Fraction]):
+        self.net = net
+        self.ids = net.graph.ids
+        self.tree_ids = tree_ids
+        self.terminals = list(net.terminals)
+        self.adj = {v: set(ns) for v, ns in tree.adj.items()}
+        self.length = dict(length)
+        self.input_arcs = sorted(length)
+        self.origin = {a: [a] for a in self.input_arcs}
+        self.subs = {t: set(sub) for t, sub in tree.subtrees.items()}
+        self.splits: List[SplitRecord] = []
+
+    def run(self) -> None:
+        """Afterwards: no linear terminals, every leaf hosts a simple
+        terminal, no simple terminal at an inner vertex, inner degrees at
+        most three, and no mergeable degree-two chains."""
+        for _round in range(10 * (len(self.adj) + len(self.terminals)) + 20):
+            changed = False
+            for s in sorted(self.terminals):
+                changed |= self.split(s)  # C1
+            changed |= self._drop_bare_leaves()  # C2
+            changed |= self._move_simple_terminals()  # C3
+            changed |= self._bound_degrees()  # C4
+            changed |= self._merge_chains()  # C5
+            if not changed:
+                return
+        raise ContractViolation("normalization did not reach a fixed point")
+
+    def tree(self) -> IntTree:
+        return IntTree(frozenset(self.adj), {v: tuple(sorted(ns)) for v, ns in self.adj.items()},
+                       {t: frozenset(self.subs[t]) for t in self.terminals})
+
+    def network(self) -> IntNetwork:
+        """The network with each split's arcs s -> s1, carrying the
+        capacity into s, and s2 -> s, carrying the capacity out of s."""
+        if not self.splits:
+            return self.net
+        g, caps = self.net.graph, self.net.cap
+        arcs, tail, head, cap = list(g.arcs), list(g.tail), list(g.head), list(caps)
+        for r in self.splits:
+            s = r.terminal
+            arcs += [r.in_arc, r.out_arc]
+            tail += [s, r.source_half]
+            head += [r.target_half, s]
+            cap += [sum(caps[k] for k in g.arcs_into(s)), sum(caps[k] for k in g.arcs_out(s))]
+        halves = [h for r in self.splits for h in (r.target_half, r.source_half)]
+        return IntNetwork(IntGraph(self.ids, g.vertices.union(halves), arcs, tail, head),
+                          tuple(self.terminals), cap)
+
+    def record(self) -> NormalizeRecord:
+        """The splits, and each input tree arc mapped to the arc it became
+        or to None where its edge was dropped."""
+        arc_map = dict.fromkeys(self.input_arcs)
+        for a, origin in self.origin.items():
+            arc_map.update(dict.fromkeys(origin, a))
+        return NormalizeRecord(self.splits, arc_map)
+
+    def split(self, s: int) -> bool:
+        """C1 where s is linear: new simple terminals s1 at t1 and s2 at t2
+        (length zero from t2 to t1) take its roles, arriving along a new
+        arc s -> s1 and departing along s2 -> s (see split_linear_terminal)."""
+        ends = _linear_ends(self.subs[s], self.adj, self.length)
+        if ends is None:
+            return False
+        s1, s2 = self.ids.new_vertex(), self.ids.new_vertex()
+        a_in, a_out = self.ids.new_arc(), self.ids.new_arc()
+        self.splits.append(SplitRecord(s, s2, s1, a_in, a_out))
+        self.terminals.remove(s)
+        self.terminals += [s1, s2]
+        del self.subs[s]
+        self.subs[s1], self.subs[s2] = {ends[0]}, {ends[1]}
+        return True
+
+    def _drop_bare_leaves(self) -> bool:
+        """C2: drop leaves that realize no simple terminal."""
+        adj, changed = self.adj, False
+        while True:
+            occupied = {x for sub in self.subs.values() if len(sub) == 1 for x in sub}
+            victim = next((v for v in sorted(adj) if len(adj[v]) == 1 and v not in occupied), None)
+            if victim is None:
+                return changed
+            (nb,) = adj.pop(victim)
+            adj[nb].remove(victim)
+            for a in ((victim, nb), (nb, victim)):
+                del self.length[a], self.origin[a]
+            for sub in self.subs.values():
+                sub.discard(victim)
+            changed = True
+
+    def _move_simple_terminals(self) -> bool:
+        """C3: move simple terminals off inner vertices to zero-length pendants."""
+        changed = False
+        for v in sorted(self.adj):
+            if len(self.adj[v]) < 2:
+                continue
+            movers = [t for t, sub in self.subs.items() if sub == {v}]
+            if movers:
+                v2 = self._new_neighbour(v)
+                for t in movers:
+                    self.subs[t] = {v2}
+                changed = True
+        return changed
+
+    def _bound_degrees(self) -> bool:
+        """C4: split vertices of degree four or more, two neighbours staying."""
+        adj, changed = self.adj, False
+        while True:
+            v = next((x for x in sorted(adj) if len(adj[x]) >= 4), None)
+            if v is None:
+                return changed
+            moved = sorted(adj[v])[2:]
+            v2 = self._new_neighbour(v)
+            for w in moved:
+                adj[v].remove(w)
+                adj[w].remove(v)
+                adj[w].add(v2)
+                adj[v2].add(w)
+                self._join([(v, w)], (v2, w))
+                self._join([(w, v)], (w, v2))
+            for sub in self.subs.values():
+                if v in sub and not sub.isdisjoint(moved):
+                    sub.add(v2)
+            changed = True
+
+    def _merge_chains(self) -> bool:
+        """C5: merge chains at degree-2 vertices with no subtree boundary."""
+        adj, changed = self.adj, False
+        while True:
+            for v in sorted(adj):
+                if len(adj[v]) != 2:
+                    continue
+                u, w = sorted(adj[v])
+                # mergeable iff v is never a boundary vertex of a subtree
+                if any(v in sub and not (u in sub and w in sub) for sub in self.subs.values()):
+                    continue
+                del adj[v]
+                adj[u].remove(v)
+                adj[u].add(w)
+                adj[w].remove(v)
+                adj[w].add(u)
+                self._join([(u, v), (v, w)], (u, w))
+                self._join([(w, v), (v, u)], (w, u))
+                for sub in self.subs.values():
+                    sub.discard(v)
+                changed = True
+                break
+            else:
+                return changed
+
+    def _new_neighbour(self, v: int) -> int:
+        """A new tree vertex hanging off v by an edge of length zero."""
+        v2 = self.tree_ids.new_vertex()
+        self.adj[v].add(v2)
+        self.adj[v2] = {v}
+        for a in ((v, v2), (v2, v)):
+            self.length[a], self.origin[a] = Fraction(0), []
+        return v2
+
+    def _join(self, arcs: List[Tuple[int, int]], a: Tuple[int, int]) -> None:
+        """Replace the arcs of a directed path by the arc a between its
+        ends, with their total length and all their origins."""
+        self.length[a] = sum(self.length.pop(b) for b in arcs)
+        self.origin[a] = [x for b in arcs for x in self.origin.pop(b)]
+
+
+def _in_ids(red: Reduction):
+    """The reduced instance and its record, back in ids."""
+    net, tree, record = red.network(), red.tree(), red.record()
+    g = net.graph
+    vid, aid, tid = g.ids.vertex_ids, g.ids.arc_ids, red.tree_ids.vertex_ids
+    out_net = Network(Digraph.build([vid[v] for v in g.vertices],
+                                    [(aid[a], vid[t], vid[h]) for a, t, h in zip(g.arcs, g.tail, g.head)]),
+                      tuple(vid[t] for t in net.terminals), {aid[a]: c for a, c in zip(g.arcs, net.cap)})
+    out_real = RealizationTree(frozenset(tid[x] for x in tree.vertices),
+                               {(tid[u], tid[v]): ell for (u, v), ell in red.length.items()},
+                               {vid[t]: frozenset(tid[x] for x in sub) for t, sub in tree.subtrees.items()})
+
+    def arc(a):
+        return None if a is None else (tid[a[0]], tid[a[1]])
+
+    splits = [SplitRecord(vid[r.terminal], vid[r.source_half], vid[r.target_half], aid[r.in_arc], aid[r.out_arc])
+              for r in record.splits]
+    return out_net, out_real, NormalizeRecord(splits, {arc(a): arc(m) for a, m in record.arc_map.items()})
 
 
 def split_linear_terminal(net: Network, real: RealizationTree, s):
@@ -347,41 +582,15 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     New vertices s1 and s2 hang off s with arcs (s, s1) of capacity
     c(in(s)) and (s2, s) of capacity c(out(s)); afterwards s is an inner
     Eulerian vertex.  Distances are preserved: mu(x, s1) equals the old
-    mu(x, s) and mu(s2, x) equals the old mu(s, x).
+    mu(x, s) and mu(s2, x) equals the old mu(s, x).  The new vertices and
+    arcs have ids that equal no input id.
     """
-    if classify_terminal(real, s) != "linear":
+    red = Reduction(*intern_instance(net, real))
+    num = red.ids.number.get(s)
+    if num not in red.subs or not red.split(num):
         raise ContractViolation(f"terminal {s!r} is not linear")
-    t1, t2 = _path_endpoints(real, real.subtrees[s])
-    if tree_distance(real, t2, t1) != 0:
-        t1, t2 = t2, t1
-    if tree_distance(real, t2, t1) != 0:
-        raise ContractViolation("linear terminal has no zero-length direction")
-
-    g = net.graph
-    cap_in = sum(net.capacity[a.id] for a in g.in_arcs(s))
-    cap_out = sum(net.capacity[a.id] for a in g.out_arcs(s))
-    # the stems differ, so the two new vertices (and arcs) cannot collide
-    s1 = fresh_id(net.vertices, "+", ("in", s))
-    s2 = fresh_id(net.vertices, "+", ("out", s))
-    a_in = fresh_id(g.arcs_by_id(), "+", ("arc-in", s))
-    a_out = fresh_id(g.arcs_by_id(), "+", ("arc-out", s))
-
-    arcs = [(a.id, a.tail, a.head) for a in g.arcs]
-    arcs.append((a_in, s, s1))
-    arcs.append((a_out, s2, s))
-    caps = dict(net.capacity)
-    caps[a_in] = cap_in
-    caps[a_out] = cap_out
-    terminals = tuple(t for t in net.terminals if t != s) + (s1, s2)
-    new_net = Network(Digraph.build(net.vertices | {s1, s2}, arcs), terminals, caps)
-
-    subs = dict(real.subtrees)
-    del subs[s]
-    subs[s1] = frozenset({t1})
-    subs[s2] = frozenset({t2})
-    new_real = RealizationTree(real.vertices, dict(real.arc_length), subs)
-    rec = SplitRecord(s, s2, s1, a_in, a_out)
-    return new_net, new_real, rec
+    new_net, new_real, rec = _in_ids(red)
+    return new_net, new_real, rec.splits[0]
 
 
 def normalize(net: Network, real: RealizationTree):
@@ -390,152 +599,13 @@ def normalize(net: Network, real: RealizationTree):
     Afterwards: no linear terminals, every leaf hosts a simple terminal,
     no simple terminal at an inner vertex, inner degrees at most three,
     and no mergeable degree-two chains.  Returns the reduced instance and
-    a NormalizeRecord mapping original tree arcs to surviving ones.
+    a NormalizeRecord mapping original tree arcs to surviving ones.  The
+    reductions run on numbers (Reduction); every vertex, arc and tree
+    vertex they make has an id that equals no input id.
     """
     issue = validate_instance(net, real)
     if issue is not None:
         raise InputError(f"instance invalid at {issue.vertex!r}: {issue.reason}", code="not-eulerian")
-
-    record = NormalizeRecord()
-    record.arc_map = {a: a for a in real.quasi_arcs()}
-
-    for _round in range(10 * (len(real.vertices) + len(net.terminals)) + 20):
-        changed = False
-
-        # C1: split linear terminals into pairs of simple ones
-        for s in sorted(net.terminals, key=sort_key):
-            if classify_terminal(real, s) == "linear":
-                net, real, rec = split_linear_terminal(net, real, s)
-                record.splits.append(rec)
-                changed = True
-
-        # mutable views of the tree for the remaining reductions
-        tverts = set(real.vertices)
-        lengths = dict(real.arc_length)
-        subs = {t: set(v) for t, v in real.subtrees.items()}
-
-        def adj_of():
-            adj: Dict[TreeVertex, Set[TreeVertex]] = {v: set() for v in tverts}
-            for (u, v) in lengths:
-                adj[u].add(v)
-            return adj
-
-        # C2: drop leaves that realize no simple terminal
-        while True:
-            adj = adj_of()
-            victim = None
-            for v in sorted(tverts, key=sort_key):
-                if len(adj[v]) != 1:
-                    continue
-                if len(tverts) < 2:
-                    break
-                if any(sub == {v} for sub in subs.values()):
-                    continue
-                victim = v
-                break
-            if victim is None:
-                break
-            nb = next(iter(adj_of()[victim]))
-            del lengths[(victim, nb)]
-            del lengths[(nb, victim)]
-            record.arc_map = {
-                a: (None if m is not None and victim in m else m)
-                for a, m in record.arc_map.items()
-            }
-            tverts.remove(victim)
-            for sub in subs.values():
-                sub.discard(victim)
-            changed = True
-
-        # C3: move simple terminals off inner vertices to zero-length pendants
-        adj = adj_of()
-        for v in sorted(tverts, key=sort_key):
-            if len(adj.get(v, ())) < 2:
-                continue
-            movers = [t for t, sub in subs.items() if sub == {v}]
-            if not movers:
-                continue
-            v2 = fresh_id(tverts, "+", ("leaf", v))
-            tverts.add(v2)
-            lengths[(v, v2)] = Fraction(0)
-            lengths[(v2, v)] = Fraction(0)
-            for t in movers:
-                subs[t] = {v2}
-            adj = adj_of()
-            changed = True
-
-        # C4: split vertices of degree four or more
-        while True:
-            adj = adj_of()
-            v = next((x for x in sorted(tverts, key=sort_key) if len(adj[x]) >= 4), None)
-            if v is None:
-                break
-            neighbors = sorted(adj[v], key=sort_key)
-            keep, move = neighbors[:2], neighbors[2:]
-            v2 = fresh_id(tverts, "+", ("deg", v))
-            tverts.add(v2)
-            moved = set(move)
-            for w in move:
-                lengths[(v2, w)] = lengths.pop((v, w))
-                lengths[(w, v2)] = lengths.pop((w, v))
-            record.arc_map = {
-                a: (_rename_arc(m, v, v2, moved) if m is not None else None)
-                for a, m in record.arc_map.items()
-            }
-            lengths[(v, v2)] = Fraction(0)
-            lengths[(v2, v)] = Fraction(0)
-            for sub in subs.values():
-                if v in sub and sub & moved:
-                    sub.add(v2)
-            changed = True
-
-        # C5: merge chains at degree-2 vertices with no subtree boundary
-        while True:
-            adj = adj_of()
-            merged = False
-            for v in sorted(tverts, key=sort_key):
-                if len(adj.get(v, ())) != 2:
-                    continue
-                u, w = sorted(adj[v], key=sort_key)
-                # mergeable iff v is never a boundary vertex of a subtree
-                blocked = any(v in sub and not (u in sub and w in sub)
-                              for sub in subs.values())
-                if blocked:
-                    continue
-                luw = lengths.pop((u, v)) + lengths.pop((v, w))
-                lwu = lengths.pop((w, v)) + lengths.pop((v, u))
-                lengths[(u, w)] = luw
-                lengths[(w, u)] = lwu
-                new_map = {}
-                for a, m in record.arc_map.items():
-                    if m == (u, v) or m == (v, w):
-                        new_map[a] = (u, w)
-                    elif m == (w, v) or m == (v, u):
-                        new_map[a] = (w, u)
-                    else:
-                        new_map[a] = m
-                record.arc_map = new_map
-                tverts.remove(v)
-                for sub in subs.values():
-                    sub.discard(v)
-                merged = True
-                changed = True
-                break
-            if not merged:
-                break
-
-        real = RealizationTree(frozenset(tverts), lengths,
-                               {t: frozenset(s) for t, s in subs.items()})
-        if not changed:
-            return net, real, record
-    raise ContractViolation("normalization did not reach a fixed point")
-
-
-def _rename_arc(arc: TreeArc, v, v2, moved) -> TreeArc:
-    """The arc with v renamed to v2 where v's other end is in moved."""
-    a, b = arc
-    if a == v and b in moved:
-        return (v2, b)
-    if b == v and a in moved:
-        return (a, v2)
-    return arc
+    red = Reduction(*intern_instance(net, real))
+    red.run()
+    return _in_ids(red)

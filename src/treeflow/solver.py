@@ -9,13 +9,13 @@ flow as weighted TerminalPaths, glued on the cut's boundary arcs, and
 one saturated separating cut per tree arc; the lifted family certifies
 optimality of the final answer.
 
-solve and free_imf validate their input and intern it once (indexed.py):
-the recursion runs on vertex and arc numbers, contracts by relabelling,
-and builds no Network, Digraph or RealizationTree.  The tree is numbered
-too, in id order.  Paths and cuts return to ids once, before
-normalization is undone.  Ties break by number throughout: input
-vertices are numbered in id order, and each vertex the solver makes
-takes the next number.
+solve and free_imf validate their input and intern it once (indexed.py),
+the tree numbered too, in id order.  Normalization (realization.Reduction),
+the recursion, which contracts by relabelling, and the undo of the
+normalization then run on numbers and build no Network, Digraph or
+RealizationTree; paths and cuts return to ids once, at the end.  Ties
+break by number throughout: input vertices are numbered in id order, and
+each one made takes the next.
 """
 
 from __future__ import annotations
@@ -24,21 +24,24 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .graphs import Cut, Network, TerminalPath, is_eulerian_at, sort_key
+from .graphs import Cut, Network, TerminalPath, is_eulerian_at
 from .indexed import (IdTable, IntGraph, IntNetwork, boundary, contract, decompose, intern,
                       lex_max_flow, max_flow, min_cut_source_side)
 from .multiflow import Multiflow
 from .realization import (
+    IntTree,
     NormalizeRecord,
     RealizationTree,
+    Reduction,
     choose_balanced_edge,
-    normalize,
+    intern_instance,
+    normalize,  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.normalize
     pi_set,
-    validate_instance,  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.validate_instance
+    validate_instance,
 )
 
 # tree arc (u, v) of tree vertex numbers -> cut side of vertex numbers
@@ -60,69 +63,20 @@ class SolveOutput:
     stats: SolveStats
 
 
-@dataclass(frozen=True)
-class _Tree:
-    """The realization tree inside the recursion.
+def _external(ids: IdTable, tree_ids: IdTable, paths: List[TerminalPath], cert: CutMap):
+    """Paths and certificate cuts of a solve, in ids.
 
-    Tree vertices are numbers in id order, so sorting numbers sorts ids;
-    adj holds each vertex's neighbours in that order.  subtrees maps
-    terminal vertex numbers to sets of tree vertex numbers.  Arc lengths
-    matter only to the value, which solve computes on the input tree.
-    choose_balanced_edge reads this tree as it reads a RealizationTree.
-    """
-
-    vertices: FrozenSet[int]
-    adj: Dict[int, Tuple[int, ...]]
-    subtrees: Dict[int, FrozenSet[int]]
-
-    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        return self.adj
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v]
-
-    def component_without_edge(self, u: int, v: int) -> FrozenSet[int]:
-        """Vertices on u's side after removing edge uv."""
-        seen = {u, v}
-        queue = [u]
-        for w in queue:  # the list grows while it is walked
-            for x in self.adj[w]:
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
-        seen.discard(v)
-        return frozenset(seen)
-
-
-def _internal(net: Network, real: RealizationTree):
-    """The validated instance as the recursion sees it: the interned
-    network, the numbered tree, and the tree vertex ids by number."""
-    inet = intern(net)
-    ids = inet.graph.ids
-    ids.rank_arcs()  # here at the boundary, not at the first peeling inside the recursion
-    tree_ids = sorted(real.vertices, key=sort_key)
-    tnum = {x: i for i, x in enumerate(tree_ids)}
-    adj = real.adjacency()
-    tree = _Tree(frozenset(range(len(tree_ids))),
-                 {tnum[x]: tuple(tnum[y] for y in adj[x]) for x in tree_ids},
-                 {ids.number[t]: frozenset(tnum[x] for x in real.subtrees[t]) for t in net.terminals})
-    return inet, tree, tree_ids
-
-
-def _external(ids: IdTable, tree_ids: List[Hashable], paths: List[TerminalPath], cuts: CutMap):
-    """Paths and cuts of the recursion, in ids.
-
-    cuts is emptied on the way, so the two forms of the large cut sides
+    cert is emptied on the way, so the two forms of the large cut sides
     are not all held at once.  A frozenset filled one id at a time keeps
     the table it grew into, up to twice the one a copy sizes for its
     contents, so each side is copied from a set.
     """
-    vertex_ids = ids.vertex_ids
-    id_cuts = {}
-    while cuts:
-        (u, v), side = cuts.popitem()
-        id_cuts[(tree_ids[u], tree_ids[v])] = frozenset(set(map(vertex_ids.__getitem__, side)))
-    return [ids.path_ids(p) for p in paths], id_cuts
+    vertex_ids, tree_vertex_ids = ids.vertex_ids, tree_ids.vertex_ids
+    id_cert = {}
+    for u, v in list(cert):
+        side = cert.pop((u, v))
+        id_cert[(tree_vertex_ids[u], tree_vertex_ids[v])] = frozenset(set(map(vertex_ids.__getitem__, side)))
+    return [ids.path_ids(p) for p in paths], id_cert
 
 
 # -- small helpers ---------------------------------------------------------
@@ -760,7 +714,7 @@ def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
 # -- base cases -------------------------------------------------------------
 
 
-def base_two_vertices(net: IntNetwork, tree: _Tree, stats: SolveStats):
+def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     """Single tree edge: one max flow forward, its capacity complement back.
 
     Terminals realized by the whole edge have distance zero to everything
@@ -812,7 +766,7 @@ def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset,
     return new_side, z, region, forward, backward
 
 
-def base_three_leaves(net: IntNetwork, tree: _Tree, stats: SolveStats):
+def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     """Star tree (two or three leaves): a free multiflow on the leaf terminals.
 
     Simple terminals on the same leaf merge into one representative.  A
@@ -932,7 +886,7 @@ def aggregate(net: IntNetwork, paths1: List[TerminalPath], paths2: List[Terminal
             + _join_on_arc(into[z1], out_of[z2]))
 
 
-def partition_step(net: IntNetwork, tree: _Tree, edge, stats: SolveStats, depth: int):
+def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, depth: int):
     """Split at a balanced tree edge along a minimum terminal-group cut."""
     v1, v2 = edge
     side1 = tree.component_without_edge(v1, v2)
@@ -972,8 +926,8 @@ def partition_step(net: IntNetwork, tree: _Tree, edge, stats: SolveStats, depth:
     return paths, cuts
 
 
-def _contract_tree(tree: _Tree, keep_side: frozenset, anchor: int,
-                   kept_terminals: Sequence[int], z: int) -> _Tree:
+def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
+                   kept_terminals: Sequence[int], z: int) -> IntTree:
     """The tree on one side of a partition edge plus its far endpoint
     anchor, which realizes the contraction vertex z."""
     verts = keep_side | {anchor}
@@ -984,13 +938,13 @@ def _contract_tree(tree: _Tree, keep_side: frozenset, anchor: int,
         rest = sub & keep_side
         subs[t] = rest | {anchor} if sub - keep_side else rest
     subs[z] = frozenset({anchor})
-    return _Tree(verts, adj, subs)
+    return IntTree(verts, adj, subs)
 
 
 # -- recursion and public entry ---------------------------------------------
 
 
-def _solve_rec(net: IntNetwork, tree: _Tree, stats: SolveStats, depth: int):
+def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
     stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(tree.vertices) == 1:
         return [], {}
@@ -1012,11 +966,16 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     t0 = time.perf_counter()
     stats = SolveStats()
 
-    norm_net, norm_real, record = normalize(net, real)  # validates the instance first
-    inet, tree, tree_ids = _internal(norm_net, norm_real)
-    paths, cuts = _solve_rec(inet, tree, stats, 0)
-    paths, cuts = _external(inet.graph.ids, tree_ids, paths, cuts)
-    paths, cert = _undo_normalization(net, real, norm_real, record, paths, cuts)
+    issue = validate_instance(net, real)
+    if issue is not None:
+        raise InputError(f"instance invalid at {issue.vertex!r}: {issue.reason}", code="not-eulerian")
+    inet, tree_ids, tree, length = intern_instance(net, real)
+    reduction = Reduction(inet, tree_ids, tree, length)
+    reduction.run()
+    norm_tree = reduction.tree()
+    paths, cuts = _solve_rec(reduction.network(), norm_tree, stats, 0)
+    paths, cert = _undo_normalization(inet, tree, norm_tree, reduction.record(), paths, cuts)
+    paths, cert = _external(inet.graph.ids, tree_ids, paths, cert)
 
     flow = Multiflow(tuple(paths))
     value = mu_value(real, flow)
@@ -1024,9 +983,10 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     return SolveOutput(flow, Certificate(cert), value, stats)
 
 
-def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: RealizationTree,
-                        record: NormalizeRecord, paths: List[TerminalPath], cuts):
-    """Map paths and cuts of the normalized instance back to the input.
+def _undo_normalization(net0: IntNetwork, tree0: IntTree, norm_tree: IntTree,
+                        record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
+    """Map paths and cuts of the normalized instance back to the input, in
+    numbers: one certificate cut per input tree arc with a nonempty pair set.
 
     A split terminal s lies between its halves on the arcs out_arc
     (source_half -> s) and in_arc (s -> target_half); paths from or to a
@@ -1051,20 +1011,10 @@ def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: Realiz
             continue
         out_paths.append(TerminalPath(s, t, arcs, p.weight))
 
-    # side membership of the split halves, read in the normalized tree:
-    # later reductions may have moved them from where they were split
-    half_spot = {}
-    for rec in record.splits:
-        (t1,) = norm_real.subtrees[rec.target_half]
-        (t2,) = norm_real.subtrees[rec.source_half]
-        half_spot[rec.terminal] = (t1, t2)
-
-    cert: Dict = {}
-    for arc in real0.quasi_arcs():
-        pi = pi_set(real0, net0.terminals, arc)
-        if pi.empty:
+    cert: CutMap = {}
+    for arc, mapped in record.arc_map.items():
+        if pi_set(tree0, net0.terminals, arc).empty:
             continue
-        mapped = record.arc_map.get(arc)
         if mapped is None:
             raise ContractViolation(f"no surviving tree arc for {arc!r}")
         side = cuts.get(mapped)
@@ -1074,9 +1024,11 @@ def _undo_normalization(net0: Network, real0: RealizationTree, norm_real: Realiz
             cert[arc] = side
             continue
         side = set(side)
-        tail_side = norm_real.component_without_edge(*mapped)
+        tail_side = norm_tree.component_without_edge(*mapped)
         for rec in reversed(record.splits):
-            t1, t2 = half_spot[rec.terminal]
+            # the halves' tree vertices, read in the normalized tree: later
+            # reductions may have moved them from where they were split
+            (t1,), (t2,) = norm_tree.subtrees[rec.target_half], norm_tree.subtrees[rec.source_half]
             side.discard(rec.target_half)
             side.discard(rec.source_half)
             if t1 in tail_side and t2 in tail_side:

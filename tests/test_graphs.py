@@ -9,13 +9,13 @@ from treeflow import (
     Cut,
     InputError,
     Multiflow,
-    contract,
     cut_capacity,
     divergence,
     is_eulerian_at,
     validate_instance,
 )
 from treeflow.graphs import boundary
+from treeflow.indexed import contract, intern
 from treeflow.realization import ValidationIssue
 
 from builders import make_net, make_real
@@ -76,19 +76,38 @@ def test_cut_validation():
         cut_capacity(net, Cut(frozenset(["s", "t"])))
 
 
+def contract_ids(net, groups):
+    """indexed.contract on the interned network, with ids in and out: the
+    new vertex of each group is named by its key in groups.  Returns the
+    vertices, the arcs as (id, tail, head) in arc order, the capacities
+    and the terminals."""
+    inet = intern(net)
+    ids = inet.graph.ids
+    made = {ids.new_vertex(): z for z in groups}
+    out = contract(inet, {v: [ids.number[x] for x in groups[z]] for v, z in made.items()})
+
+    def name(v):
+        return made.get(v, ids.vertex_ids[v])
+
+    g = out.graph
+    arcs = [(ids.arc_ids[a], name(t), name(h)) for a, t, h in zip(g.arcs, g.tail, g.head)]
+    caps = {ids.arc_ids[a]: c for a, c in zip(g.arcs, out.cap)}
+    return {name(v) for v in g.vertices}, arcs, caps, tuple(map(name, out.terminals))
+
+
 def test_contract_endpoint():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    out = contract(net, {"z": ["t"]})
-    assert out.vertices == {"s", "z"}
-    arcs = out.graph.arcs
-    assert len(arcs) == 1 and arcs[0].id == "a" and arcs[0].head == "z"
-    assert out.terminals == ("s", "z")
+    vertices, arcs, caps, terminals = contract_ids(net, {"z": ["t"]})
+    assert vertices == {"s", "z"}
+    assert arcs == [("a", "s", "z")] and caps == {"a": 2}
+    assert terminals == ("s", "z")
 
 
 def test_contract_deletes_interior_arcs():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    out = contract(net, {"z": ["s", "t"]})
-    assert out.graph.arcs == ()
+    vertices, arcs, caps, terminals = contract_ids(net, {"z": ["s", "t"]})
+    assert vertices == {"z"} and arcs == [] and caps == {}
+    assert terminals == ("z",)
 
 
 def test_contract_three_cycle():
@@ -96,25 +115,29 @@ def test_contract_three_cycle():
     net = make_net(["u", "v", "w"],
                    [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "w", "u")],
                    ["u"], {"e1": 1, "e2": 1, "e3": 1})
-    out = contract(net, {"z": ["v", "w"]})
-    got = {(a.id, a.tail, a.head) for a in out.graph.arcs}
-    assert got == {("e1", "u", "z"), ("e3", "z", "u")}
-    assert out.capacity == {"e1": 1, "e3": 1}
+    _vertices, arcs, caps, _terminals = contract_ids(net, {"z": ["v", "w"]})
+    assert arcs == [("e1", "u", "z"), ("e3", "z", "u")]
+    assert caps == {"e1": 1, "e3": 1}
 
 
 def test_contract_commutes_for_disjoint_sets():
     net = make_net(list("abcd"),
                    [("1", "a", "b"), ("2", "b", "c"), ("3", "c", "d"), ("4", "d", "a")],
                    ["a"], {"1": 1, "2": 2, "3": 3, "4": 4})
-    one = contract(contract(net, {"p": ["a", "b"]}), {"q": ["c", "d"]})
-    two = contract(contract(net, {"q": ["c", "d"]}), {"p": ["a", "b"]})
-    both = contract(net, {"p": ["a", "b"], "q": ["c", "d"]})
-    assert {(a.id, a.tail, a.head) for a in one.graph.arcs} == \
-           {(a.id, a.tail, a.head) for a in two.graph.arcs}
-    assert both.graph == one.graph and both.capacity == one.capacity
-    assert both.terminals == one.terminals == ("p", "q")
-    with pytest.raises(InputError):
-        contract(net, {"p": ["a", "b"], "q": ["b", "c"]})
+    inet = intern(net)
+    ids = inet.graph.ids
+    p, q = ids.new_vertex(), ids.new_vertex()
+    ab, cd = [ids.number["a"], ids.number["b"]], [ids.number["c"], ids.number["d"]]
+    one = contract(contract(inet, {p: ab}), {q: cd})
+    two = contract(contract(inet, {q: cd}), {p: ab})
+    both = contract(inet, {p: ab, q: cd})
+
+    def arcs(n):
+        return list(zip(n.graph.arcs, n.graph.tail, n.graph.head, n.cap))
+
+    assert arcs(one) == arcs(two) == arcs(both) == [(1, p, q, 2), (3, q, p, 4)]
+    assert one.graph.vertices == two.graph.vertices == both.graph.vertices == {p, q}
+    assert both.terminals == one.terminals == (p, q)
 
 
 def test_validate_instance_cases():
@@ -190,17 +213,12 @@ def test_contract_preserves_outside_arcs(net, data):
     side = {v for v in verts if data.draw(st.booleans())} or {verts[0]}
     if side == set(verts):
         side = {verts[0]}
-    fresh = "fresh"
-    out = contract(net, {fresh: side})
-    survivors = {a.id for a in out.graph.arcs}
-    expected = {a.id for a in net.graph.arcs
-                if not (a.tail in side and a.head in side)}
-    assert survivors == expected
+    _vertices, arcs, caps, _terminals = contract_ids(net, {"fresh": side})
+    expected = [a.id for a in net.graph.arcs if not (a.tail in side and a.head in side)]
+    assert [aid for aid, _t, _h in arcs] == expected
     lost = sum(net.capacity[a.id] for a in net.graph.arcs
                if a.tail in side and a.head in side)
-    total_before = sum(net.capacity[a.id] for a in net.graph.arcs)
-    total_after = sum(out.capacity[a.id] for a in out.graph.arcs)
-    assert total_before - lost == total_after
+    assert sum(net.capacity[a.id] for a in net.graph.arcs) - lost == sum(caps.values())
 
 
 @settings(max_examples=60, deadline=None)

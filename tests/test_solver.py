@@ -23,6 +23,7 @@ from treeflow import (
 )
 from treeflow.generator import generate_network
 from treeflow.indexed import intern
+from treeflow.realization import intern_instance
 from treeflow.solver import (
     SolveStats,
     aggregate,
@@ -32,7 +33,6 @@ from treeflow.solver import (
     repair_three_leaves,
     _external,
     _free_imf_paths,
-    _internal,
 )
 
 from builders import make_net, make_real
@@ -126,7 +126,7 @@ def test_decompose_runs_only_on_max_flows(case, request, monkeypatch):
 
 def test_base_two_direct(e1):
     net, real = e1
-    inet, tree, tree_ids = _internal(net, real)
+    inet, tree_ids, tree, _length = intern_instance(net, real)
     paths, cuts = _external(inet.graph.ids, tree_ids, *base_two_vertices(inet, tree, SolveStats()))
     assert cuts[("v1", "v2")] == frozenset(["s"])
     assert paths == [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
@@ -607,35 +607,117 @@ def test_pinned_corpus_work_and_no_builds_inside_the_recursion(monkeypatch):
     for seed, expected in PINNED_WORK.items():
         net, real = generate_network(seed, *corpus_params(seed))
         builds[0] = 0
-        normalize(net, real)
-        at_boundary = builds[0]
-        builds[0] = 0
         out = solve(net, real)
         assert (str(out.value), out.stats.maxflow_calls, out.stats.recursion_depth) == expected, seed
-        # validation and normalization build networks; the recursion builds none
-        assert builds[0] == at_boundary, seed
+        # normalization, recursion and undo run on numbers: no network is built
+        assert builds[0] == 0, seed
         depths.add(out.stats.recursion_depth)
     assert depths == {0, 1, 2, 3, 4}
 
 
-def test_input_ids_shaped_like_the_solvers_own(monkeypatch):
-    # the solver once named its contraction vertices ('@', name, k) and
-    # its splitting bypasses ('~', c); input ids of those shapes solve as
-    # any others do
+@pytest.mark.parametrize("case", ["e1", "e2", 25, 239, 416])
+def test_no_id_sorting_between_interning_and_export(case, request, monkeypatch):
+    # every sort_key call of a solve happens while it validates and interns
+    # the input or after it mapped its answer back to ids
+    import pkgutil
+    import treeflow
+    import treeflow.graphs
     import treeflow.solver as S
+    from test_acceptance import corpus_params
+
+    if isinstance(case, str):
+        net, real = request.getfixturevalue(case)
+    else:
+        net, real = generate_network(case, *corpus_params(case))
+    sort_key = treeflow.graphs.sort_key
+    inside = [False]
+    calls = {False: 0, True: 0}
+
+    def counted(x):
+        calls[inside[0]] += 1
+        return sort_key(x)
+
+    for info in pkgutil.iter_modules(treeflow.__path__):
+        module = getattr(treeflow, info.name, None)
+        if hasattr(module, "sort_key"):
+            monkeypatch.setattr(module, "sort_key", counted)
+
+    intern_instance, external = S.intern_instance, S._external
+
+    def interned(*args):
+        out = intern_instance(*args)
+        inside[0] = True
+        return out
+
+    def exported(*args):
+        inside[0] = False
+        return external(*args)
+
+    monkeypatch.setattr(S, "intern_instance", interned)
+    monkeypatch.setattr(S, "_external", exported)
+    out = solve(net, real)
+    assert out.value == dual_value(net, real)
+    assert calls[True] == 0
+    assert calls[False] > 0  # the boundary sorts ids, so the counter is live
+
+
+def test_input_ids_shaped_like_the_solvers_own(monkeypatch):
+    # ids of every shape the solver or normalization makes or once made:
+    # contraction vertices ('@', name, k), splitting bypasses ('~', c), the
+    # fresh ids of linear-terminal splits, pendant and degree vertices
+    # ('+', stem, 0), the placeholder ('@', k), and the made ids of an
+    # earlier normalization.  Such inputs solve as any others do, and
+    # normalize gives everything it makes an id of its own.
+    import treeflow.solver as S
+    from treeflow import RealizationTree, normalize
+    from treeflow.indexed import _Made
+
+    # shape(i, j) names the i-th id; j is a number that a made id takes
+    # next, so the earlier made ids carry the numbers the next ones get
+    vertex_shapes = [lambda i, j: ("@", "cut", i), lambda i, j: ("@", i),
+                     lambda i, j: ("+", ("in", i), 0), lambda i, j: ("+", ("out", i), 0),
+                     lambda i, j: _Made(0, j)]
+    arc_shapes = [lambda i, j: ("~", i + 1), lambda i, j: ("+", ("arc-in", i), 0),
+                  lambda i, j: ("+", ("arc-out", i), 0), lambda i, j: _Made(0, j)]
+    tree_shapes = [lambda i, j: ("+", ("leaf", i), 0), lambda i, j: ("+", ("deg", i), 0),
+                   lambda i, j: ("@", i), lambda i, j: _Made(0, j)]
+
+    def names(ids, shapes):
+        ordered = sorted(ids, key=repr)
+        return {x: shapes[i % len(shapes)](i, len(ordered) + i // len(shapes))
+                for i, x in enumerate(ordered)}
 
     monkeypatch.setattr(S._FreeCore, "run", _always_stall)
     rng = random.Random(67)
-    for _ in range(6):
+    splits = made_tree_vertices = 0
+    for trial in range(12):
         seed = rng.randrange(10**6)
-        net, real = generate_network(seed, 6 + seed % 6, 3 + seed % 5, seed % 4, 2 + seed % 3)
-        vname = {v: ("@", "cut", i) for i, v in enumerate(sorted(net.vertices, key=repr))}
-        aname = {a.id: ("~", i + 1) for i, a in enumerate(net.graph.arcs)}
+        if trial % 2:
+            net, real = generate_network(seed, 6 + seed % 6, 3 + seed % 5, seed % 4, 2 + seed % 3)
+        else:
+            net, real = generate_network(seed, 6 + seed % 25, 3 + seed % 9, seed % 5, 4 + seed % 5)
+        vname = names(net.vertices, vertex_shapes)
+        aname = names([a.id for a in net.graph.arcs], arc_shapes)
+        tname = names(real.vertices, tree_shapes)
         net = make_net(list(vname.values()),
                        [(aname[a.id], vname[a.tail], vname[a.head]) for a in net.graph.arcs],
                        [vname[t] for t in net.terminals],
                        {aname[a]: c for a, c in net.capacity.items()})
-        real = make_real(sorted(real.vertices, key=repr),
-                         [(u, v, real.arc_length[(u, v)], real.arc_length[(v, u)]) for u, v in real.edges()],
-                         {vname[t]: sorted(s, key=repr) for t, s in real.subtrees.items()})
+        real = make_real(list(tname.values()),
+                         [(tname[u], tname[v], real.arc_length[(u, v)], real.arc_length[(v, u)])
+                          for u, v in real.edges()],
+                         {vname[t]: [tname[x] for x in sub] for t, sub in real.subtrees.items()})
         assert_solution_checks(net, real, solve(net, real))
+
+        net1, real1, rec = normalize(net, real)
+        assert dual_value(net1, real1) == dual_value(net, real)
+        # a made id equal to an input id would merge two vertices or arcs
+        # into one, or break the tree
+        assert len(net1.vertices) == len(net.vertices) + 2 * len(rec.splits)
+        assert len(net1.graph.arcs) == len(net.graph.arcs) + 2 * len(rec.splits)
+        assert net.vertices <= net1.vertices
+        RealizationTree.build(real1.vertices, [(u, v, real1.arc_length[(u, v)], real1.arc_length[(v, u)])
+                                               for u, v in real1.edges()], real1.subtrees)
+        splits += len(rec.splits)
+        made_tree_vertices += len(real1.vertices - real.vertices)
+    assert splits >= 3 and made_tree_vertices >= 3
