@@ -146,8 +146,7 @@ def dual_value(net: Network, real: RealizationTree) -> Fraction:
     inet = intern(net)
     num = inet.graph.ids.number
     total = Fraction(0)
-    for a in real.quasi_arcs():
-        ell = real.arc_length[a]
+    for a, ell in real.arc_length.items():
         pi = pi_set(real, net.terminals, a)
         if pi.empty or ell == 0:
             continue

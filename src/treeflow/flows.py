@@ -5,9 +5,9 @@ nonnegative integer arc functions into weighted simple paths.
 Each function here is the public boundary of a kernel in indexed.py: it
 checks its arguments, interns the network's graph, runs the kernel on
 numbers and maps the answer back to the network's own ids.  All routines
-are deterministic: arcs are scanned in the order they appear in the
-network, sources and sinks are taken in id order, and path peeling
-always follows the positive arc whose id comes first.
+are deterministic: arcs break ties in arc order, the order they appear
+in the network, and vertices in id order, so path peeling always
+follows the positive arc that comes first in the network's arc list.
 
 Every call interns the graph afresh and keeps nothing: a caller that
 runs many flows on one graph (dual_value) interns it once itself and
@@ -108,12 +108,13 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
               allowed_sinks: Iterable[VertexId]) -> List[TerminalPath]:
     """Peel a nonnegative integer arc function into weighted simple paths.
 
-    Walks start at vertices with positive remaining divergence, follow the
-    positive arc whose id comes first, and stop at the first allowed sink with
-    unmet demand.  Cycles encountered on the way are cancelled and
-    discarded, so the induced arc function of the result is bounded by f
-    and differs from it by a nonnegative circulation.  Each path is a
-    TerminalPath from its walk's first vertex to its last.
+    Walks start at vertices with positive remaining divergence, in id
+    order, follow the positive arc that comes first in the network's arc
+    list, and stop at the first allowed sink with unmet demand.  Cycles
+    met on the way are cancelled and discarded, so the induced arc
+    function of the result is bounded by f and differs from it by a
+    nonnegative circulation.  Each path is a TerminalPath from its walk's
+    first vertex to its last.
 
     A vertex listed both as source and sink takes the role its divergence
     sign dictates.  Any other vertex must have zero divergence.

@@ -91,10 +91,9 @@ def generate_instance(seed: int, n: int, cycles: int, pairs: int, tree_leaves: i
 
 def generate_network(seed: int, n: int, cycles: int, pairs: int,
                      tree_leaves: int) -> Tuple[Network, RealizationTree]:
-    if n < 2:
-        raise InputError("need at least two graph vertices", code="invalid-input")
-    if tree_leaves < 2:
-        raise InputError("need at least two tree leaves", code="invalid-input")
+    if n < 2 or cycles < 0 or pairs < 0 or tree_leaves < 2:
+        raise InputError(f"need n >= 2, cycles >= 0, pairs >= 0 and leaves >= 2, got {n}, {cycles}, "
+                         f"{pairs} and {tree_leaves}", code="invalid-input")
     rng = random.Random(seed)
 
     tnames, tedges, tleaves = random_tree(rng, tree_leaves)

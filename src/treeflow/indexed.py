@@ -17,11 +17,11 @@ pass, a vertex image plus an arc filter, and validates nothing: only
 the public entry points (graphs, flows, solver.solve) check input.
 
 Kernels speak numbers: vertex numbers, flows as one entry per arc
-position, paths as TerminalPaths of vertex and arc numbers.  Ties break
-by vertex number, which is id order on input vertices: Dinic scans arcs
-in arc order and attaches sources and sinks in number order; peeling
-starts at sources in number order and follows the positive arc whose id
-comes first.
+position, paths as TerminalPaths of vertex and arc numbers.  Arcs break
+ties in arc order and vertices by number, which is id order on input
+vertices: Dinic scans arcs in arc order and attaches sources and sinks
+in number order; peeling starts at sources in number order and follows
+the positive arc that comes first in arc order.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class IdTable:
     id order, and each vertex made afterwards takes the next number
     (new_vertex), so sorting vertex numbers is the tie order.  arc_ids[a]
     is the id of arc a: input arcs are numbered in arc order, made arcs
-    after them (new_arc); rank_arcs() gives each arc's place in id order.
-    number and arc_number map input ids to their numbers.
+    after them (new_arc), so arc numbers are the arc tie order.  number
+    and arc_number map input ids to their numbers.
     """
 
     def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
@@ -62,8 +62,6 @@ class IdTable:
         self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
         self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(self.vertex_ids))))
         self.arc_ids: List[Hashable] = list(arc_ids)
-        self._input_arcs = len(self.arc_ids)
-        self._arc_rank: Optional[List[int]] = None
         self._generation = 1 + max((x.generation for x in chain(self.vertex_ids, self.arc_ids)
                                     if x.__class__ is _Made), default=-1)
 
@@ -82,20 +80,6 @@ class IdTable:
     @cached_property
     def arc_number(self) -> Dict[Hashable, int]:
         return {a: i for i, a in enumerate(self.arc_ids)}
-
-    def rank_arcs(self) -> List[int]:
-        """Each arc's place in id order, sorted on the first call; made
-        arcs rank after every input arc, in the order they were made."""
-        rank = self._arc_rank
-        if rank is None:
-            keys = [sort_key(a) for a in self.arc_ids[:self._input_arcs]]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            rank = self._arc_rank = [0] * len(keys)
-            for r, a in zip(self.ints(len(keys)), order):
-                rank[a] = r
-        if len(rank) < len(self.arc_ids):
-            rank.extend(range(len(rank), len(self.arc_ids)))
-        return rank
 
     def new_vertex(self) -> int:
         """Number of a new vertex, after every vertex so far."""
@@ -413,9 +397,9 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
     """Peel a nonnegative integer flow on a graph (one entry per arc
     position) into weighted simple paths of vertex and arc numbers.
 
-    Walks start at vertices with positive remaining divergence, in id
-    order, follow the positive arc whose id comes first, and stop at the
-    first allowed sink with unmet demand.  Cycles met on the way are
+    Walks start at vertices with positive remaining divergence, in number
+    order, follow the positive arc that comes first in arc order, and stop
+    at the first allowed sink with unmet demand.  Cycles met on the way are
     cancelled and discarded, so the paths' arc function is bounded by f
     and differs from it by a nonnegative circulation.
 
@@ -428,7 +412,7 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
 
     remaining: Dict[int, int] = {}
     div: Dict[int, int] = {}
-    out_pos: Dict[int, List[int]] = {}
+    out_pos: Dict[int, List[int]] = {}  # each vertex's positive out-arcs in arc order
     for k, w in enumerate(f):
         if w:
             if w < 0:
@@ -451,9 +435,6 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
                 raise ContractViolation(f"negative divergence at non-sink {g.ids.vertex_ids[v]!r}")
             demand[v] = -d
 
-    arc_rank = g.ids.rank_arcs()
-    for lst in out_pos.values():
-        lst.sort(key=lambda k: arc_rank[arcs[k]])
     out_ptr: Dict[int, int] = {}
 
     def next_arc(v) -> Optional[int]:

@@ -131,8 +131,14 @@ class RealizationTree(_Sides):
     def edges(self) -> List[Tuple[TreeVertex, TreeVertex]]:
         return [(u, v) for u, v in self.quasi_arcs() if sort_key(u) < sort_key(v)]
 
-    def quasi_arcs(self) -> List[TreeArc]:
+    @cached_property
+    def _quasi_arcs(self) -> List[TreeArc]:
         return sorted(self.arc_length, key=lambda a: (sort_key(a[0]), sort_key(a[1])))
+
+    def quasi_arcs(self) -> List[TreeArc]:
+        """Both arcs of every edge by sort_key of (tail, head), sorted
+        once; the tree's own copy, not to be modified."""
+        return self._quasi_arcs
 
     def leaves(self) -> List[TreeVertex]:
         adj = self.adjacency()
@@ -343,11 +349,10 @@ class IntTree(_Sides):
 
 
 def intern_instance(net: Network, real: RealizationTree):
-    """The instance on numbers: the interned network, with its arcs ranked
-    in id order, the IdTable of the tree vertices (in id order), the
-    IntTree and its arc lengths.  Checks nothing."""
+    """The instance on numbers: the interned network, the IdTable of the
+    tree vertices (in id order), the IntTree and its arc lengths.  Checks
+    nothing."""
     inet = intern(net)
-    inet.graph.ids.rank_arcs()  # here at the boundary, not at the first peeling after it
     tree_ids = IdTable(real.vertices, ())
     tnum = tree_ids.number
     length = {(tnum[u], tnum[v]): ell for (u, v), ell in real.arc_length.items()}

@@ -14,8 +14,9 @@ the tree numbered too, in id order.  Normalization (realization.Reduction),
 the recursion, which contracts by relabelling, and the undo of the
 normalization then run on numbers and build no Network, Digraph or
 RealizationTree; paths and cuts return to ids once, at the end.  Ties
-break by number throughout: input vertices are numbered in id order, and
-each one made takes the next.
+break by number throughout: vertices by vertex number (input vertices are
+numbered in id order), arcs by arc number (arc order), and each vertex or
+arc made takes the next.
 """
 
 from __future__ import annotations
@@ -417,11 +418,11 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     t to the other terminals stays d+({t}) and the one into t stays
     d-({t}).  The core's trivial cuts are minimum, so the targets are the
     smallest d+(X) and d-(X) over the sets X that hold t and no other
-    terminal.  Vertices are emptied in id order; at each, the first pair
-    (in arcs before out arcs, each in id order) with a positive admissible
-    amount gets all of it.  A split makes no arc at an emptied vertex, so
-    one pass empties them all; then every arc joins two terminals and
-    expands back into a walk of original arcs.
+    terminal.  Vertices are emptied in number order; at each, the first
+    pair (in arcs before out arcs, each in arc order) with a positive
+    admissible amount gets all of it.  A split makes no arc at an emptied
+    vertex, so one pass empties them all; then every arc joins two
+    terminals and stands for its walk of core arcs.
 
     The split lowers d+(X) and d-(X) by exactly g when X separates v from
     u and w, and moves no other cut.  Two facts follow.
@@ -458,10 +459,11 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
       0.
 
     Arcs are keyed by their position in the core, bypasses by the next
-    keys.  Core arcs are tried in id order and each bypass after all of
-    them, in the order it was made; the trial networks list their arcs
-    in that order, and each vertex keeps its in and out arcs in it, so a
-    split reads only the arcs at its vertex.
+    keys, so key order is arc order: core arcs in the core's order, then
+    each bypass in the order it was made.  The trial networks list their
+    arcs in that order, and each vertex keeps its in and out arcs in it,
+    so a split reads only the arcs at its vertex.  Each bypass records its
+    walk of core arcs when it is made.
     """
     g = net.graph
     ids = g.ids
@@ -470,12 +472,10 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
     tails = list(g.tail)
     heads = list(g.head)
     cap = list(net.cap)
-    arc_rank = ids.rank_arcs()
-    prov: Dict[int, Tuple[int, int]] = {}
-    order = sorted(range(m), key=lambda i: arc_rank[g.arcs[i]])  # core arcs, then bypasses
+    walk: List[Dict[int, int]] = [{i: 1} for i in range(m)]  # the core arcs behind each key
     ins_of: Dict[int, List[int]] = {}  # per vertex, the arcs into it and out of it in order
     outs_of: Dict[int, List[int]] = {}
-    for i in order:
+    for i in range(m):
         ins_of.setdefault(heads[i], []).append(i)
         outs_of.setdefault(tails[i], []).append(i)
     out_target = {t: sum(cap[i] for i in outs_of.get(t, ())) for t in terms}
@@ -485,7 +485,7 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
         hi = min(cap[a_id], cap[b_id])
         cap[a_id] -= hi
         cap[b_id] -= hi
-        arcs = [i for i in order if cap[i] > 0]
+        arcs = [i for i, c in enumerate(cap) if c > 0]
         tail = [tails[i] for i in arcs]
         head = [heads[i] for i in arcs]
         caps = [cap[i] for i in arcs]
@@ -537,49 +537,22 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
                 tails.append(u)
                 heads.append(w)
                 cap.append(amount)
-                prov[nid] = (a_id, b_id)
-                order.append(nid)
+                walk.append(dict(walk[a_id]))
+                _add_arcfunc(walk[nid], walk[b_id])
                 outs_of.setdefault(u, []).append(nid)
                 ins_of.setdefault(w, []).append(nid)
 
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[int, int]] = {}
-    memo: Dict[int, Dict[int, int]] = {}
-    for aid in order:
-        if cap[aid] <= 0:
+    for u, w, c, arcs in zip(tails, heads, cap, walk):
+        if c <= 0:
             continue
-        u, w = tails[aid], heads[aid]
         if u not in tset or w not in tset or u == w:
             raise ContractViolation("splitting left capacity off the terminals")
         comp = flow.setdefault((index[u], index[w]), {})
-        for orig, mult in _expand_arc(aid, prov, memo).items():
-            comp[orig] = comp.get(orig, 0) + mult * cap[aid]
+        for orig, mult in arcs.items():
+            comp[orig] = comp.get(orig, 0) + mult * c
     return flow
-
-
-def _expand_arc(aid, prov, memo) -> Dict[int, int]:
-    """Arc multiset of original arcs behind a (possibly split) arc key."""
-    stack = [aid]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
-            continue
-        if cur not in prov:
-            memo[cur] = {cur: 1}
-            stack.pop()
-            continue
-        left, right = prov[cur]
-        missing = [x for x in (left, right) if x not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            merged = dict(memo[left])
-            for k, x in memo[right].items():
-                merged[k] = merged.get(k, 0) + x
-            memo[cur] = merged
-            stack.pop()
-    return memo[aid]
 
 
 def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int) -> Dict[int, int]:

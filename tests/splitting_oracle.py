@@ -22,9 +22,10 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     and expands back into a walk of original arcs.
 
     Arcs are keyed by their position in the core, bypasses by the next
-    keys.  Core arcs are tried in id order and each bypass after all of
-    them, in the order it was made; the trial networks list their arcs
-    in that order too.
+    keys.  Core arcs are tried in arc order (the core's order) and each
+    bypass after all of them, in the order it was made; the trial
+    networks list their arcs in that order too.  Vertices are emptied in
+    number order.
     """
     g = net.graph
     ids = g.ids
@@ -33,9 +34,8 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
     tails = list(g.tail)
     heads = list(g.head)
     cap = list(net.cap)
-    arc_rank = ids.rank_arcs()
     prov: Dict[int, Tuple[int, int]] = {}
-    order = sorted(range(m), key=lambda i: arc_rank[g.arcs[i]])  # core arcs, then bypasses
+    order = list(range(m))  # core arcs, then bypasses
     out_target = {t: sum(cap[i] for i in range(m) if tails[i] == t) for t in terms}
     in_target = {t: sum(cap[i] for i in range(m) if heads[i] == t) for t in terms}
 
@@ -127,12 +127,12 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
         if u not in tset or w not in tset or u == w:
             raise ContractViolation("splitting left capacity off the terminals")
         comp = flow.setdefault((index[u], index[w]), {})
-        for orig, mult in _expand_arc(aid, prov, memo).items():
+        for orig, mult in _core_arcs(aid, prov, memo).items():
             comp[orig] = comp.get(orig, 0) + mult * cap[aid]
     return flow
 
 
-def _expand_arc(aid, prov, memo) -> Dict[int, int]:
+def _core_arcs(aid, prov, memo) -> Dict[int, int]:
     """Arc multiset of original arcs behind a (possibly split) arc key."""
     stack = [aid]
     while stack:

@@ -89,6 +89,20 @@ def test_gen_then_solve(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == value
 
 
+@pytest.mark.parametrize("n, cycles, pairs, leaves", [
+    (5, -1, -2, 2),
+    (5, 3, -1, 2),
+    (1, 3, 1, 2),
+    (5, 3, 1, 1),
+])
+def test_gen_rejects_out_of_range_sizes(n, cycles, pairs, leaves, capsys):
+    assert main(["gen", "--seed", "1", "--n", str(n), "--cycles", str(cycles),
+                 "--pairs", str(pairs), "--leaves", str(leaves)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error (invalid-input)" in captured.err
+
+
 def test_bad_input_exit_code(tmp_path, instance_file, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")

@@ -162,6 +162,17 @@ def test_decompose_discards_disjoint_cycle():
     assert [(p.arcs, p.weight) for p in out] == [(("e1",), 1)]
 
 
+def test_decompose_breaks_ties_in_arc_order():
+    # v's out-arcs are listed against their id order: the first source
+    # takes the list-first out-arc
+    arcs = [("s1>v", "s1", "v"), ("s2>v", "s2", "v"), ("v>t2", "v", "t2"), ("v>t1", "v", "t1")]
+    net = make_net(["s1", "s2", "t1", "t2", "v"], arcs, ["s1", "s2", "t1", "t2"],
+                   {a: 1 for a, _u, _v in arcs})
+    out = decompose(net, {a: 1 for a, _u, _v in arcs}, ["s1", "s2"], ["t1", "t2"])
+    assert out == [TerminalPath("s1", "t2", ("s1>v", "v>t2"), 1),
+                   TerminalPath("s2", "t1", ("s2>v", "v>t1"), 1)]
+
+
 def test_decompose_rejects_bad_divergence():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 1})
     with pytest.raises(ContractViolation):
