@@ -141,7 +141,7 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
 def parse_instance(text: str) -> Tuple[Network, RealizationTree]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise InputError(f"not valid JSON: {exc}", code="malformed-document")
     return document_to_instance(doc)
 
@@ -195,7 +195,7 @@ def document_to_result(doc: dict):
 def parse_result(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
         raise InputError(f"not valid JSON: {exc}", code="malformed-document")
     return document_to_result(doc)
 

@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
-from .graphs import MAX_CAPACITY, Digraph, Network, TerminalPath, sort_key
+from .graphs import Digraph, Network, TerminalPath, sort_key
 
 
 @dataclass(frozen=True)
@@ -242,10 +242,7 @@ class _Dinic:
     def __init__(self, net: IntNetwork):
         g = net.graph
         caps = net.cap
-        total = sum(caps)
-        if total > MAX_CAPACITY:
-            raise ContractViolation("capacity sum exceeds 64-bit range")
-        self.inf = total + 1
+        self.inf = sum(caps) + 1
         self.m = len(caps)
         self.cap = [0] * (2 * self.m)
         self.cap[::2] = caps
@@ -372,19 +369,19 @@ def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int
     return frozenset(seen)
 
 
-def lex_max_flow(net: IntNetwork, source: int, primary_sink: int,
+def lex_max_flow(net: IntNetwork, source: int, primary_sinks: Iterable[int],
                  secondary_sinks: Iterable[int]) -> List[int]:
     """Maximum flow from source to all sinks that, among such maxima,
-    maximizes the net inflow at the primary sink.
+    maximizes the net inflow at the primary sinks.
 
-    Phase one saturates source -> primary alone; phase two keeps the same
-    residual state and augments toward the full sink set.  Phase two never
-    disturbs the primary inflow because the phase-one minimum cut stays
-    saturated.
+    Phase one saturates source -> primary sinks alone; phase two keeps the
+    same residual state and augments toward the full sink set.  Phase two
+    never disturbs the primary inflow because the phase-one minimum cut
+    stays saturated.
     """
     sec = sorted(set(secondary_sinks))
     d = _Dinic(net)
-    d.attach_super([source], [primary_sink])
+    d.attach_super([source], sorted(set(primary_sinks)))
     d.run()
     if sec:
         d.add_sinks(sec)

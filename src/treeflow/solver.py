@@ -590,18 +590,19 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
     return taken
 
 
-def _minimal_terminal_cuts(net: IntNetwork, stats: SolveStats) -> Dict[int, frozenset]:
-    """Inclusion-minimal minimum (t, S-t)-cuts; disjoint for inner-Eulerian nets."""
+def _minimal_terminal_cuts(net: IntNetwork, stats: SolveStats) -> Dict[int, Tuple[frozenset, List[int]]]:
+    """Each terminal's inclusion-minimal minimum (t, S-t)-cut side, disjoint
+    for inner-Eulerian nets, with the max flow that found it."""
     cuts = {}
     terms = sorted(net.terminals)
     for t in terms:
         others = [u for u in terms if u != t]
         stats.maxflow_calls += 1
         f, _v = max_flow(net, [t], others)
-        cuts[t] = min_cut_source_side(net, f, [t], sinks=others)
+        cuts[t] = (min_cut_source_side(net, f, [t], sinks=others), f)
     for i, a in enumerate(terms):
         for b in terms[i + 1:]:
-            if cuts[a] & cuts[b]:
+            if cuts[a][0] & cuts[b][0]:
                 raise ContractViolation("minimal terminal cuts overlap")
     return cuts
 
@@ -629,16 +630,16 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
              for t, side in sides.items()})
 
 
-def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
+def _free_imf_paths(net: IntNetwork, cuts: Dict[int, Tuple[frozenset, List[int]]],
                     misplaced: Dict[int, Sequence[int]], stats: SolveStats):
     """Path-form free multiflow, via cut contraction and region expansion.
 
-    cuts maps every terminal to its minimal cut side, misplaced maps a
-    terminal to the vertices its region must expel (usually none).  The
-    core flow between the contracted sides is stitched to each region's
-    flow through its boundary; a region's flow to and from its expelled
-    vertices is emitted as it is.  Returns the paths and every region's
-    cut side, which shrinks only where vertices were expelled.
+    cuts maps every terminal to its minimal cut side and the max flow that
+    found it, misplaced maps a terminal to the vertices its region must
+    expel (usually none).  The core flow between the contracted sides is
+    stitched to each region's flow through its boundary; a region's flow
+    to and from its expelled vertices is emitted as it is.  Returns the
+    paths and every region's side, which shrinks only where it expels.
     """
     ids = net.graph.ids
     terms = sorted(net.terminals)
@@ -646,7 +647,7 @@ def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
     core_term = {t: ids.new_vertex() for t in terms}
-    core_net = contract(net, {core_term[t]: cuts[t] for t in terms})
+    core_net = contract(net, {core_term[t]: cuts[t][0] for t in terms})
 
     core = _FreeCore(core_net, [core_term[t] for t in terms], stats)
     try:
@@ -660,26 +661,25 @@ def _free_imf_paths(net: IntNetwork, cuts: Dict[int, frozenset],
             core_paths += decompose(core_net.graph, _by_position(core_net, comp),
                                     [core.terms[i]], [core.terms[j]])
 
-    # expand every contracted side: each region's outside is one vertex z
+    # expand every side on net: a path ending or starting outside it crosses its boundary
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
     lead_out: List[TerminalPath] = []  # cut boundary -> terminal
     expelled: List[TerminalPath] = []  # terminal <-> misplaced vertex
     sides: Dict[int, frozenset] = {}
-    bound = 0
     for t in terms:
-        sides[t], z, region, forward, backward = repair_three_leaves(
-            net, t, cuts[t], misplaced.get(t, ()), stats)
-        bound += sum(region.cap[a] for a in region.graph.arcs_into(z))
+        side, f = cuts[t]
+        sides[t], forward, backward = repair_three_leaves(net, t, side, f, misplaced.get(t, ()), stats)
         for p in forward:
-            (lead_in if p.target == z else expelled).append(p)
+            (expelled if p.target in side else lead_in).append(p)
         for p in backward:
-            (lead_out if p.source == z else expelled).append(p)
+            (expelled if p.source in side else lead_out).append(p)
 
     full = _join_on_arc(_join_on_arc(lead_in, core_paths), lead_out)
     for p in full:
         if p.source == p.target:
             raise ContractViolation("free multiflow produced a closed path")
-    if sum(p.weight for p in full) != bound:
+    # a core terminal's out-capacity is the capacity of its cut
+    if sum(p.weight for p in full) != sum(core.sigma):
         raise ContractViolation("free multiflow value does not meet the cut bound")
     return full + expelled, sides
 
@@ -708,35 +708,34 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     return paths, cuts
 
 
-def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset,
+def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset, f: List[int],
                         q_terms: Sequence[int], stats: SolveStats):
-    """Expand one terminal's cut region, expelling the misplaced q_terms.
+    """Expand one terminal's cut region on net, expelling the misplaced q_terms.
 
-    Contracts everything outside the cut side into z and takes the
-    two-phase flow out of s_i that saturates the arcs into z first and
-    then reaches q_terms as far as it can; its capacity complement runs
-    from z and q_terms back to s_i.  With q_terms empty this is one max
-    flow and the side stays as it is; otherwise the side shrinks to the
-    minimal cut of the two-phase flow, which leaves q_terms outside.
-    Returns (side, z, region, forward, backward), the paths on the region.
+    f, the max flow out of s_i that found the side, fills every arc leaving
+    it and no arc entering it: its part on arcs out of side vertices runs
+    from s_i to the arcs leaving the side, and the capacity complement on
+    arcs into side vertices runs from the arcs entering it back to s_i.
+    With q_terms, the two-phase flow out of s_i, which saturates the arcs
+    leaving the side before it reaches q_terms, takes f's place (two max
+    flows) and the side shrinks to its minimal cut, which leaves q_terms
+    outside.  Returns (side, forward, backward), the paths out of and into s_i.
     """
-    q = list(q_terms)
-    z = net.graph.ids.new_vertex()
-    region = contract(net, {z: net.graph.vertices - side})
-    rg = region.graph
-    # capacity 0 forbids z's out-arcs: they belong to the backward flow
-    doctored = IntNetwork(rg, region.terminals,
-                          [0 if tail == z else c for tail, c in zip(rg.tail, region.cap)])
-    stats.maxflow_calls += 2 if q else 1
-    g = lex_max_flow(doctored, s_i, z, q)
-    new_side = min_cut_source_side(doctored, g, [s_i], sinks=[z] + q)
-    for a in rg.arcs_into(z):
-        if g[a] != region.cap[a]:
+    g = net.graph
+    leaving, entering = boundary(g, side)
+    ends = [*{g.head[k] for k in leaving}, *q_terms]
+    new_side = side
+    if q_terms:
+        stats.maxflow_calls += 2
+        f = lex_max_flow(net, s_i, [g.head[k] for k in leaving], q_terms)
+        new_side = min_cut_source_side(net, f, [s_i], sinks=ends)
+    for k in leaving:
+        if f[k] != net.cap[k]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    forward = decompose(rg, g, [s_i], [z] + q)
-    h = [c - used for c, used in zip(region.cap, g)]
-    backward = decompose(rg, h, [z] + q, [s_i])
-    return new_side, z, region, forward, backward
+    forward = decompose(g, [w if t in side else 0 for t, w in zip(g.tail, f)], [s_i], ends)
+    h = [c - w if v in side else 0 for v, c, w in zip(g.head, net.cap, f)]
+    backward = decompose(g, h, [*{g.tail[k] for k in entering}, *q_terms], [s_i])
+    return new_side, forward, backward
 
 
 def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
@@ -745,8 +744,8 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     Simple terminals on the same leaf merge into one representative.  A
     complex terminal that lies in a leaf's minimal cut but whose subtree
     misses that leaf is misplaced there: the free multiflow expands that
-    leaf's region with the two-phase flow that expels it, so each region
-    is solved once and its cut already separates correctly.
+    leaf's region with the two-phase flow that expels it, so its cut
+    already separates correctly; the other regions run no max flow.
     """
     adj = tree.adjacency()
     leaves = [v for v in sorted(tree.vertices) if len(adj[v]) == 1]
@@ -791,7 +790,7 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     # complex terminals trapped in a leaf's cut whose subtree misses that leaf
     misplaced = {}
     for i in range(nleaf):
-        q = [t for t in complexes if t in cuts[reps[i]] and leaves[i] not in tree.subtrees[t]]
+        q = [t for t in complexes if t in cuts[reps[i]][0] and leaves[i] not in tree.subtrees[t]]
         if q:
             misplaced[reps[i]] = sorted(q)
     paths, sides = _free_imf_paths(free_net, cuts, misplaced, stats)

@@ -132,8 +132,18 @@ def _star_real(terms):
     return RealizationTree.build(names, edges, subs)
 
 
-def test_criterion_4_free_multiflow_identity():
-    count = 0
+def test_criterion_4_free_multiflow_identity(monkeypatch):
+    import treeflow.solver as S
+
+    split = S._core_by_splitting
+    fallbacks = [0]
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(S, "_core_by_splitting", counted)
+    count = unsplit = 0
     for seed in range(1, 101):
         rng = random.Random(90_000 + seed)
         n = 6 + seed % 25
@@ -142,14 +152,22 @@ def test_criterion_4_free_multiflow_identity():
         terms = verts[:k]
         arcs, caps = superpose_walks(rng, verts, 3 + seed % 12, seed % 7, terms)
         net = Network(Digraph.build(verts, arcs), tuple(terms), caps)
-        mf, cuts = free_imf(net)
+        stats = S.SolveStats()
+        fallbacks[0] = 0
+        mf, cuts = free_imf(net, stats)
         total = sum(mf.component_value(net, p) for p in mf.pairs())
         expect = sum(max_flow(net, [t], [u for u in terms if u != t])[1] for t in terms)
         assert total == expect, f"seed {seed}: {total} != {expect}"
+        if not fallbacks[0]:
+            # one max flow per terminal for its cut and one for the bulk
+            # phase; each region expands the flow that found its cut
+            assert stats.maxflow_calls == 2 * len(terms), seed
+            unsplit += 1
         # the star realization with unit one-way lengths gives the same number
         real = _star_real(terms)
         assert mu_value(real, mf) == total
         count += 1
+    assert unsplit == 99  # seed 92's core falls back to splitting
     print(f"criterion 4 PASS: free multiflow value equals the cut sum on {count} instances")
 
 

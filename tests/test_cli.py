@@ -8,6 +8,15 @@ from treeflow.documents import serialize_instance
 from treeflow.generator import generate_network
 
 
+# json.dumps writes this string where a test wants an integer literal past
+# Python's 4,300-digit int-string limit, which json.dumps cannot write itself
+HUGE = "<integer of 4,301 digits>"
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(HUGE), "9" * 4301)
+
+
 @pytest.fixture
 def instance_file(tmp_path, e1):
     net, real = e1
@@ -148,18 +157,23 @@ def _forge_list_endpoint(doc):
     doc["paths"][0]["from"] = ["s"]
 
 
+def _forge_huge_weight(doc):
+    doc["paths"][0]["weight"] = HUGE
+
+
 @pytest.mark.parametrize("forge, code", [
     (_forge_extra_empty_path, 2),
     (_forge_relabelled_path, 2),
     (_forge_cancelling_pair, 2),
     (_forge_list_endpoint, 1),
+    (_forge_huge_weight, 1),
 ])
 def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, code):
     result = tmp_path / "r.json"
     assert main(["solve", str(instance_file), "--out", str(result)]) == 0
     doc = json.loads(result.read_text())
     forge(doc)
-    result.write_text(json.dumps(doc))
+    result.write_text(_dumps(doc))
     capsys.readouterr()
     assert main(["verify", str(instance_file), str(result)]) == code
     err = capsys.readouterr().err
@@ -191,6 +205,14 @@ def _string_subtree(doc):
     doc["subtrees"]["s"] = "v1"
 
 
+def _huge_capacity(doc):
+    doc["graph"]["arcs"][0]["cap"] = HUGE
+
+
+def _huge_length(doc):
+    doc["tree"]["edges"][0]["len_uv"] = HUGE
+
+
 @pytest.mark.parametrize("corrupt, code", [
     (_list_vertex, "malformed-document"),
     (_object_arc_id, "malformed-document"),
@@ -198,14 +220,48 @@ def _string_subtree(doc):
     (_list_tree_endpoint, "malformed-document"),
     (_boolean_length, "bad-rational"),
     (_string_subtree, "malformed-document"),
+    (_huge_capacity, "malformed-document"),
+    (_huge_length, "malformed-document"),
 ])
 def test_malformed_instance_is_input_error(tmp_path, instance_file, capsys, corrupt, code):
     doc = json.loads(instance_file.read_text())
     corrupt(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(_dumps(doc))
     assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().err.startswith(f"error ({code})")
+
+
+def _cycle_instance(tmp_path, cap):
+    """Arcs s->x, x->t and t->s of capacity cap, on one tree edge of
+    length 1 both ways: the value is 2 * cap."""
+    arcs = [("a", "s", "x"), ("b", "x", "t"), ("c", "t", "s")]
+    doc = {"graph": {"vertices": ["s", "t", "x"],
+                     "arcs": [{"id": a, "tail": u, "head": v, "cap": cap} for a, u, v in arcs]},
+           "terminals": ["s", "t"],
+           "tree": {"vertices": ["v1", "v2"],
+                    "edges": [{"u": "v1", "v": "v2", "len_uv": "1", "len_vu": "1"}]},
+           "subtrees": {"s": ["v1"], "t": ["v2"]}}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_capacities_summing_past_64_bits_solve_exactly(tmp_path, capsys):
+    # every capacity fits in 64 bits; their sum and the value do not
+    path = _cycle_instance(tmp_path, 6 * 10**18)
+    result = tmp_path / "r.json"
+    assert main(["solve", str(path), "--out", str(result)]) == 0
+    assert capsys.readouterr().out.strip() == "12000000000000000000"
+    assert main(["verify", str(path), str(result)]) == 0
+    capsys.readouterr()
+    assert main(["dual", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "12000000000000000000"
+
+
+def test_capacity_past_64_bits_is_input_error(tmp_path, capsys):
+    assert main(["solve", str(_cycle_instance(tmp_path, 2**63))]) == 1
+    assert capsys.readouterr().err.startswith("error (capacity-overflow)")
 
 
 def test_unexpected_exception_exits_3(instance_file, capsys, monkeypatch):

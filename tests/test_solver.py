@@ -21,6 +21,7 @@ from treeflow import (
     solve,
     verify_certificate,
 )
+from treeflow import indexed
 from treeflow.generator import generate_network
 from treeflow.indexed import intern
 from treeflow.realization import intern_instance
@@ -299,35 +300,49 @@ def test_free_imf_theorem_identity_randomized():
 
 
 def test_repair_keeps_capacity_complement():
-    # hand network: q sits inside the minimal cut of s1 and must be expelled
+    # hand network: q sits inside the minimal cut of s1 and must be expelled;
+    # as a sink of s1's max flow it lies outside that cut, with nothing to expel
     arcs = [("sq", "s1", "qv"), ("qs2", "qv", "s2"), ("qs1", "qv", "s1"),
             ("s2b", "s2", "s3")]
     net = make_net(["s1", "s2", "s3", "qv"], arcs, ["s1", "s2", "s3", "qv"],
                    {"sq": 2, "qs2": 1, "qs1": 1, "s2b": 1})
     inet = intern(net)
     num = inet.graph.ids.number
-    side = frozenset([num["s1"], num["qv"]])
-    stats = SolveStats()
-    new_side, z, region, fwd, back = repair_three_leaves(inet, num["s1"], side, [num["qv"]], stats)
+    ig = inet.graph
+
+    def expand(sinks, q_terms):
+        f, _value = indexed.max_flow(inet, [num["s1"]], [num[x] for x in sinks])
+        side = indexed.min_cut_source_side(inet, f, [num["s1"]])
+        stats = SolveStats()
+        new_side, fwd, back = repair_three_leaves(inet, num["s1"], side, f, q_terms, stats)
+        # forward plus backward flow reconstructs the capacity of every arc
+        # touching the side, arc by arc
+        g = {}
+        for p in fwd:
+            for aid in p.arcs:
+                g[aid] = g.get(aid, 0) + p.weight
+        h = {}
+        for p in back:
+            for aid in p.arcs:
+                h[aid] = h.get(aid, 0) + p.weight
+        for aid, tail, head, c in zip(ig.arcs, ig.tail, ig.head, inet.cap):
+            if tail in side or head in side:
+                assert g.get(aid, 0) + h.get(aid, 0) == c
+            # both boundary directions are fully used
+            if tail in side and head not in side:
+                assert g.get(aid, 0) == c
+            if head in side and tail not in side:
+                assert h.get(aid, 0) == c
+        return side, new_side, stats.maxflow_calls
+
+    side, new_side, calls = expand(["s2", "s3"], [num["qv"]])
+    assert side == {num["s1"], num["qv"]}
     assert num["qv"] not in new_side and num["s1"] in new_side
-    # forward plus backward flow reconstructs the region capacity arc by arc
-    g = {}
-    for p in fwd:
-        for aid in p.arcs:
-            g[aid] = g.get(aid, 0) + p.weight
-    h = {}
-    for p in back:
-        for aid in p.arcs:
-            h[aid] = h.get(aid, 0) + p.weight
-    rg = region.graph
-    for aid, c in zip(rg.arcs, region.cap):
-        assert g.get(aid, 0) + h.get(aid, 0) == c
-    # both boundary directions at z are fully used
-    for aid, tail, head, c in zip(rg.arcs, rg.tail, rg.head, region.cap):
-        if head == z:
-            assert g.get(aid, 0) == c
-        if tail == z:
-            assert h.get(aid, 0) == c
+    assert calls == 2
+    # the max flow that found the side carries the whole region: no flow runs
+    side, new_side, calls = expand(["s2", "s3", "qv"], [])
+    assert new_side == side == {num["s1"]}
+    assert calls == 0
 
 
 def test_base_three_with_misplaced_complex_terminal():
@@ -342,9 +357,9 @@ def test_base_three_with_misplaced_complex_terminal():
                       "qv": ["v2", "v0", "v3"]})
     out = solve(net, real)
     assert_solution_checks(net, real, out)
-    # 3 minimal cuts, 3 bulk flows in the free core and 3 regions, where
-    # s1's region takes a second phase to expel qv; each region is solved once
-    assert out.stats.maxflow_calls == 10
+    # 3 minimal cuts and 3 bulk flows in the free core; s1's region takes
+    # the two phases that expel qv, the others expand the flows of their cuts
+    assert out.stats.maxflow_calls == 8
     # separation for the repaired leaf: qv ends up outside the s1 cut
     side = out.certificate.cuts[("v1", "v0")]
     assert "s1" in side and "qv" not in side
@@ -558,33 +573,36 @@ def test_certificate_is_length_independent():
 # solver-made vertices sorted by made-up ids; numbered in creation order,
 # their free cores complete.  Seed 416 made 100 max flows while the
 # fallback tried its pairs in arc id order; in arc order it finds the
-# same splits with one trial fewer.
+# same splits with one trial fewer.  Every star base made one max flow more
+# per leaf region while regions were contracted networks with their own
+# flow; expanded from the max flows that found their cuts, only a region
+# that expels a misplaced terminal runs one (two phases).
 PINNED_WORK = {
-    25: ('130', 47, 3),
-    50: ('42', 26, 2),
-    75: ('43', 41, 4),
-    100: ('113/2', 15, 1),
-    125: ('107/2', 24, 2),
-    150: ('16', 26, 2),
-    175: ('35', 9, 0),
-    200: ('300', 44, 4),
-    225: ('14', 19, 1),
+    25: ('130', 34, 3),
+    50: ('42', 18, 2),
+    75: ('43', 30, 4),
+    100: ('113/2', 13, 1),
+    125: ('107/2', 18, 2),
+    150: ('16', 18, 2),
+    175: ('35', 6, 0),
+    200: ('300', 32, 4),
+    225: ('14', 13, 1),
     250: ('6', 1, 0),
-    275: ('43/2', 26, 2),
-    300: ('307/2', 49, 3),
-    325: ('70', 19, 1),
-    350: ('37', 6, 0),
-    375: ('83/2', 29, 2),
+    275: ('43/2', 18, 2),
+    300: ('307/2', 34, 3),
+    325: ('70', 13, 1),
+    350: ('37', 4, 0),
+    375: ('83/2', 20, 2),
     400: ('14', 1, 0),
-    425: ('20', 26, 2),
-    450: ('2', 16, 1),
-    475: ('38', 16, 1),
-    500: ('195', 9, 0),
-    239: ('41/2', 152, 2),
-    416: ('23', 99, 2),
-    493: ('4', 57, 0),
-    124: ('55', 46, 3),
-    215: ('219/2', 79, 4),
+    425: ('20', 18, 2),
+    450: ('2', 11, 1),
+    475: ('38', 11, 1),
+    500: ('195', 6, 0),
+    239: ('41/2', 145, 2),
+    416: ('23', 92, 2),
+    493: ('4', 54, 0),
+    124: ('55', 32, 3),
+    215: ('219/2', 55, 4),
 }
 
 
