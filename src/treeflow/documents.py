@@ -9,6 +9,7 @@ written as "p/q" strings so round trips stay exact.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -20,20 +21,26 @@ from .realization import RealizationTree
 
 
 def format_rational(x: Fraction) -> str:
+    # Decimal prints an integer of any length; str(int) stops at the
+    # interpreter's int-string limit
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
+        # Decimal reads digit strings of any length, where int(str) and
+        # Fraction(str) stop at the int-string limit
+        num, slash, den = text.partition("/")
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational literal {text!r}", code="bad-rational")
+            value = Fraction(Decimal(num))
+            return value / Fraction(Decimal(den)) if slash else value
+        except (ArithmeticError, ValueError):  # a bad literal, a zero denominator, inf or nan
+            pass
     raise InputError(f"bad rational literal {text!r}", code="bad-rational")
 
 
@@ -110,13 +117,8 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
         aid = _expect(a, "id", _ID, "arc")
         tail = _expect(a, "tail", _ID, "arc")
         head = _expect(a, "head", _ID, "arc")
-        cap = _expect(a, "cap", None, "arc")
-        if not isinstance(cap, int) or isinstance(cap, bool):
-            raise InputError(f"capacity of arc {aid!r} must be an integer", code="non-integer-capacity")
-        if cap < 0:
-            raise InputError(f"capacity of arc {aid!r} is negative", code="negative-capacity")
         arcs.append((aid, tail, head))
-        caps[aid] = cap
+        caps[aid] = _expect(a, "cap", None, "arc")
     terminals = tuple(_expect_ids(doc, "terminals", "document"))
     net = Network(Digraph.build(vertices, arcs), terminals, caps)
 
@@ -141,7 +143,8 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
 def parse_instance(text: str) -> Tuple[Network, RealizationTree]:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+    # JSONDecodeError, an integer past the int-string limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}", code="malformed-document")
     return document_to_instance(doc)
 
@@ -195,7 +198,8 @@ def document_to_result(doc: dict):
 def parse_result(text: str):
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the int-string limit
+    # JSONDecodeError, an integer past the int-string limit, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}", code="malformed-document")
     return document_to_result(doc)
 

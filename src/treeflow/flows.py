@@ -100,7 +100,7 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
     _check_endpoint_sets(net, [source], sec | {primary_sink})
     inet = intern(net)
     num = inet.graph.ids.number
-    flow = indexed.lex_max_flow(inet, num[source], [num[primary_sink]], [num[v] for v in sec])
+    flow = indexed.lex_max_flow(inet, [num[source]], [num[primary_sink]], [num[v] for v in sec])
     return _by_arc_id(inet.graph, flow)
 
 

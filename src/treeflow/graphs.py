@@ -106,15 +106,16 @@ class Network:
             if t not in vset:
                 raise InputError(f"terminal {t!r} is not a vertex", code="dangling-reference")
         for a in self.graph.arcs:
-            c = self.capacity.get(a.id)
-            if c is None:
+            if self.capacity.get(a.id) is None:
                 raise InputError(f"arc {a.id!r} has no capacity", code="missing-capacity")
+        # every entry, also those of loops, which the graph drops
+        for aid, c in self.capacity.items():
             if not isinstance(c, int) or isinstance(c, bool):
-                raise InputError(f"capacity of arc {a.id!r} is not an integer", code="non-integer-capacity")
+                raise InputError(f"capacity of arc {aid!r} is not an integer", code="non-integer-capacity")
             if c < 0:
-                raise InputError(f"capacity of arc {a.id!r} is negative", code="negative-capacity")
+                raise InputError(f"capacity of arc {aid!r} is negative", code="negative-capacity")
             if c > MAX_CAPACITY:
-                raise InputError(f"capacity of arc {a.id!r} exceeds 64-bit range", code="capacity-overflow")
+                raise InputError(f"capacity of arc {aid!r} exceeds 64-bit range", code="capacity-overflow")
 
     @property
     def vertices(self) -> frozenset:

@@ -369,19 +369,19 @@ def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int
     return frozenset(seen)
 
 
-def lex_max_flow(net: IntNetwork, source: int, primary_sinks: Iterable[int],
+def lex_max_flow(net: IntNetwork, sources: Iterable[int], primary_sinks: Iterable[int],
                  secondary_sinks: Iterable[int]) -> List[int]:
-    """Maximum flow from source to all sinks that, among such maxima,
-    maximizes the net inflow at the primary sinks.
+    """Maximum flow from a source set to all sinks that, among such
+    maxima, maximizes the net inflow at the primary sinks.
 
-    Phase one saturates source -> primary sinks alone; phase two keeps the
-    same residual state and augments toward the full sink set.  Phase two
-    never disturbs the primary inflow because the phase-one minimum cut
-    stays saturated.
+    Phase one saturates sources -> primary sinks alone; phase two keeps
+    the same residual state and augments toward the full sink set.  Phase
+    two never disturbs the primary inflow because the phase-one minimum
+    cut stays saturated.
     """
     sec = sorted(set(secondary_sinks))
     d = _Dinic(net)
-    d.attach_super([source], sorted(set(primary_sinks)))
+    d.attach_super(sorted(set(sources)), sorted(set(primary_sinks)))
     d.run()
     if sec:
         d.add_sinks(sec)

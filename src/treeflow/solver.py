@@ -158,8 +158,12 @@ class _FreeCore:
         self.out_total = [0] * len(self.terms)
 
     def run(self) -> Dict[Tuple[int, int], Dict[int, int]]:
+        """The core flow, or _AugmentationStall past a budget free of
+        capacities: at most n·k augmentations on n vertices and k terminals,
+        each of at most 8(n·k+8) walk searches (_augment), each a BFS over
+        at most n·k states.  Splitting, which takes over, is capacity-free too."""
         self._bulk()
-        guard = sum(self.sigma) + 1
+        guard = len(self.graph.vertices) * len(self.terms)
         while True:
             lacking = next((i for i in range(len(self.terms)) if self.out_total[i] < self.sigma[i]), None)
             if lacking is None:
@@ -229,23 +233,9 @@ class _FreeCore:
         """
         g = self.graph
         tail, head, used, cap, index = g.tail, g.head, self.used, self.cap, self.index
-        parents = {}
-        q = deque()
-        if vertex is None:
-            start = self.terms[kappa]
-            for a in g.arcs_out(start):
-                if used[a] < cap[a]:
-                    st = (head[a], kappa)
-                    if st not in parents:
-                        parents[st] = (None, ("fwd", a, None))
-                        if head[a] in index and head[a] != start:
-                            return self._rebuild(parents, st)
-                        if head[a] not in index:
-                            q.append(st)
-        else:
-            seed = (vertex, kappa)
-            parents[seed] = (None, None)
-            q.append(seed)
+        seed = (self.terms[kappa] if vertex is None else vertex, kappa)
+        parents = {seed: (None, None)}
+        q = deque([seed])
         while q:
             state = q.popleft()
             v, kap = state
@@ -355,10 +345,16 @@ class _FreeCore:
         g = self.graph
         for kind, a, donor_key in moves:
             if kind == "fwd":
-                if self.used[a] + width > self.cap[a]:
-                    if width > 1:
-                        raise ContractViolation("bundled walk went stale")
-                    return "dangling", kappa, position, prefix
+                stale = self.used[a] + width > self.cap[a]
+            else:
+                k, l = donor_key
+                donor = self.flow.get(donor_key, {})
+                stale = l == kappa or donor.get(a, 0) < width
+            if stale:
+                if width > 1:
+                    raise ContractViolation("bundled walk went stale")
+                return "dangling", kappa, position, prefix
+            if kind == "fwd":
                 prefix[a] = prefix.get(a, 0) + width
                 self.used[a] += width
                 position = g.head[a]
@@ -369,41 +365,23 @@ class _FreeCore:
                     _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
                     self.out_total[kappa] += width
                     return "done", kappa, None, {}
-            elif kind == "rev":
-                k, l = donor_key
-                donor = self.flow.get((k, l), {})
-                if l == kappa or donor.get(a, 0) < width:
-                    if width > 1:
-                        raise ContractViolation("bundled walk went stale")
-                    return "dangling", kappa, position, prefix
-                donor[a] -= width
+                continue
+            donor[a] -= width
+            if kind == "rev":
                 self.used[a] -= width
-                # the carried half joins the donor's abandoned tail
-                tail_piece = _extract(donor, g, g.head[a], self.terms[l], width)
-                target = self.flow.setdefault((kappa, l), {})
-                _add_arcfunc(target, prefix)
-                _add_arcfunc(target, tail_piece)
-                self.out_total[kappa] += width
-                # pick up the donor's head half and keep walking for it
-                prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
-                self.out_total[k] -= width
-                kappa = k
-                position = g.tail[a]
-            else:  # displace a full arrival arc
-                k, j = donor_key
-                donor = self.flow.get((k, j), {})
-                if j == kappa or donor.get(a, 0) < width:
-                    if width > 1:
-                        raise ContractViolation("bundled walk went stale")
-                    return "dangling", kappa, position, prefix
-                donor[a] -= width
+            else:  # displacing a full arrival arc: the walk takes it over
                 prefix[a] = prefix.get(a, 0) + width
-                _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
-                self.out_total[kappa] += width
-                prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
-                self.out_total[k] -= width
-                kappa = k
-                position = g.tail[a]
+            # the carried half joins the donor's abandoned tail, which is
+            # empty after a displacement: its arc ends at l's terminal
+            target = self.flow.setdefault((kappa, l), {})
+            _add_arcfunc(target, prefix)
+            _add_arcfunc(target, _extract(donor, g, g.head[a], self.terms[l], width))
+            self.out_total[kappa] += width
+            # pick up the donor's head half and keep walking for it
+            prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
+            self.out_total[k] -= width
+            kappa = k
+            position = g.tail[a]
         if prefix:
             raise ContractViolation("augmenting walk ended with a dangling unit")
         return "done", kappa, None, {}
@@ -590,19 +568,20 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
     return taken
 
 
-def _minimal_terminal_cuts(net: IntNetwork, stats: SolveStats) -> Dict[int, Tuple[frozenset, List[int]]]:
-    """Each terminal's inclusion-minimal minimum (t, S-t)-cut side, disjoint
-    for inner-Eulerian nets, with the max flow that found it."""
-    cuts = {}
-    terms = sorted(net.terminals)
-    for t in terms:
-        others = [u for u in terms if u != t]
+def _minimal_terminal_cuts(net: IntNetwork, groups: Sequence[Sequence[int]],
+                           stats: SolveStats) -> List[Tuple[frozenset, List[int]]]:
+    """Each terminal group's inclusion-minimal minimum cut side against the
+    other groups, disjoint for inner-Eulerian nets, with the max flow from
+    the whole group that found it."""
+    cuts = []
+    for i, group in enumerate(groups):
+        others = [u for j, other in enumerate(groups) if j != i for u in other]
         stats.maxflow_calls += 1
-        f, _v = max_flow(net, [t], others)
-        cuts[t] = (min_cut_source_side(net, f, [t], sinks=others), f)
-    for i, a in enumerate(terms):
-        for b in terms[i + 1:]:
-            if cuts[a][0] & cuts[b][0]:
+        f, _v = max_flow(net, group, others)
+        cuts.append((min_cut_source_side(net, f, group, sinks=others), f))
+    for i, (a, _f) in enumerate(cuts):
+        for b, _g in cuts[i + 1:]:
+            if a & b:
                 raise ContractViolation("minimal terminal cuts overlap")
     return cuts
 
@@ -624,32 +603,36 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
     inet = intern(net)
     ids = inet.graph.ids
-    paths, sides = _free_imf_paths(inet, _minimal_terminal_cuts(inet, stats), {}, stats)
+    groups = [[t] for t in sorted(inet.terminals)]
+    paths, sides = _free_imf_paths(inet, groups, _minimal_terminal_cuts(inet, groups, stats), {}, stats)
     return (Multiflow(tuple(map(ids.path_ids, paths))),
             {ids.vertex_ids[t]: Cut(frozenset([ids.vertex_ids[v] for v in side]))
-             for t, side in sides.items()})
+             for (t,), side in zip(groups, sides)})
 
 
-def _free_imf_paths(net: IntNetwork, cuts: Dict[int, Tuple[frozenset, List[int]]],
+def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
+                    cuts: List[Tuple[frozenset, List[int]]],
                     misplaced: Dict[int, Sequence[int]], stats: SolveStats):
     """Path-form free multiflow, via cut contraction and region expansion.
 
-    cuts maps every terminal to its minimal cut side and the max flow that
-    found it, misplaced maps a terminal to the vertices its region must
-    expel (usually none).  The core flow between the contracted sides is
-    stitched to each region's flow through its boundary; a region's flow
-    to and from its expelled vertices is emitted as it is.  Returns the
-    paths and every region's side, which shrinks only where it expels.
+    groups lists the terminals of the free multiflow, each a group of
+    vertices at distance zero from each other, in the core's terminal
+    order.  cuts holds every group's minimal cut side and the max flow
+    that found it, misplaced maps a group's index to the vertices its
+    region must expel (usually none).  The core flow between the
+    contracted sides is stitched to each region's flow through its
+    boundary, so every path runs between members of two groups; a region's
+    flow to and from its expelled vertices is emitted as it is.  Returns
+    the paths and every group's side, which shrinks only where it expels.
     """
     ids = net.graph.ids
-    terms = sorted(net.terminals)
 
     # contract every cut side; the remaining network needs all terminal
     # capacity saturated, which the augmentation core guarantees
-    core_term = {t: ids.new_vertex() for t in terms}
-    core_net = contract(net, {core_term[t]: cuts[t][0] for t in terms})
+    core_terms = [ids.new_vertex() for _group in groups]
+    core_net = contract(net, {z: side for z, (side, _f) in zip(core_terms, cuts)})
 
-    core = _FreeCore(core_net, [core_term[t] for t in terms], stats)
+    core = _FreeCore(core_net, core_terms, stats)
     try:
         core_flow = core.run()
     except _AugmentationStall:
@@ -665,10 +648,10 @@ def _free_imf_paths(net: IntNetwork, cuts: Dict[int, Tuple[frozenset, List[int]]
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
     lead_out: List[TerminalPath] = []  # cut boundary -> terminal
     expelled: List[TerminalPath] = []  # terminal <-> misplaced vertex
-    sides: Dict[int, frozenset] = {}
-    for t in terms:
-        side, f = cuts[t]
-        sides[t], forward, backward = repair_three_leaves(net, t, side, f, misplaced.get(t, ()), stats)
+    sides: List[frozenset] = []
+    for i, (group, (side, f)) in enumerate(zip(groups, cuts)):
+        new_side, forward, backward = repair_three_leaves(net, group, side, f, misplaced.get(i, ()), stats)
+        sides.append(new_side)
         for p in forward:
             (expelled if p.target in side else lead_in).append(p)
         for p in backward:
@@ -708,18 +691,19 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     return paths, cuts
 
 
-def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset, f: List[int],
+def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, f: List[int],
                         q_terms: Sequence[int], stats: SolveStats):
-    """Expand one terminal's cut region on net, expelling the misplaced q_terms.
+    """Expand one terminal group's cut region on net, expelling the misplaced q_terms.
 
-    f, the max flow out of s_i that found the side, fills every arc leaving
-    it and no arc entering it: its part on arcs out of side vertices runs
-    from s_i to the arcs leaving the side, and the capacity complement on
-    arcs into side vertices runs from the arcs entering it back to s_i.
-    With q_terms, the two-phase flow out of s_i, which saturates the arcs
-    leaving the side before it reaches q_terms, takes f's place (two max
-    flows) and the side shrinks to its minimal cut, which leaves q_terms
-    outside.  Returns (side, forward, backward), the paths out of and into s_i.
+    f, the max flow out of the group that found the side, fills every arc
+    leaving it and no arc entering it or a member: its part on arcs out of
+    side vertices runs from the group to the arcs leaving the side, and the
+    capacity complement on arcs into side vertices runs from the arcs
+    entering it back to the group.  With q_terms, the two-phase flow out of
+    the group, which saturates the arcs leaving the side before it reaches
+    q_terms, takes f's place (two max flows) and the side shrinks to its
+    minimal cut, which leaves q_terms outside.  Returns (side, forward,
+    backward), the paths out of and into the group.
     """
     g = net.graph
     leaving, entering = boundary(g, side)
@@ -727,25 +711,31 @@ def repair_three_leaves(net: IntNetwork, s_i: int, side: frozenset, f: List[int]
     new_side = side
     if q_terms:
         stats.maxflow_calls += 2
-        f = lex_max_flow(net, s_i, [g.head[k] for k in leaving], q_terms)
-        new_side = min_cut_source_side(net, f, [s_i], sinks=ends)
+        f = lex_max_flow(net, group, [g.head[k] for k in leaving], q_terms)
+        new_side = min_cut_source_side(net, f, group, sinks=ends)
     for k in leaving:
         if f[k] != net.cap[k]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    forward = decompose(g, [w if t in side else 0 for t, w in zip(g.tail, f)], [s_i], ends)
-    h = [c - w if v in side else 0 for v, c, w in zip(g.head, net.cap, f)]
-    backward = decompose(g, h, [*{g.tail[k] for k in entering}, *q_terms], [s_i])
+    forward = decompose(g, [w if t in side else 0 for t, w in zip(g.tail, f)], group, ends)
+    # members have distance zero: the complement skips arcs between them and
+    # drops paths from one member to another, circulations through the group
+    members = set(group)
+    h = [c - w if v in side and not (t in members and v in members) else 0
+         for t, v, c, w in zip(g.tail, g.head, net.cap, f)]
+    backward = [p for p in decompose(g, h, [*{g.tail[k] for k in entering}, *q_terms, *group], group)
+                if p.source not in members]
     return new_side, forward, backward
 
 
 def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     """Star tree (two or three leaves): a free multiflow on the leaf terminals.
 
-    Simple terminals on the same leaf merge into one representative.  A
-    complex terminal that lies in a leaf's minimal cut but whose subtree
-    misses that leaf is misplaced there: the free multiflow expands that
-    leaf's region with the two-phase flow that expels it, so its cut
-    already separates correctly; the other regions run no max flow.
+    The simple terminals on one leaf have distance zero to each other, so
+    they form one terminal group of the free multiflow.  A complex
+    terminal that lies in a leaf's minimal cut but whose subtree misses
+    that leaf is misplaced there: the free multiflow expands that leaf's
+    region with the two-phase flow that expels it, so its cut already
+    separates correctly; the other regions run no max flow.
     """
     adj = tree.adjacency()
     leaves = [v for v in sorted(tree.vertices) if len(adj[v]) == 1]
@@ -753,10 +743,8 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     if len(centers) != 1 or len(leaves) + 1 != len(tree.vertices):
         raise ContractViolation("star base called on a non-star tree")
     center = centers[0]
-    nleaf = len(leaves)
-    ids = net.graph.ids
 
-    simples: Dict[int, List[int]] = {i: [] for i in range(nleaf)}
+    groups: List[List[int]] = [[] for _leaf in leaves]
     complexes: List[int] = []
     for t in net.terminals:
         sub = tree.subtrees[t]
@@ -764,55 +752,30 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
         if len(sub) == 1:
             if sub == {center}:
                 raise ContractViolation("simple terminal at the star center")
-            simples[hit[0]].append(t)
-        elif len(hit) < nleaf:
+            groups[hit[0]].append(t)
+        elif len(hit) < len(leaves):
             complexes.append(t)
         # subtrees touching every leaf have distance zero to everything
+    if not all(groups):
+        raise ContractViolation("star leaf without a simple terminal")
+    # the core's terminal order: lone terminals by number, then larger
+    # groups in leaf order; the order decides which walks the core finds
+    order = sorted(range(len(leaves)), key=lambda i: (0, groups[i][0]) if len(groups[i]) == 1 else (1, i))
+    leaves = [leaves[i] for i in order]
+    groups = [groups[i] for i in order]
 
-    # merge similar simple terminals into one representative per leaf
-    merged = net
-    groups: Dict[int, List[int]] = {}
-    reps: List[int] = []
-    for i in range(nleaf):
-        if not simples[i]:
-            raise ContractViolation("star leaf without a simple terminal")
-        bunch = sorted(simples[i])
-        if len(bunch) == 1:
-            reps.append(bunch[0])
-            continue
-        m = ids.new_vertex()
-        merged = contract(merged, {m: bunch})
-        groups[m] = bunch
-        reps.append(m)
-
-    free_net = IntNetwork(merged.graph, tuple(reps), merged.cap)
-    cuts = _minimal_terminal_cuts(free_net, stats)
+    cuts = _minimal_terminal_cuts(net, groups, stats)
     # complex terminals trapped in a leaf's cut whose subtree misses that leaf
     misplaced = {}
-    for i in range(nleaf):
-        q = [t for t in complexes if t in cuts[reps[i]][0] and leaves[i] not in tree.subtrees[t]]
+    for i, leaf in enumerate(leaves):
+        q = [t for t in complexes if t in cuts[i][0] and leaf not in tree.subtrees[t]]
         if q:
-            misplaced[reps[i]] = sorted(q)
-    paths, sides = _free_imf_paths(free_net, cuts, misplaced, stats)
-
-    def widen(side: frozenset) -> frozenset:
-        out = set()
-        for v in side:
-            out.update(groups.get(v, [v]))
-        return frozenset(out)
-
-    if groups:
-        # undo the merge: endpoints are read off the original arc endpoints
-        g = net.graph
-        position = g.position
-        paths = [TerminalPath(g.tail[position[p.arcs[0]]], g.head[position[p.arcs[-1]]],
-                              p.arcs, p.weight)
-                 for p in paths]
+            misplaced[i] = sorted(q)
+    paths, sides = _free_imf_paths(net, groups, cuts, misplaced, stats)
     cuts_out: CutMap = {}
-    for i in range(nleaf):
-        side = widen(sides[reps[i]])
-        cuts_out[(leaves[i], center)] = side
-        cuts_out[(center, leaves[i])] = net.graph.vertices - side
+    for leaf, side in zip(leaves, sides):
+        cuts_out[(leaf, center)] = side
+        cuts_out[(center, leaf)] = net.graph.vertices - side
     return paths, cuts_out
 
 

@@ -213,6 +213,15 @@ def _huge_length(doc):
     doc["tree"]["edges"][0]["len_uv"] = HUGE
 
 
+def _negative_loop_capacity(doc):
+    # the graph drops loops, so only the capacity check sees this arc
+    doc["graph"]["arcs"].append({"id": "loop", "tail": "s", "head": "s", "cap": -4})
+
+
+def _fractional_loop_capacity(doc):
+    doc["graph"]["arcs"].append({"id": "loop", "tail": "s", "head": "s", "cap": 1.5})
+
+
 @pytest.mark.parametrize("corrupt, code", [
     (_list_vertex, "malformed-document"),
     (_object_arc_id, "malformed-document"),
@@ -222,6 +231,8 @@ def _huge_length(doc):
     (_string_subtree, "malformed-document"),
     (_huge_capacity, "malformed-document"),
     (_huge_length, "malformed-document"),
+    (_negative_loop_capacity, "negative-capacity"),
+    (_fractional_loop_capacity, "non-integer-capacity"),
 ])
 def test_malformed_instance_is_input_error(tmp_path, instance_file, capsys, corrupt, code):
     doc = json.loads(instance_file.read_text())
@@ -232,15 +243,25 @@ def test_malformed_instance_is_input_error(tmp_path, instance_file, capsys, corr
     assert capsys.readouterr().err.startswith(f"error ({code})")
 
 
-def _cycle_instance(tmp_path, cap):
+@pytest.mark.parametrize("command", ["solve", "dual", "verify"])
+def test_deeply_nested_document_is_input_error(tmp_path, instance_file, capsys, command):
+    # json.loads gives up on nesting this deep with a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    files = [instance_file, deep] if command == "verify" else [deep]
+    assert main([command, *map(str, files)]) == 1
+    assert capsys.readouterr().err.startswith("error (malformed-document)")
+
+
+def _cycle_instance(tmp_path, cap, len_uv="1"):
     """Arcs s->x, x->t and t->s of capacity cap, on one tree edge of
-    length 1 both ways: the value is 2 * cap."""
+    length len_uv from v1 to v2 and 1 back: the value is cap * (len_uv + 1)."""
     arcs = [("a", "s", "x"), ("b", "x", "t"), ("c", "t", "s")]
     doc = {"graph": {"vertices": ["s", "t", "x"],
                      "arcs": [{"id": a, "tail": u, "head": v, "cap": cap} for a, u, v in arcs]},
            "terminals": ["s", "t"],
            "tree": {"vertices": ["v1", "v2"],
-                    "edges": [{"u": "v1", "v": "v2", "len_uv": "1", "len_vu": "1"}]},
+                    "edges": [{"u": "v1", "v": "v2", "len_uv": len_uv, "len_vu": "1"}]},
            "subtrees": {"s": ["v1"], "t": ["v2"]}}
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(doc))
@@ -257,6 +278,20 @@ def test_capacities_summing_past_64_bits_solve_exactly(tmp_path, capsys):
     capsys.readouterr()
     assert main(["dual", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "12000000000000000000"
+
+
+def test_value_past_the_int_string_limit_is_exact(tmp_path, capsys):
+    # a 4,300-digit length gives a 4,301-digit value, longer than str(int)
+    # and int(str) convert
+    path = _cycle_instance(tmp_path, 3, "9" * 4300)
+    value = "3" + "0" * 4300
+    result = tmp_path / "r.json"
+    assert main(["solve", str(path), "--out", str(result)]) == 0
+    assert json.loads(result.read_text())["value"] == value
+    assert main(["verify", str(path), str(result)]) == 0
+    capsys.readouterr()
+    assert main(["dual", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == value
 
 
 def test_capacity_past_64_bits_is_input_error(tmp_path, capsys):

@@ -103,9 +103,14 @@ def test_accepted_results_state_the_optimum(inst, data):
                 assert Fraction(doc["value"]) == optimum
 
 
+# DEEP stands for an array nested 200,000 deep, which json.dumps cannot
+# write; LONG, as a tree length, makes a value longer than the 4,300 digits
+# that str(int) prints
+DEEP = "<array nested 200,000 deep>"
+LONG = "9" * 4300
 _json_leaves = (st.none() | st.booleans() | st.integers(-2, 2**64)
                 | st.floats(allow_infinity=True, allow_nan=True)
-                | st.sampled_from(["", "x0", "x1", "v0", "1/0", "-1", "3/2", "x0>x1"]))
+                | st.sampled_from(["", "x0", "x1", "v0", "1/0", "-1", "3/2", "x0>x1", DEEP, LONG]))
 json_values = st.recursive(_json_leaves,
                            lambda inner: st.lists(inner, max_size=3)
                            | st.dictionaries(st.sampled_from(["id", "tail", "u", "x0"]), inner,
@@ -145,7 +150,7 @@ def test_mutated_instances_exit_zero_or_one(inst, data):
         _mutate_instance(inst, data)
     with tempfile.TemporaryDirectory() as tmp:
         inst_file = Path(tmp) / "instance.json"
-        inst_file.write_text(json.dumps(inst))
+        inst_file.write_text(json.dumps(inst).replace(json.dumps(DEEP), "[" * 200_000 + "]" * 200_000))
         solved, value = _run(["solve", str(inst_file)])
         dualized, bound = _run(["dual", str(inst_file)])
     assert solved in (0, 1) and dualized in (0, 1)

@@ -28,12 +28,9 @@ from treeflow.realization import intern_instance
 from treeflow.solver import (
     SolveStats,
     aggregate,
-    base_three_leaves,
     base_two_vertices,
-    partition_step,
     repair_three_leaves,
     _external,
-    _free_imf_paths,
 )
 
 from builders import make_net, make_real
@@ -314,7 +311,7 @@ def test_repair_keeps_capacity_complement():
         f, _value = indexed.max_flow(inet, [num["s1"]], [num[x] for x in sinks])
         side = indexed.min_cut_source_side(inet, f, [num["s1"]])
         stats = SolveStats()
-        new_side, fwd, back = repair_three_leaves(inet, num["s1"], side, f, q_terms, stats)
+        new_side, fwd, back = repair_three_leaves(inet, [num["s1"]], side, f, q_terms, stats)
         # forward plus backward flow reconstructs the capacity of every arc
         # touching the side, arc by arc
         g = {}
@@ -379,17 +376,19 @@ def test_star_base_with_two_leaves_blocked_middle():
     assert_solution_checks(net, real, out)
 
 
-def test_merged_similar_simple_terminals():
-    # two simple terminals share the leaf subtree and must merge and unmerge
-    net = make_net(["s", "s2", "t", "x"],
-                   [("a", "s", "x"), ("b", "s2", "x"), ("c", "x", "t"),
-                    ("d", "t", "x"), ("e", "x", "s"), ("f", "x", "s2")],
-                   ["s", "s2", "t"],
-                   {"a": 1, "b": 1, "c": 2, "d": 2, "e": 1, "f": 1})
-    real = make_real(["v0", "v1", "v2", "v3"],
-                     [("v1", "v0", 1, 1), ("v2", "v0", 1, 1), ("v3", "v0", 1, 1)],
-                     {"s": ["v1"], "s2": ["v1"], "t": ["v2"], "dummy": ["v3"]})
-    # the third leaf needs its own simple terminal: reuse t? give dummy a vertex
+def test_merged_similar_simple_terminals(monkeypatch):
+    # s and s2 share the leaf v1, so they are one terminal group of the
+    # free multiflow: the core contraction is the only contraction
+    import treeflow.solver as S
+
+    contractions = [0]
+    contract = S.contract
+
+    def counted(*args):
+        contractions[0] += 1
+        return contract(*args)
+
+    monkeypatch.setattr(S, "contract", counted)
     net = make_net(["s", "s2", "t", "x", "u"],
                    [("a", "s", "x"), ("b", "s2", "x"), ("c", "x", "t"),
                     ("d", "t", "x"), ("e", "x", "s"), ("f", "x", "s2"),
@@ -401,9 +400,28 @@ def test_merged_similar_simple_terminals():
                      {"s": ["v1"], "s2": ["v1"], "t": ["v2"], "u": ["v3"]})
     out = solve(net, real)
     assert_solution_checks(net, real, out)
+    assert (out.value, out.stats.maxflow_calls, contractions[0]) == (10, 6, 1)
     for (a, b) in out.multiflow.pairs():
         assert {a, b} <= {"s", "s2", "t", "u"}
         assert {a, b} != {"s", "s2"}  # distance-zero pairs carry no value anyway
+
+
+def test_group_member_with_spare_out_capacity():
+    # b1 and b2 form one group; the group's max flow never enters b2, so
+    # b1's arc to x stays empty and its capacity complement runs b1 -> x
+    # -> b2, from one member to another: no path may carry it
+    net = make_net(["b1", "b2", "x", "t", "u"],
+                   [("a", "b1", "x"), ("b", "x", "b2"), ("c", "b2", "t"), ("d", "t", "b2"),
+                    ("e", "b2", "u"), ("f", "u", "b2")],
+                   ["b1", "b2", "t", "u"], {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1})
+    real = make_real(["v0", "v1", "v2", "v3"],
+                     [("v1", "v0", 1, 1), ("v2", "v0", 1, 1), ("v3", "v0", 1, 1)],
+                     {"b1": ["v1"], "b2": ["v1"], "t": ["v2"], "u": ["v3"]})
+    out = solve(net, real)
+    assert_solution_checks(net, real, out)
+    assert out.value == 8
+    assert {(p.source, p.target) for p in out.multiflow} == {
+        ("b2", "t"), ("t", "b2"), ("b2", "u"), ("u", "b2")}
 
 
 def test_solver_randomized_against_dual_oracle():
@@ -543,6 +561,42 @@ def test_large_capacities_stay_fast_and_exact(monkeypatch):
         out = solve_checked(scaled(net, 10**6), real)
         assert fallbacks[0] > 0, seed
         assert out.stats.maxflow_calls == calls, seed
+
+
+def test_walk_work_does_not_grow_with_capacities(monkeypatch):
+    # the free core stops after n·k augmentations and hands the core to
+    # splitting, whose max flows do not depend on capacities, so the work
+    # is the same at every scale.  Under a budget of the capacity sum,
+    # seeds 42, 165, 204, 222 and 346 made walk searches that grew with it.
+    import treeflow.solver as S
+    from test_acceptance import corpus_params
+    from treeflow import Network
+
+    walks, fallbacks = [0], [0]
+    find_walk, split = S._FreeCore._find_walk, S._core_by_splitting
+
+    def counted_walk(*args):
+        walks[0] += 1
+        return find_walk(*args)
+
+    def counted_split(*args):
+        fallbacks[0] += 1
+        return split(*args)
+
+    monkeypatch.setattr(S._FreeCore, "_find_walk", counted_walk)
+    monkeypatch.setattr(S, "_core_by_splitting", counted_split)
+    seeds = [42, 165, 204, 222, 346, *range(10, 501, 10)]
+    work = {}
+    for scale in (10**3, 10**6):
+        walks[0] = fallbacks[0] = maxflows = 0
+        for seed in seeds:
+            net, real = generate_network(seed, *corpus_params(seed))
+            net = Network(net.graph, net.terminals, {a: c * scale for a, c in net.capacity.items()})
+            out = solve(net, real)
+            assert out.value == dual_value(net, real), (seed, scale)
+            maxflows += out.stats.maxflow_calls
+        work[scale] = (walks[0], maxflows, fallbacks[0])
+    assert work[10**3] == work[10**6] == (575, 1453, 6)
 
 
 def test_certificate_is_length_independent():
