@@ -32,7 +32,8 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if isinstance(text, str):
+    # exponents are rejected unread: "1e999999999" would build a 415 MB integer
+    if isinstance(text, str) and "e" not in text.lower():
         # Decimal reads digit strings of any length, where int(str) and
         # Fraction(str) stop at the int-string limit
         num, slash, den = text.partition("/")
@@ -205,4 +206,5 @@ def parse_result(text: str):
 
 
 def serialize_result(value, paths, cert, stats) -> str:
-    return json.dumps(result_to_document(value, paths, cert, stats), indent=2) + "\n"
+    # compact separators keep json.dumps on its C encoder
+    return json.dumps(result_to_document(value, paths, cert, stats), separators=(",", ":")) + "\n"

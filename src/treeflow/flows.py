@@ -1,5 +1,5 @@
 """Integer flow primitives on the public types: blocking-flow max flow,
-residual min cuts, two-phase lexicographic flows, and decomposition of
+residual min cuts, lexicographic flows, and decomposition of
 nonnegative integer arc functions into weighted simple paths.
 
 Each function here is the public boundary of a kernel in indexed.py: it
@@ -91,10 +91,9 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
     """Maximum flow from source to all sinks that, among such maxima,
     maximizes the net inflow at the primary sink.
 
-    Phase one saturates source -> primary alone; phase two keeps the same
-    residual state and augments toward the full sink set.  Phase two never
-    disturbs the primary inflow because the phase-one minimum cut stays
-    saturated.
+    A max flow to the primary sink alone, then one to every sink that
+    starts from it.  The second never lowers the primary inflow: the first
+    one's minimum cut stays saturated.
     """
     sec = set(secondary_sinks)
     _check_endpoint_sets(net, [source], sec | {primary_sink})

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .documents import instance_to_document
-from .errors import InputError
+from .errors import ContractViolation, InputError
 from .graphs import Digraph, Network
 from .realization import RealizationTree, validate_instance
 
@@ -126,5 +126,5 @@ def generate_network(seed: int, n: int, cycles: int, pairs: int,
     real = RealizationTree.build(tnames, edges, subtrees)
     issue = validate_instance(net, real)
     if issue is not None:
-        raise InputError(f"generator produced an invalid instance: {issue}", code="generator-bug")
+        raise ContractViolation(f"generator produced an invalid instance: {issue}")
     return net, real

@@ -223,10 +223,13 @@ class _Dinic:
     Residual arc 2k is the forward copy of arc position k and 2k + 1 its
     reverse, so the tail of residual arc e is head[e ^ 1].  Vertex
     numbers index the arrays, and the two numbers after the graph's
-    arrays are the super-source and the super-sink.  A run owns only what
-    it mutates: residual capacities, the residual head list, and copies of
-    the arc lists of the vertices it attaches super arcs to.  Super arcs
-    come after the real ones and are stripped from the reported flow.
+    arrays are the super-source and the super-sink.  A run starts from
+    the zero flow or from a feasible start flow, and owns only what it
+    mutates: residual capacities, the residual head list, and copies of
+    the arc lists of the vertices it attaches super arcs to.  The
+    constructor attaches them, after the real arcs, with a capacity above
+    any flow value, so they never limit a path; they are stripped from
+    the reported flow.
 
     Two shortcuts leave every augmenting path as the textbook loop finds
     it, so the flows are identical arc for arc.  A BFS phase stops once
@@ -239,38 +242,30 @@ class _Dinic:
     pointers of the prefix vertices still point at the prefix arcs.
     """
 
-    def __init__(self, net: IntNetwork):
+    def __init__(self, net: IntNetwork, sources: Sequence[int], sinks: Sequence[int],
+                 start: Optional[Sequence[int]] = None):
         g = net.graph
         caps = net.cap
-        self.inf = sum(caps) + 1
-        self.m = len(caps)
-        self.cap = [0] * (2 * self.m)
-        self.cap[::2] = caps
-        self.head = [0] * (2 * self.m)
-        self.head[::2] = g.head
-        self.head[1::2] = g.tail
-        self.adj = g.adj + [[], []]
-        self.n = len(self.adj)
-        self.super_s = self.n - 2
-        self.super_t = self.n - 1
-
-    def _add(self, u: int, v: int, c: int) -> None:
+        inf = sum(caps) + 1
+        self.m = m = len(caps)
+        self.cap = cap = [0] * (2 * m)
+        if start is None:
+            cap[::2] = caps
+        else:
+            cap[::2] = [c - w for c, w in zip(caps, start)]
+            cap[1::2] = start
+        self.head = head = [0] * (2 * m)
+        head[::2] = g.head
+        head[1::2] = g.tail
+        self.adj = adj = g.adj + [[], []]
+        self.n = len(adj)
+        self.super_s, self.super_t = self.n - 2, self.n - 1
         # new lists, so the graph's own arc lists stay untouched
-        self.adj[u] = self.adj[u] + [len(self.head)]
-        self.head.append(v)
-        self.cap.append(c)
-        self.adj[v] = self.adj[v] + [len(self.head)]
-        self.head.append(u)
-        self.cap.append(0)
-
-    def attach_super(self, sources: Sequence[int], sinks: Sequence[int]) -> None:
-        for s in sources:
-            self._add(self.super_s, s, self.inf)
-        self.add_sinks(sinks)
-
-    def add_sinks(self, sinks: Sequence[int]) -> None:
-        for t in sinks:
-            self._add(t, self.super_t, self.inf)
+        for u, v in [(self.super_s, s) for s in sources] + [(t, self.super_t) for t in sinks]:
+            adj[u] = adj[u] + [len(head)]
+            adj[v] = adj[v] + [len(head) + 1]
+            head += (v, u)
+            cap += (inf, 0)
 
     def run(self) -> int:
         """Push blocking flows until the super-sink is unreachable."""
@@ -327,15 +322,17 @@ class _Dinic:
         return self.cap[1:2 * self.m:2]
 
 
-def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int]) -> Tuple[List[int], int]:
+def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
+             start: Optional[Sequence[int]] = None) -> Tuple[List[int], int]:
     """Integer maximum flow from a source set to a disjoint sink set: the
-    flow on every arc position, and its value."""
+    flow on every arc position, and the value it adds to start.  start,
+    if given, is a feasible flow from the sources to the sinks, one entry
+    per arc position, which the run augments instead of the zero flow."""
     src = sorted(set(sources))
     snk = sorted(set(sinks))
     if not src or not snk:
-        return [0] * len(net.cap), 0
-    d = _Dinic(net)
-    d.attach_super(src, snk)
+        return list(start or [0] * len(net.cap)), 0
+    d = _Dinic(net, src, snk, start)
     value = d.run()
     return d.flow(), value
 
@@ -374,19 +371,13 @@ def lex_max_flow(net: IntNetwork, sources: Iterable[int], primary_sinks: Iterabl
     """Maximum flow from a source set to all sinks that, among such
     maxima, maximizes the net inflow at the primary sinks.
 
-    Phase one saturates sources -> primary sinks alone; phase two keeps
-    the same residual state and augments toward the full sink set.  Phase
-    two never disturbs the primary inflow because the phase-one minimum
-    cut stays saturated.
+    Two max flows: one to the primary sinks alone, then one to the full
+    sink set that starts from it.  The second never lowers the primary
+    inflow: the first one's minimum cut stays saturated.
     """
-    sec = sorted(set(secondary_sinks))
-    d = _Dinic(net)
-    d.attach_super(sorted(set(sources)), sorted(set(primary_sinks)))
-    d.run()
-    if sec:
-        d.add_sinks(sec)
-        d.run()
-    return d.flow()
+    primary = list(primary_sinks)
+    f, _value = max_flow(net, sources, primary)
+    return max_flow(net, sources, [*primary, *secondary_sinks], start=f)[0]
 
 
 def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],

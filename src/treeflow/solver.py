@@ -31,7 +31,8 @@ from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
 from .graphs import Cut, Network, TerminalPath, is_eulerian_at
 from .indexed import (IdTable, IntGraph, IntNetwork, boundary, contract, decompose, intern,
-                      lex_max_flow, max_flow, min_cut_source_side)
+                      max_flow, min_cut_source_side)
+from .indexed import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
 from .multiflow import Multiflow
 from .realization import (
     IntTree,
@@ -382,9 +383,8 @@ class _FreeCore:
             self.out_total[k] -= width
             kappa = k
             position = g.tail[a]
-        if prefix:
-            raise ContractViolation("augmenting walk ended with a dangling unit")
-        return "done", kappa, None, {}
+        # a plan ends in a forward arrival at a terminal, which returns above
+        raise ContractViolation("augmenting walk ended away from a terminal")
 
 
 def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
@@ -619,7 +619,8 @@ def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
     vertices at distance zero from each other, in the core's terminal
     order.  cuts holds every group's minimal cut side and the max flow
     that found it, misplaced maps a group's index to the vertices its
-    region must expel (usually none).  The core flow between the
+    region must expel (usually none); each region expands from its cut
+    flow, continued to what it expels.  The core flow between the
     contracted sides is stitched to each region's flow through its
     boundary, so every path runs between members of two groups; a region's
     flow to and from its expelled vertices is emitted as it is.  Returns
@@ -699,24 +700,26 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
     leaving it and no arc entering it or a member: its part on arcs out of
     side vertices runs from the group to the arcs leaving the side, and the
     capacity complement on arcs into side vertices runs from the arcs
-    entering it back to the group.  With q_terms, the two-phase flow out of
-    the group, which saturates the arcs leaving the side before it reaches
-    q_terms, takes f's place (two max flows) and the side shrinks to its
-    minimal cut, which leaves q_terms outside.  Returns (side, forward,
-    backward), the paths out of and into the group.
+    entering it back to the group.  With q_terms, one max flow continues
+    that part toward q_terms too; no augmenting path leaves the side,
+    whose leaving arcs are full and entering arcs empty, and the side
+    shrinks to the continued flow's minimal cut, which leaves q_terms
+    outside.  Returns (side, forward, backward), the paths out of and
+    into the group.
     """
     g = net.graph
     leaving, entering = boundary(g, side)
     ends = [*{g.head[k] for k in leaving}, *q_terms]
+    f = [w if t in side else 0 for t, w in zip(g.tail, f)]
     new_side = side
     if q_terms:
-        stats.maxflow_calls += 2
-        f = lex_max_flow(net, group, [g.head[k] for k in leaving], q_terms)
+        stats.maxflow_calls += 1
+        f, _value = max_flow(net, group, ends, start=f)
         new_side = min_cut_source_side(net, f, group, sinks=ends)
     for k in leaving:
         if f[k] != net.cap[k]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    forward = decompose(g, [w if t in side else 0 for t, w in zip(g.tail, f)], group, ends)
+    forward = decompose(g, f, group, ends)
     # members have distance zero: the complement skips arcs between them and
     # drops paths from one member to another, circulations through the group
     members = set(group)
@@ -733,9 +736,9 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     The simple terminals on one leaf have distance zero to each other, so
     they form one terminal group of the free multiflow.  A complex
     terminal that lies in a leaf's minimal cut but whose subtree misses
-    that leaf is misplaced there: the free multiflow expands that leaf's
-    region with the two-phase flow that expels it, so its cut already
-    separates correctly; the other regions run no max flow.
+    that leaf is misplaced there: the free multiflow continues that leaf's
+    cut flow until it expels it, so its cut already separates correctly;
+    the other regions run no max flow.
     """
     adj = tree.adjacency()
     leaves = [v for v in sorted(tree.vertices) if len(adj[v]) == 1]

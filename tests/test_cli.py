@@ -3,8 +3,10 @@ import json
 import pytest
 
 import treeflow.cli
+import treeflow.generator
 from treeflow.cli import main
 from treeflow.documents import serialize_instance
+from treeflow.errors import ContractViolation
 from treeflow.generator import generate_network
 
 
@@ -112,6 +114,21 @@ def test_gen_rejects_out_of_range_sizes(n, cycles, pairs, leaves, capsys):
     assert "error (invalid-input)" in captured.err
 
 
+def test_generator_self_check_failure_exits_3(capsys, monkeypatch):
+    # arcs from x0 to every other vertex leave the inner vertices among
+    # them unbalanced: the generator's own output fails validation, a bug
+    def unbalanced(rng, vertices, cycles, pairs, simple_terminals):
+        arcs = [(f"x0>{v}", "x0", v) for v in vertices[1:]]
+        return arcs, {a: 1 for a, _u, _v in arcs}
+
+    monkeypatch.setattr(treeflow.generator, "superpose_walks", unbalanced)
+    with pytest.raises(ContractViolation):
+        generate_network(5, 12, 6, 2, 3)
+    assert main(["gen", "--seed", "5", "--n", "12", "--cycles", "6",
+                 "--pairs", "2", "--leaves", "3"]) == 3
+    assert capsys.readouterr().err.startswith("internal error: ContractViolation")
+
+
 def test_bad_input_exit_code(tmp_path, instance_file, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
@@ -213,6 +230,10 @@ def _huge_length(doc):
     doc["tree"]["edges"][0]["len_uv"] = HUGE
 
 
+def _exponent_length(doc):
+    doc["tree"]["edges"][0]["len_uv"] = "1e999999999"
+
+
 def _negative_loop_capacity(doc):
     # the graph drops loops, so only the capacity check sees this arc
     doc["graph"]["arcs"].append({"id": "loop", "tail": "s", "head": "s", "cap": -4})
@@ -231,6 +252,7 @@ def _fractional_loop_capacity(doc):
     (_string_subtree, "malformed-document"),
     (_huge_capacity, "malformed-document"),
     (_huge_length, "malformed-document"),
+    (_exponent_length, "bad-rational"),
     (_negative_loop_capacity, "negative-capacity"),
     (_fractional_loop_capacity, "non-integer-capacity"),
 ])

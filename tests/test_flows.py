@@ -15,7 +15,9 @@ from treeflow import (
     max_flow,
     min_cut_source_side,
 )
+from treeflow import indexed
 from treeflow.generator import generate_network
+from treeflow.indexed import intern
 
 from builders import make_net
 
@@ -215,6 +217,29 @@ def test_max_flow_min_cut_equality(net, data):
             assert f.get(a.id, 0) == net.capacity[a.id]
         if a.head in side and a.tail not in side:
             assert f.get(a.id, 0) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(flow_instances(), st.data())
+def test_max_flow_continues_a_start_flow(net, data):
+    # from a maximum flow the kernel adds nothing and returns it, from part
+    # of one it reaches the same total, and from the zero flow it finds,
+    # arc for arc, the flow it finds without a start
+    inet = intern(net)
+    num = inet.graph.ids.number
+    verts = sorted(net.vertices)
+    s, t = [num[verts[0]]], [num[verts[-1]]]
+    f, value = indexed.max_flow(inet, s, t)
+    assert indexed.max_flow(inet, s, t, start=f) == (f, 0)
+    assert indexed.max_flow(inet, s, t, start=[0] * len(f)) == (f, value)
+    kept = [p for p in indexed.decompose(inet.graph, f, s, t) if data.draw(st.booleans())]
+    part = [0] * len(f)
+    for p in kept:
+        for a in p.arcs:
+            part[inet.graph.position[a]] += p.weight
+    g, added = indexed.max_flow(inet, s, t, start=part)
+    assert added == value - sum(p.weight for p in kept)
+    indexed.min_cut_source_side(inet, g, s, t)  # raises unless g is maximum
 
 
 @settings(max_examples=50, deadline=None)
