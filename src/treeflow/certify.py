@@ -1,8 +1,9 @@
 """Optimality certification and the independent dual-value oracle.
 
-A certificate assigns to every tree arc with a nonempty terminal-pair
-set a vertex cut that separates those pairs and is saturated by the
-multiflow.  Any multiflow carrying such a family is optimal, for every
+A certificate assigns to one arc of every tree edge with a nonempty
+terminal-pair set a vertex cut that separates those pairs and is
+saturated by the multiflow; its complement does the same for the other
+arc.  Any multiflow carrying such a family is optimal, for every
 choice of arc lengths, so verification never looks at lengths except
 through the value computation.
 """
@@ -23,7 +24,8 @@ from .realization import RealizationTree, TreeArc, mu, pi_set
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per tree arc, the source side of a saturated separating cut."""
+    """Per tree edge, the source side of a saturated separating cut under
+    the arc whose tail side it is; the other arc's cut is its complement."""
 
     cuts: Dict[TreeArc, frozenset]
 
@@ -89,10 +91,12 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
     """None when the certificate proves optimality of the multiflow.
 
     Checks, in order: feasibility of the flow, then for every tree arc
-    with a nonempty pair set: the cut separates the pair set, every
-    positive path meets the cut boundary at most once, and the arcs
-    leaving the cut are used to exactly their capacity.  The flow is a
-    path packing or a Multiflow, checked as given.  A violation names
+    with a nonempty pair set and a cut of its own: the cut separates the
+    pair set, every positive path meets the cut boundary at most once,
+    and the arcs leaving the cut are used to exactly their capacity.  An
+    arc without a cut takes the complement of its reverse arc's cut, whose
+    entering arcs must then be used to exactly their capacity.  The flow
+    is a path packing or a Multiflow, checked as given.  A violation names
     the first offending terminal or arc in id order, or the first
     offending path in packing order.  Each cut reads only the paths on
     its boundary arcs: every arc is indexed once to the paths that use
@@ -114,7 +118,10 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
         if pi.empty:
             continue
         side = cert.cuts.get(a)
+        reverse = (a[1], a[0])
         if side is None:
+            if reverse in cert.cuts:
+                continue  # checked as the complement of the reverse arc's cut
             return CertificateViolation("missing-cut", a)
         if not side or not (side < net.vertices):
             return CertificateViolation("separation", a, "invalid cut")
@@ -127,10 +134,12 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
         if len(set(crossings)) < len(crossings):
             p = paths[min(i for i, c in Counter(crossings).items() if c > 1)]
             return CertificateViolation("crossing", a, (p.source, p.target))
-        unmet = [aid for aid in out_arcs
-                 if sum(paths[i].weight for i in uses.get(aid, ())) != net.capacity[aid]]
-        if unmet:
-            return CertificateViolation("capacity", a, min(unmet, key=sort_key))
+        checks = [(out_arcs, a)] if reverse in cert.cuts else [(out_arcs, a), (in_arcs, reverse)]
+        for arcs, arc in checks:
+            unmet = [aid for aid in arcs
+                     if sum(paths[i].weight for i in uses.get(aid, ())) != net.capacity[aid]]
+            if unmet:
+                return CertificateViolation("capacity", arc, min(unmet, key=sort_key))
     return None
 
 

@@ -156,13 +156,10 @@ def serialize_instance(net: Network, real: RealizationTree) -> str:
 
 def result_to_document(value: Fraction, paths: Optional[List[TerminalPath]],
                        cert: Certificate, stats: dict) -> dict:
-    # the sides overlap heavily: rank their union once, then order each
-    # side by that rank, which is its sort_key order
-    rank = {v: i for i, v in enumerate(sorted(frozenset().union(*cert.cuts.values()), key=sort_key))}
     doc = {
         "value": format_rational(value),
         "certificate": [
-            {"tree_arc": [u, v], "cut": sorted(side, key=rank.__getitem__)}
+            {"tree_arc": [u, v], "cut": sorted(side, key=sort_key)}
             for (u, v), side in sorted(cert.cuts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
         ],
         "stats": stats,
@@ -192,6 +189,8 @@ def document_to_result(doc: dict):
         arc = _expect_ids(entry, "tree_arc", "certificate entry")
         if len(arc) != 2:
             raise InputError("tree_arc must have two vertices", code="malformed-document")
+        if (arc[0], arc[1]) in cuts:
+            raise InputError(f"two certificate entries for tree arc {arc!r}", code="malformed-document")
         cuts[(arc[0], arc[1])] = frozenset(_expect_ids(entry, "cut", "certificate entry"))
     return value, paths, Certificate(cuts)
 

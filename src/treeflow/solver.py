@@ -6,8 +6,9 @@ minimum cut between the two terminal groups, solves both contractions,
 and glues the results.  Otherwise the tree is a single edge or a small
 star, handled by direct flow constructions.  Every level returns its
 flow as weighted TerminalPaths, glued on the cut's boundary arcs, and
-one saturated separating cut per tree arc; the lifted family certifies
-optimality of the final answer.
+one saturated separating cut per tree edge, under the arc whose tail
+side it is (the other arc's cut, its complement, is never built); the
+lifted family certifies optimality of the final answer.
 
 solve and free_imf validate their input and intern it once (indexed.py),
 the tree numbered too, in id order.  Normalization (realization.Reduction),
@@ -46,7 +47,7 @@ from .realization import (
     validate_instance,
 )
 
-# tree arc (u, v) of tree vertex numbers -> cut side of vertex numbers
+# tree arc (u, v) of tree vertex numbers -> cut side; one arc per tree edge
 CutMap = Dict[Tuple[int, int], frozenset]
 
 
@@ -66,18 +67,11 @@ class SolveOutput:
 
 
 def _external(ids: IdTable, tree_ids: IdTable, paths: List[TerminalPath], cert: CutMap):
-    """Paths and certificate cuts of a solve, in ids.
-
-    cert is emptied on the way, so the two forms of the large cut sides
-    are not all held at once.  A frozenset filled one id at a time keeps
-    the table it grew into, up to twice the one a copy sizes for its
-    contents, so each side is copied from a set.
-    """
+    """Paths and certificate cuts of a solve, in ids: one cut per tree
+    edge, under the arc it was made for."""
     vertex_ids, tree_vertex_ids = ids.vertex_ids, tree_ids.vertex_ids
-    id_cert = {}
-    for u, v in list(cert):
-        side = cert.pop((u, v))
-        id_cert[(tree_vertex_ids[u], tree_vertex_ids[v])] = frozenset(set(map(vertex_ids.__getitem__, side)))
+    id_cert = {(tree_vertex_ids[u], tree_vertex_ids[v]): frozenset(map(vertex_ids.__getitem__, side))
+               for (u, v), side in cert.items()}
     return [ids.path_ids(p) for p in paths], id_cert
 
 
@@ -688,8 +682,7 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     g = [c - used for c, used in zip(net.cap, f)]
     ends = set(src) | set(dst)
     paths = decompose(net.graph, f, src, dst) + decompose(net.graph, g, ends, ends)
-    cuts: CutMap = {(v1, v2): x, (v2, v1): net.graph.vertices - x}
-    return paths, cuts
+    return paths, {(v1, v2): x}
 
 
 def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, f: List[int],
@@ -775,11 +768,7 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
         if q:
             misplaced[i] = sorted(q)
     paths, sides = _free_imf_paths(net, groups, cuts, misplaced, stats)
-    cuts_out: CutMap = {}
-    for leaf, side in zip(leaves, sides):
-        cuts_out[(leaf, center)] = side
-        cuts_out[(center, leaf)] = net.graph.vertices - side
-    return paths, cuts_out
+    return paths, {(leaf, center): side for leaf, side in zip(leaves, sides)}
 
 
 # -- partition step ----------------------------------------------------------
@@ -852,7 +841,8 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
 
     paths = aggregate(net, paths1, paths2, x1, z2, z1)
 
-    cuts: CutMap = {(v1, v2): x1, (v2, v1): x2}
+    # a child may key the partition edge either way
+    cuts: CutMap = {(v1, v2): x1}
     for arc, side in cuts1.items():
         if arc in ((v1, v2), (v2, v1)):
             continue
@@ -924,7 +914,8 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
 def _undo_normalization(net0: IntNetwork, tree0: IntTree, norm_tree: IntTree,
                         record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
     """Map paths and cuts of the normalized instance back to the input, in
-    numbers: one certificate cut per input tree arc with a nonempty pair set.
+    numbers: one certificate cut per input tree edge with a nonempty pair
+    set, emitted by the input arc whose normalized arc holds the cut.
 
     A split terminal s lies between its halves on the arcs out_arc
     (source_half -> s) and in_arc (s -> target_half); paths from or to a
@@ -957,10 +948,9 @@ def _undo_normalization(net0: IntNetwork, tree0: IntTree, norm_tree: IntTree,
             raise ContractViolation(f"no surviving tree arc for {arc!r}")
         side = cuts.get(mapped)
         if side is None:
+            if (mapped[1], mapped[0]) in cuts:
+                continue
             raise ContractViolation(f"missing certificate cut for {mapped!r}")
-        if not record.splits:
-            cert[arc] = side
-            continue
         side = set(side)
         tail_side = norm_tree.component_without_edge(*mapped)
         for rec in reversed(record.splits):

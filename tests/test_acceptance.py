@@ -65,6 +65,10 @@ def test_criterion_1_primal_dual_equality(corpus):
 def test_criterion_2_certificate_validity_and_mutation(corpus):
     for seed, net, real, sol in corpus:
         assert verify_certificate(net, real, sol.multiflow, sol.certificate) is None, f"seed {seed}"
+        # one listed arc per tree edge with a nonempty pair set
+        edges = {frozenset(a) for a in real.quasi_arcs() if not pi_set(real, net.terminals, a).empty}
+        listed = [frozenset(a) for a in sol.certificate.cuts]
+        assert len(listed) == len(edges) and set(listed) == edges, f"seed {seed}"
     mutated = 0
     for seed, net, real, sol in corpus[::10]:
         if mutated >= 50:

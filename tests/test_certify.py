@@ -97,6 +97,20 @@ def test_verify_e1_and_negative_control(e1):
     assert issue is not None and issue.tree_arc == ("v1", "v2")
 
 
+def test_verify_reads_an_unlisted_arc_as_the_complement(e1):
+    net, real = e1
+    both = [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
+    for cuts in ({("v2", "v1"): frozenset(["t"])},
+                 {("v1", "v2"): frozenset(["s"]), ("v2", "v1"): frozenset(["t"])}):
+        assert verify_certificate(net, real, both, Certificate(cuts)) is None
+    # the complement of {"s"} certifies (v2, v1): its leaving arc a2 is idle
+    forward = [TerminalPath("s", "t", ("a1",), 2)]
+    issue = verify_certificate(net, real, forward, Certificate({("v1", "v2"): frozenset(["s"])}))
+    assert (issue.kind, issue.tree_arc, issue.detail) == ("capacity", ("v2", "v1"), "a2")
+    issue = verify_certificate(net, real, both, Certificate({}))
+    assert issue.kind == "missing-cut"
+
+
 def test_verify_checks_feasibility_first(e1):
     net, real = e1
     out = solve(net, real)

@@ -178,12 +178,18 @@ def _forge_huge_weight(doc):
     doc["paths"][0]["weight"] = HUGE
 
 
+def _forge_shadowed_entry(doc):
+    # an empty cut, listed before the solver's entry for the same arc
+    doc["certificate"].insert(0, {"tree_arc": ["v1", "v2"], "cut": []})
+
+
 @pytest.mark.parametrize("forge, code", [
     (_forge_extra_empty_path, 2),
     (_forge_relabelled_path, 2),
     (_forge_cancelling_pair, 2),
     (_forge_list_endpoint, 1),
     (_forge_huge_weight, 1),
+    (_forge_shadowed_entry, 1),
 ])
 def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, code):
     result = tmp_path / "r.json"
@@ -196,6 +202,21 @@ def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, c
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("verification failed" if code == 2 else "error (malformed-document)")
+
+
+def test_verify_accepts_results_listing_both_arcs(tmp_path):
+    # results once listed each cut's complement under the reverse arc too
+    inst, result = tmp_path / "i.json", tmp_path / "r.json"
+    inst.write_text(serialize_instance(*generate_network(5, 12, 6, 2, 3)))
+    assert main(["solve", str(inst), "--out", str(result)]) == 0
+    doc = json.loads(result.read_text())
+    vertices = json.loads(inst.read_text())["graph"]["vertices"]
+    complements = [{"tree_arc": e["tree_arc"][::-1], "cut": [v for v in vertices if v not in e["cut"]]}
+                   for e in doc["certificate"]]
+    assert len(complements) > 1
+    doc["certificate"] += complements
+    result.write_text(json.dumps(doc))
+    assert main(["verify", str(inst), str(result)]) == 0
 
 
 def _list_vertex(doc):

@@ -38,16 +38,19 @@ def _mutate_result(doc, inst, data):
     paths, cert = doc["paths"], doc["certificate"]
     kind = data.draw(st.sampled_from(["weight", "drop-path", "duplicate-path", "swap-ends",
                                       "replace-arc", "toggle-cut-vertex", "drop-cut",
-                                      "shift-value"]))
+                                      "reverse-arc", "shift-value"]))
     if kind == "shift-value":
         shift = data.draw(st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2)]))
         doc["value"] = format_rational(Fraction(doc["value"]) + shift)
-    elif kind in ("toggle-cut-vertex", "drop-cut"):
+    elif kind in ("toggle-cut-vertex", "drop-cut", "reverse-arc"):
         if not cert:
             return
         i = data.draw(st.integers(0, len(cert) - 1))
         if kind == "drop-cut":
             del cert[i]
+            return
+        if kind == "reverse-arc":  # the cut stays, now keyed by the other arc
+            cert[i]["tree_arc"].reverse()
             return
         v = data.draw(st.sampled_from(inst["graph"]["vertices"]))
         cut = cert[i]["cut"]
