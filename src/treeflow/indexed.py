@@ -232,14 +232,26 @@ class _Dinic:
     the reported flow.
 
     Two shortcuts leave every augmenting path as the textbook loop finds
-    it, so the flows are identical arc for arc.  A BFS phase stops once
-    the super-sink has its level: every vertex still unlabelled is at
-    least as far from the super-source, so no path of rising levels
-    leads from it to the super-sink, and the DFS would only have found it
-    a dead end.  After an augmentation the DFS resumes at the tail of the
-    first arc it saturated, keeping the path before it: restarted from
-    the super-source it would walk that same prefix, because the arc
-    pointers of the prefix vertices still point at the prefix arcs.
+    it, so the flows are identical arc for arc.  A phase builds its levels
+    from both ends (Pohl's bidirectional search): a BFS from the
+    super-source labels distances from it, one backward from the
+    super-sink distances to it, and each step grows the smaller frontier
+    by a layer until a vertex has both labels.  Until then no vertex had
+    both, so the shortest residual distance d exceeds the sum of the two
+    complete depths; the meeting vertex, one layer further, lies on a
+    path of at most that sum plus one, so d is the sum of its labels.
+    Forward labels are levels.  A vertex labelled only backward, at
+    distance b to the super-sink, gets level d - b, which is at most its
+    distance from the super-source; so by induction from the
+    super-source, a vertex the DFS enters by a rising arc has its true
+    distance as its level.  Every vertex on a shortest path lies within
+    the complete layers of one side, so it is labelled and the DFS can
+    enter it.  A vertex the textbook DFS enters and this one does not
+    lies on no shortest path, so the textbook DFS finds it a dead end.
+    After an augmentation the DFS resumes at the tail of the first arc it
+    saturated, keeping the path before it: restarted from the
+    super-source it would walk that same prefix, because the arc pointers
+    of the prefix vertices still point at the prefix arcs.
     """
 
     def __init__(self, net: IntNetwork, sources: Sequence[int], sinks: Sequence[int],
@@ -273,20 +285,54 @@ class _Dinic:
         s, t = self.super_s, self.super_t
         total = 0
         while True:
-            level = [-1] * n
-            level[s] = 0
-            queue = [s]
-            for u in queue:  # BFS; the list grows while it is walked
-                lv = level[u] + 1
-                for e in adj[u]:
-                    v = head[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = lv
-                        queue.append(v)
-                if level[t] >= 0:
-                    break
-            else:
-                return total
+            level = [-1] * n  # distance from s, then the DFS level
+            dist = [-1] * n  # distance to t
+            level[s] = dist[t] = 0
+            fwd, bwd, back = [s], [t], []  # back: the backward layers before bwd
+            meet = -1
+            # grow the smaller frontier by a layer; the two sides' loops are
+            # written out, as a call per layer costs more than small graphs' scans
+            while meet < 0:
+                if not fwd or not bwd:
+                    return total
+                layer = []
+                if len(fwd) <= len(bwd):
+                    lv = level[fwd[0]] + 1
+                    for u in fwd:
+                        for e in adj[u]:
+                            if cap[e] > 0:
+                                v = head[e]
+                                if level[v] < 0:
+                                    level[v] = lv
+                                    if dist[v] >= 0:  # both sides label v: stop here
+                                        meet = v
+                                        break
+                                    layer.append(v)
+                        else:
+                            continue
+                        break
+                    fwd = layer
+                else:
+                    back += bwd
+                    lv = dist[bwd[0]] + 1
+                    for u in bwd:
+                        for e in adj[u]:
+                            if cap[e ^ 1] > 0:  # e ^ 1 runs from head[e] into u
+                                v = head[e]
+                                if dist[v] < 0:
+                                    dist[v] = lv
+                                    if level[v] >= 0:
+                                        meet = v
+                                        break
+                                    layer.append(v)
+                        else:
+                            continue
+                        break
+                    bwd = layer
+            d = level[meet] + dist[meet]
+            for v in back + bwd:
+                if level[v] < 0:
+                    level[v] = d - dist[v]
             it = [0] * n
             path: List[int] = []
             u = s

@@ -227,7 +227,7 @@ class _FreeCore:
         other than the one currently carried.
         """
         g = self.graph
-        tail, head, used, cap, index = g.tail, g.head, self.used, self.cap, self.index
+        tail, head, adj, used, cap, index = g.tail, g.head, g.adj, self.used, self.cap, self.index
         seed = (self.terms[kappa] if vertex is None else vertex, kappa)
         parents = {seed: (None, None)}
         q = deque([seed])
@@ -235,7 +235,10 @@ class _FreeCore:
             state = q.popleft()
             v, kap = state
             home = self.terms[kap]
-            for a in g.arcs_out(v):
+            for e in adj[v]:
+                if e & 1:
+                    continue
+                a = e >> 1
                 h = head[a]
                 if used[a] < cap[a]:  # forward
                     if h in index:
@@ -258,8 +261,9 @@ class _FreeCore:
                             q.append(nxt)
             if v in index:
                 continue  # departures of other terminals stay untouched
-            for a in g.arcs_into(v):  # reverse, re-sourcing a unit
-                if used[a] <= 0:
+            for e in adj[v]:  # reverse, re-sourcing a unit
+                a = e >> 1
+                if not e & 1 or used[a] <= 0:
                     continue
                 t = tail[a]
                 for donor in self._donors_for(a):

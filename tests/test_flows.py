@@ -19,6 +19,7 @@ from treeflow import indexed
 from treeflow.generator import generate_network
 from treeflow.indexed import intern
 
+import reference_kernel
 from builders import make_net
 
 
@@ -373,3 +374,105 @@ def test_flows_keep_no_graph_alive_but_the_latest():
     graph_b = weakref.ref(b.graph)
     del b
     assert graph_b() is None
+
+
+@st.composite
+def kernel_instances(draw):
+    """Networks of up to 16 vertices for comparing flow kernels.  A long
+    path runs through the vertices, and every other vertex sits at one of
+    its depths; rungs from each depth to the next make many paths of
+    equal length that cross and share arcs.  Wide fans in or out of a
+    few hubs and random extra arcs, parallel ones included, come beside
+    them.  The path's two ends are a source and a sink; every other
+    vertex is either, or neither."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    verts = [f"v{i:02d}" for i in range(n)]
+    arcs, caps = [], {}
+
+    def add(u, v):
+        if u != v:
+            aid = f"a{len(arcs):03d}"
+            arcs.append((aid, verts[u], verts[v]))
+            caps[aid] = draw(st.integers(min_value=1, max_value=3))
+
+    order = draw(st.permutations(range(n)))
+    length = draw(st.integers(min_value=1, max_value=n - 1))
+    depth = {v: i for i, v in enumerate(order[:length + 1])}
+    for v in order[length + 1:]:
+        depth[v] = draw(st.integers(0, length))
+    at_depth = [[v for v in range(n) if depth[v] == i] for i in range(length + 2)]
+    for u, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n)), max_size=3 * n)):
+        nxt = at_depth[depth[u] + 1]
+        if nxt:
+            add(u, nxt[k % len(nxt)])
+    for u, v in zip(order[:length], order[1:length + 1]):
+        add(u, v)
+    for _fan in range(draw(st.integers(min_value=0, max_value=2))):
+        hub, out = draw(st.integers(0, n - 1)), draw(st.booleans())
+        for v in range(n):
+            if draw(st.booleans()):
+                add(*((hub, v) if out else (v, hub)))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        add(u, v)
+    inet = intern(make_net(verts, arcs, verts[:1], caps))
+    num = inet.graph.ids.number
+    roles = {order[0]: "s", order[length]: "t"}
+    for v in range(n):
+        roles.setdefault(v, draw(st.sampled_from("st-")))
+    sources = [num[verts[v]] for v in range(n) if roles[v] == "s"]
+    sinks = [num[verts[v]] for v in range(n) if roles[v] == "t"]
+    return inet, sources, sinks
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_instances(), st.data())
+def test_max_flow_matches_the_reference_kernel(instance, data):
+    # the same flow, arc for arc, as the one-sided kernel, from the zero
+    # flow and from part of a decomposed maximum flow
+    inet, sources, sinks = instance
+    f, value = reference_kernel.max_flow(inet, sources, sinks)
+    assert indexed.max_flow(inet, sources, sinks) == (f, value)
+    kept = [p for p in indexed.decompose(inet.graph, f, sources, sinks) if data.draw(st.booleans())]
+    start = [0] * len(f)
+    for p in kept:
+        for a in p.arcs:
+            start[inet.graph.position[a]] += p.weight
+    assert indexed.max_flow(inet, sources, sinks, start=start) == \
+        reference_kernel.max_flow(inet, sources, sinks, start=start)
+
+
+def test_max_flow_takes_deep_levels_from_the_backward_search():
+    # s fans out to six decoys that lead nowhere, so from the first layer
+    # on the forward frontier is the wider one; the path s-p1-...-p5-t is
+    # labelled from t backward, and its levels beyond the forward depth
+    # come from the backward search
+    path = ["s", "p1", "p2", "p3", "p4", "p5", "t"]
+    arcs = [(f"path{i}", u, v) for i, (u, v) in enumerate(zip(path, path[1:]))]
+    arcs += [(f"fan{i}", "s", f"d{i}") for i in range(6)]
+    arcs += [(f"dead{i}", f"d{i}", f"e{i}") for i in range(6)]
+    arcs += [("skip", "p1", "p4"), ("back", "p3", "p1")]
+    verts = sorted({v for _a, u, w in arcs for v in (u, w)})
+    caps = {aid: 2 for aid, _u, _v in arcs}
+    caps["path0"] = caps["skip"] = 3
+    inet = intern(make_net(verts, arcs, verts[:1], caps))
+    num = inet.graph.ids.number
+    f, value = indexed.max_flow(inet, [num["s"]], [num["t"]])
+    assert (f, value) == reference_kernel.max_flow(inet, [num["s"]], [num["t"]])
+    assert value == 2
+    flow = {inet.graph.ids.arc_ids[a]: w for a, w in zip(inet.graph.arcs, f) if w}
+    assert flow == {"path0": 2, "skip": 2, "path4": 2, "path5": 2}
+
+
+def test_max_flow_levels_the_rest_of_the_layer_where_the_searches_meet():
+    # the forward search meets the backward one at y, in the middle of the
+    # layer {y, x}; x, though not reached forward, is on a shortest path,
+    # and b sends its unit to x first, as the one-sided kernel does
+    arcs = [("sa", "s", "a"), ("sb", "s", "b"), ("ay", "a", "y"), ("bx", "b", "x"),
+            ("by", "b", "y"), ("xt", "x", "t"), ("yt", "y", "t")]
+    caps = {"sa": 1, "sb": 1, "ay": 1, "bx": 1, "by": 1, "xt": 1, "yt": 2}
+    inet = intern(make_net(list("abstxy"), arcs, ["s"], caps))
+    num = inet.graph.ids.number
+    f, value = indexed.max_flow(inet, [num["s"]], [num["t"]])
+    assert (f, value) == reference_kernel.max_flow(inet, [num["s"]], [num["t"]])
+    flow = {inet.graph.ids.arc_ids[a]: w for a, w in zip(inet.graph.arcs, f) if w}
+    assert flow == {"sa": 1, "sb": 1, "ay": 1, "bx": 1, "xt": 1, "yt": 1}
