@@ -20,7 +20,7 @@ from .realization import (
     validate_instance,
 )
 from .multiflow import Multiflow
-from .certify import Certificate, check_feasible, dual_value, mu_value, verify_certificate
+from .certify import Certificate, check_feasible, dual_value, mu_value, verify_certificate, verify_result
 from .solver import SolveOutput, SolveStats, free_imf, solve
 from .documents import parse_instance, parse_result, serialize_instance, serialize_result
 from .generator import generate_instance, generate_network
@@ -35,4 +35,5 @@ __all__ = [
     "min_cut_source_side", "mu", "mu_value", "normalize", "parse_instance",
     "parse_result", "pi_set", "serialize_instance", "serialize_result", "solve",
     "split_linear_terminal", "tree_distance", "validate_instance", "verify_certificate",
+    "verify_result",
 ]

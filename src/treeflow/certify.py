@@ -32,7 +32,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class CertificateViolation:
-    kind: str  # "infeasible" | "missing-cut" | "separation" | "crossing" | "capacity"
+    kind: str  # "infeasible" | "missing-cut" | "separation" | "crossing" | "capacity" | "no-paths" | "value"
     tree_arc: Optional[TreeArc] = None
     detail: Optional[Hashable] = None
 
@@ -141,6 +141,20 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
             if unmet:
                 return CertificateViolation("capacity", arc, min(unmet, key=sort_key))
     return None
+
+
+def verify_result(net: Network, real: RealizationTree, value: Fraction,
+                  paths: Optional[Iterable[TerminalPath]], cert: Certificate) -> Optional[CertificateViolation]:
+    """None when a result document's value, paths and certificate prove it
+    optimal, else the first violation: "no-paths" without paths, then what
+    verify_certificate finds, then "value" if the paths' value differs."""
+    if paths is None:
+        return CertificateViolation("no-paths")
+    paths = list(paths)
+    issue = verify_certificate(net, real, paths, cert)
+    if issue is None and mu_value(real, paths) != value:
+        return CertificateViolation("value", detail=f"the paths carry {mu_value(real, paths)}")
+    return issue
 
 
 def dual_value(net: Network, real: RealizationTree) -> Fraction:

@@ -2,12 +2,13 @@
 residual min cuts, lexicographic flows, and decomposition of
 nonnegative integer arc functions into weighted simple paths.
 
-Each function here is the public boundary of a kernel in indexed.py: it
-checks its arguments, interns the network's graph, runs the kernel on
-numbers and maps the answer back to the network's own ids.  All routines
-are deterministic: arcs break ties in arc order, the order they appear
-in the network, and vertices in id order, so path peeling always
-follows the positive arc that comes first in the network's arc list.
+Each function here is the public boundary of a kernel in indexed.py
+(lex_max_flow runs max_flow twice): it checks its arguments, interns
+the network's graph, runs the kernel on numbers and maps the answer
+back to the network's own ids.  All routines are deterministic: arcs
+break ties in arc order, the order they appear in the network, and
+vertices in id order, so path peeling always follows the positive arc
+that comes first in the network's arc list.
 
 Every call interns the graph afresh and keeps nothing: a caller that
 runs many flows on one graph (dual_value) interns it once itself and
@@ -16,7 +17,7 @@ calls the kernels.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import indexed
 from .errors import InputError
@@ -24,14 +25,20 @@ from .graphs import ArcId, Cut, Network, TerminalPath, VertexId
 from .indexed import IntGraph, intern, intern_graph
 
 
-def _on_positions(graph: IntGraph, f: Dict[ArcId, int]) -> List[int]:
-    """An arc-id flow as one entry per arc position; ids of no arc are ignored."""
+def _on_positions(graph: IntGraph, f: Dict[ArcId, int], cap: Optional[List[int]] = None) -> List[int]:
+    """An arc-id flow as one entry per arc position; ids of no arc are
+    ignored.  A negative entry, or one above cap if given, is an
+    InputError naming the first such arc in arc order."""
     number = graph.ids.arc_number
     dense = [0] * len(graph.arcs)
     for a, w in f.items():
         k = number.get(a)
         if k is not None:
             dense[k] = w
+    bad = [k for k, w in enumerate(dense) if w < 0 or cap is not None and w > cap[k]]
+    if bad:
+        raise InputError(f"flow {dense[bad[0]]} on arc {graph.ids.arc_ids[bad[0]]!r} is out of range",
+                         code="invalid-input")
     return dense
 
 
@@ -75,14 +82,16 @@ def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[Ver
 
     The side is the set of vertices reachable from the sources in the
     residual graph of f.  If any of the optional sinks is reachable, f was
-    not maximum and a ContractViolation is raised.
+    not maximum and a ContractViolation is raised.  Unknown sources or
+    sinks, and a negative flow or one above an arc's capacity, are
+    InputErrors.
     """
-    src = set(sources)
-    _check_vertices(net, src)
+    src, snk = set(sources), set(sinks)
+    _check_vertices(net, src | snk)
     inet = intern(net)
     ids = inet.graph.ids
-    side = indexed.min_cut_source_side(inet, _on_positions(inet.graph, f), [ids.number[v] for v in src],
-                                       [ids.number[t] for t in sinks if t in ids.number])
+    side = indexed.min_cut_source_side(inet, _on_positions(inet.graph, f, inet.cap),
+                                       [ids.number[v] for v in src], [ids.number[t] for t in snk])
     return Cut(frozenset(ids.vertex_ids[v] for v in side))
 
 
@@ -99,8 +108,9 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
     _check_endpoint_sets(net, [source], sec | {primary_sink})
     inet = intern(net)
     num = inet.graph.ids.number
-    flow = indexed.lex_max_flow(inet, [num[source]], [num[primary_sink]], [num[v] for v in sec])
-    return _by_arc_id(inet.graph, flow)
+    f, _value = indexed.max_flow(inet, [num[source]], [num[primary_sink]])
+    f, _value = indexed.max_flow(inet, [num[source]], [num[v] for v in sec | {primary_sink}], start=f)
+    return _by_arc_id(inet.graph, f)
 
 
 def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[VertexId],
@@ -123,9 +133,6 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
     _check_vertices(net, srcs | snks)
     graph = intern_graph(net.graph)
     ids = graph.ids
-    negative = [ids.arc_number[a] for a, w in f.items() if w < 0 and a in ids.arc_number]
-    if negative:
-        raise InputError(f"negative flow on arc {ids.arc_ids[min(negative)]!r}", code="invalid-input")
     paths = indexed.decompose(graph, _on_positions(graph, f), [ids.number[v] for v in srcs],
                               [ids.number[v] for v in snks])
     return [ids.path_ids(p) for p in paths]

@@ -19,9 +19,10 @@ the public entry points (graphs, flows, solver.solve) check input.
 Kernels speak numbers: vertex numbers, flows as one entry per arc
 position, paths as TerminalPaths of vertex and arc numbers.  Arcs break
 ties in arc order and vertices by number, which is id order on input
-vertices: Dinic scans arcs in arc order and attaches sources and sinks
-in number order; peeling starts at sources in number order and follows
-the positive arc that comes first in arc order.
+vertices: Dinic adds no vertex or arc, scans arcs in arc order and
+starts its paths at sources in number order; peeling starts at sources
+in number order and follows the positive arc that comes first in arc
+order.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class IntGraph:
     no arc is a loop.  adj[v] lists v's residual half-arcs in arc order
     (2k leaving along k, 2k + 1 entering along k); adj is as long as the
     table was when the graph was built.  None of the lists is modified
-    after construction.
+    after construction, so flows and callers read them in place.
     """
 
     def __init__(self, ids: IdTable, vertices: frozenset, arcs: List[int],
@@ -126,14 +127,6 @@ class IntGraph:
             adj[t].append(half[2 * k])
             adj[h].append(half[2 * k + 1])
         self.adj: List[List[int]] = adj
-
-    def arcs_out(self, v: int) -> List[int]:
-        """Positions of the arcs leaving v, in arc order."""
-        return [e >> 1 for e in self.adj[v] if not e & 1]
-
-    def arcs_into(self, v: int) -> List[int]:
-        """Positions of the arcs entering v, in arc order."""
-        return [e >> 1 for e in self.adj[v] if e & 1]
 
     @cached_property
     def position(self) -> Dict[int, int]:
@@ -216,128 +209,120 @@ def boundary(graph: IntGraph, side: frozenset) -> Tuple[List[int], List[int]]:
     return (entering, leaving) if flip else (leaving, entering)
 
 
-class _Dinic:
-    """One max-flow run on a network: Dinitz's blocking-flow algorithm
-    (1970) on the graph's own adjacency.
+def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
+             start: Optional[Sequence[int]] = None) -> Tuple[List[int], int]:
+    """Integer maximum flow from a source set to a disjoint sink set: the
+    flow on every arc position, and the value it adds to start.  start,
+    if given, is a feasible flow from the sources to the sinks, one entry
+    per arc position, which the run augments instead of the zero flow.
 
-    Residual arc 2k is the forward copy of arc position k and 2k + 1 its
-    reverse, so the tail of residual arc e is head[e ^ 1].  Vertex
-    numbers index the arrays, and the two numbers after the graph's
-    arrays are the super-source and the super-sink.  A run starts from
-    the zero flow or from a feasible start flow, and owns only what it
-    mutates: residual capacities, the residual head list, and copies of
-    the arc lists of the vertices it attaches super arcs to.  The
-    constructor attaches them, after the real arcs, with a capacity above
-    any flow value, so they never limit a path; they are stripped from
-    the reported flow.
+    Dinitz's blocking-flow algorithm (1970) on the source and sink sets
+    themselves.  It reads the graph's adjacency and arc arrays and the
+    network's capacities in place and never writes them; it owns only
+    the residual capacities and the residual head list.  Residual arc 2k
+    is the forward copy of arc position k and 2k + 1 its reverse, so the
+    tail of residual arc e is head[e ^ 1].
 
     Two shortcuts leave every augmenting path as the textbook loop finds
     it, so the flows are identical arc for arc.  A phase builds its levels
-    from both ends (Pohl's bidirectional search): a BFS from the
-    super-source labels distances from it, one backward from the
-    super-sink distances to it, and each step grows the smaller frontier
-    by a layer until a vertex has both labels.  Until then no vertex had
-    both, so the shortest residual distance d exceeds the sum of the two
-    complete depths; the meeting vertex, one layer further, lies on a
-    path of at most that sum plus one, so d is the sum of its labels.
-    Forward labels are levels.  A vertex labelled only backward, at
-    distance b to the super-sink, gets level d - b, which is at most its
-    distance from the super-source; so by induction from the
-    super-source, a vertex the DFS enters by a rising arc has its true
-    distance as its level.  Every vertex on a shortest path lies within
-    the complete layers of one side, so it is labelled and the DFS can
-    enter it.  A vertex the textbook DFS enters and this one does not
-    lies on no shortest path, so the textbook DFS finds it a dead end.
-    After an augmentation the DFS resumes at the tail of the first arc it
-    saturated, keeping the path before it: restarted from the
-    super-source it would walk that same prefix, because the arc pointers
-    of the prefix vertices still point at the prefix arcs.
+    from both ends (Pohl's bidirectional search): a BFS from the sources,
+    which start at level 0, labels distances from them, one backward from
+    the sinks, which start at distance 0, distances to them, and each
+    step grows the smaller frontier by a layer until a vertex has both
+    labels.  Until then no vertex had both, so the shortest residual
+    distance d exceeds the sum of the two complete depths; the meeting
+    vertex, one layer further, lies on a path of at most that sum plus
+    one, so d is the sum of its labels.  Forward labels are levels.  A
+    vertex labelled only backward, at distance b to the sinks, gets level
+    d - b, which is at most its distance from the sources; so by
+    induction from the sources, a vertex the DFS enters by a rising arc
+    has its true distance as its level.  Every vertex on a shortest path
+    lies within the complete layers of one side, so it is labelled and
+    the DFS can enter it.  A vertex the textbook DFS enters and this one
+    does not lies on no shortest path, so the textbook DFS finds it a dead
+    end.  No rising arc enters a source, and every sink sits at level d,
+    so a path ends at the first sink it reaches.  The DFS takes the
+    sources in number order.  After an augmentation it resumes at the
+    tail of the first arc it saturated, keeping the path before it:
+    restarted from the source it would walk that same prefix, because the
+    arc pointers of the prefix vertices still point at the prefix arcs.
     """
-
-    def __init__(self, net: IntNetwork, sources: Sequence[int], sinks: Sequence[int],
-                 start: Optional[Sequence[int]] = None):
-        g = net.graph
-        caps = net.cap
-        inf = sum(caps) + 1
-        self.m = m = len(caps)
-        self.cap = cap = [0] * (2 * m)
-        if start is None:
-            cap[::2] = caps
-        else:
-            cap[::2] = [c - w for c, w in zip(caps, start)]
-            cap[1::2] = start
-        self.head = head = [0] * (2 * m)
-        head[::2] = g.head
-        head[1::2] = g.tail
-        self.adj = adj = g.adj + [[], []]
-        self.n = len(adj)
-        self.super_s, self.super_t = self.n - 2, self.n - 1
-        # new lists, so the graph's own arc lists stay untouched
-        for u, v in [(self.super_s, s) for s in sources] + [(t, self.super_t) for t in sinks]:
-            adj[u] = adj[u] + [len(head)]
-            adj[v] = adj[v] + [len(head) + 1]
-            head += (v, u)
-            cap += (inf, 0)
-
-    def run(self) -> int:
-        """Push blocking flows until the super-sink is unreachable."""
-        head, cap, adj, n = self.head, self.cap, self.adj, self.n
-        s, t = self.super_s, self.super_t
-        total = 0
-        while True:
-            level = [-1] * n  # distance from s, then the DFS level
-            dist = [-1] * n  # distance to t
-            level[s] = dist[t] = 0
-            fwd, bwd, back = [s], [t], []  # back: the backward layers before bwd
-            meet = -1
-            # grow the smaller frontier by a layer; the two sides' loops are
-            # written out, as a call per layer costs more than small graphs' scans
-            while meet < 0:
-                if not fwd or not bwd:
-                    return total
-                layer = []
-                if len(fwd) <= len(bwd):
-                    lv = level[fwd[0]] + 1
-                    for u in fwd:
-                        for e in adj[u]:
-                            if cap[e] > 0:
-                                v = head[e]
-                                if level[v] < 0:
-                                    level[v] = lv
-                                    if dist[v] >= 0:  # both sides label v: stop here
-                                        meet = v
-                                        break
-                                    layer.append(v)
-                        else:
-                            continue
-                        break
-                    fwd = layer
-                else:
-                    back += bwd
-                    lv = dist[bwd[0]] + 1
-                    for u in bwd:
-                        for e in adj[u]:
-                            if cap[e ^ 1] > 0:  # e ^ 1 runs from head[e] into u
-                                v = head[e]
-                                if dist[v] < 0:
-                                    dist[v] = lv
-                                    if level[v] >= 0:
-                                        meet = v
-                                        break
-                                    layer.append(v)
-                        else:
-                            continue
-                        break
-                    bwd = layer
-            d = level[meet] + dist[meet]
-            for v in back + bwd:
-                if level[v] < 0:
-                    level[v] = d - dist[v]
-            it = [0] * n
-            path: List[int] = []
-            u = s
-            while True:  # DFS for one blocking flow
-                if u == t:
+    src = sorted(set(sources))
+    snk = sorted(set(sinks))
+    caps = net.cap
+    if not src or not snk:
+        return list(start or [0] * len(caps)), 0
+    g = net.graph
+    adj = g.adj
+    n = len(adj)
+    cap = [0] * (2 * len(caps))
+    if start is None:
+        cap[::2] = caps
+    else:
+        cap[::2] = [c - w for c, w in zip(caps, start)]
+        cap[1::2] = start
+    head = [0] * len(cap)
+    head[::2] = g.head
+    head[1::2] = g.tail
+    total = 0
+    while True:
+        level = [-1] * n  # distance from the sources, then the DFS level
+        dist = [-1] * n  # distance to the sinks
+        for s in src:
+            level[s] = 0
+        for t in snk:
+            dist[t] = 0
+        fwd, bwd, back = src, snk, []  # back: the backward layers before bwd
+        meet = -1
+        # grow the smaller frontier by a layer; the two sides' loops are
+        # written out, as a call per layer costs more than small graphs' scans
+        while meet < 0:
+            if not fwd or not bwd:
+                # the reverse capacity of an arc equals the flow pushed on it
+                return cap[1::2], total
+            layer = []
+            if len(fwd) <= len(bwd):
+                lv = level[fwd[0]] + 1
+                for u in fwd:
+                    for e in adj[u]:
+                        if cap[e] > 0:
+                            v = head[e]
+                            if level[v] < 0:
+                                level[v] = lv
+                                if dist[v] >= 0:  # both sides label v: stop here
+                                    meet = v
+                                    break
+                                layer.append(v)
+                    else:
+                        continue
+                    break
+                fwd = layer
+            else:
+                back += bwd
+                lv = dist[bwd[0]] + 1
+                for u in bwd:
+                    for e in adj[u]:
+                        if cap[e ^ 1] > 0:  # e ^ 1 runs from head[e] into u
+                            v = head[e]
+                            if dist[v] < 0:
+                                dist[v] = lv
+                                if level[v] >= 0:
+                                    meet = v
+                                    break
+                                layer.append(v)
+                    else:
+                        continue
+                    break
+                bwd = layer
+        d = level[meet] + dist[meet]
+        for v in back + bwd:
+            if level[v] < 0:
+                level[v] = d - dist[v]
+        it = [0] * n
+        path: List[int] = []
+        for u in src:  # DFS for one blocking flow
+            while True:
+                if dist[u] == 0:  # a sink
                     bottleneck = min(cap[e] for e in path)
                     for e in path:
                         cap[e] -= bottleneck
@@ -358,29 +343,10 @@ class _Dinic:
                         break
                 else:
                     if not path:
-                        break
+                        break  # the source is a dead end: take the next one
                     level[u] = -1  # dead end: retreat past the arc into u
                     u = head[path.pop() ^ 1]
                     it[u] += 1
-
-    def flow(self) -> List[int]:
-        # the reverse capacity of a real arc equals the flow pushed on it
-        return self.cap[1:2 * self.m:2]
-
-
-def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
-             start: Optional[Sequence[int]] = None) -> Tuple[List[int], int]:
-    """Integer maximum flow from a source set to a disjoint sink set: the
-    flow on every arc position, and the value it adds to start.  start,
-    if given, is a feasible flow from the sources to the sinks, one entry
-    per arc position, which the run augments instead of the zero flow."""
-    src = sorted(set(sources))
-    snk = sorted(set(sinks))
-    if not src or not snk:
-        return list(start or [0] * len(net.cap)), 0
-    d = _Dinic(net, src, snk, start)
-    value = d.run()
-    return d.flow(), value
 
 
 def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int],
@@ -410,20 +376,6 @@ def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int
         if t in seen:
             raise ContractViolation("flow is not maximum: a sink is residual-reachable")
     return frozenset(seen)
-
-
-def lex_max_flow(net: IntNetwork, sources: Iterable[int], primary_sinks: Iterable[int],
-                 secondary_sinks: Iterable[int]) -> List[int]:
-    """Maximum flow from a source set to all sinks that, among such
-    maxima, maximizes the net inflow at the primary sinks.
-
-    Two max flows: one to the primary sinks alone, then one to the full
-    sink set that starts from it.  The second never lowers the primary
-    inflow: the first one's minimum cut stays saturated.
-    """
-    primary = list(primary_sinks)
-    f, _value = max_flow(net, sources, primary)
-    return max_flow(net, sources, [*primary, *secondary_sinks], start=f)[0]
 
 
 def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],

@@ -440,7 +440,8 @@ class Reduction:
             arcs += [r.in_arc, r.out_arc]
             tail += [s, r.source_half]
             head += [r.target_half, s]
-            cap += [sum(caps[k] for k in g.arcs_into(s)), sum(caps[k] for k in g.arcs_out(s))]
+            cap += [sum(caps[e >> 1] for e in g.adj[s] if e & 1),
+                    sum(caps[e >> 1] for e in g.adj[s] if not e & 1)]
         halves = [h for r in self.splits for h in (r.target_half, r.source_half)]
         return IntNetwork(IntGraph(self.ids, g.vertices.union(halves), arcs, tail, head),
                           tuple(self.terminals), cap)

@@ -31,9 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
 from .graphs import Cut, Network, TerminalPath, is_eulerian_at
+from .flows import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
 from .indexed import (IdTable, IntGraph, IntNetwork, boundary, contract, decompose, intern,
                       max_flow, min_cut_source_side)
-from .indexed import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
 from .multiflow import Multiflow
 from .realization import (
     IntTree,
@@ -149,7 +149,7 @@ class _FreeCore:
         self.cap = net.cap
         self.flow: Dict[Tuple[int, int], Dict[int, int]] = {}
         self.used = [0] * len(net.cap)
-        self.sigma = [sum(self.cap[a] for a in self.graph.arcs_out(t)) for t in self.terms]
+        self.sigma = [sum(self.cap[e >> 1] for e in self.graph.adj[t] if not e & 1) for t in self.terms]
         self.out_total = [0] * len(self.terms)
 
     def run(self) -> Dict[Tuple[int, int], Dict[int, int]]:
@@ -536,7 +536,7 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
     taken: Dict[int, int] = {}
     if src == dst or amount <= 0:
         return taken
-    head, tail = graph.head, graph.tail
+    head, tail, adj = graph.head, graph.tail, graph.adj
     left = amount
     while left > 0:
         prev = {src: None}
@@ -544,8 +544,9 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
         found = src == dst
         while q and not found:
             u = q.popleft()
-            for a in graph.arcs_out(u):
-                if f.get(a, 0) > 0 and head[a] not in prev:
+            for e in adj[u]:
+                a = e >> 1
+                if not e & 1 and f.get(a, 0) > 0 and head[a] not in prev:
                     prev[head[a]] = a
                     if head[a] == dst:
                         found = True

@@ -10,6 +10,7 @@ from treeflow import (
     mu_value,
     solve,
     verify_certificate,
+    verify_result,
 )
 from treeflow.generator import generate_network
 
@@ -117,6 +118,19 @@ def test_verify_checks_feasibility_first(e1):
     flow = Multiflow((TerminalPath("s", "t", ("a1",), 3),))  # above capacity
     issue = verify_certificate(net, real, flow, out.certificate)
     assert issue is not None and issue.kind == "infeasible"
+
+
+def test_verify_result_checks_paths_certificate_and_stated_value(e1):
+    net, real = e1
+    out = solve(net, real)
+    paths = out.multiflow.to_paths(net)
+    assert verify_result(net, real, out.value, paths, out.certificate) is None
+    assert verify_result(net, real, out.value, None, out.certificate).kind == "no-paths"
+    issue = verify_result(net, real, out.value + 1, paths, out.certificate)
+    assert issue.kind == "value"
+    # a certificate violation comes before the value check
+    issue = verify_result(net, real, out.value + 1, paths, Certificate({}))
+    assert issue.kind == "missing-cut"
 
 
 def _zigzag():

@@ -111,6 +111,17 @@ def test_min_cut_detects_non_maximum_flow():
         min_cut_source_side(net, {"a": 1}, ["s"], ["t"])
 
 
+def test_min_cut_rejects_unknown_sinks_and_flows_outside_capacity():
+    net = make_net(["s", "x", "t"], [("a", "s", "x"), ("b", "x", "t")], ["s", "t"], {"a": 2, "b": 1})
+    with pytest.raises(InputError) as unknown:
+        min_cut_source_side(net, {"a": 1, "b": 1}, ["s"], ["nope"])
+    assert unknown.value.code == "dangling-reference"
+    for f in ({"a": 5}, {"a": -1}):
+        with pytest.raises(InputError) as outside:
+            min_cut_source_side(net, f, ["s"])
+        assert outside.value.code == "invalid-input"
+
+
 def test_lex_flow_primary_only():
     net = make_net(["s", "z"], [("a", "s", "z")], ["s", "z"], {"a": 3})
     g = lex_max_flow(net, "s", "z", [])
@@ -428,17 +439,21 @@ def kernel_instances(draw):
 @given(kernel_instances(), st.data())
 def test_max_flow_matches_the_reference_kernel(instance, data):
     # the same flow, arc for arc, as the one-sided kernel, from the zero
-    # flow and from part of a decomposed maximum flow
+    # flow and from part of a decomposed maximum flow; the kernel only
+    # reads the graph, whose lists every flow on it shares
     inet, sources, sinks = instance
+    g = inet.graph
     f, value = reference_kernel.max_flow(inet, sources, sinks)
-    assert indexed.max_flow(inet, sources, sinks) == (f, value)
-    kept = [p for p in indexed.decompose(inet.graph, f, sources, sinks) if data.draw(st.booleans())]
+    kept = [p for p in indexed.decompose(g, f, sources, sinks) if data.draw(st.booleans())]
     start = [0] * len(f)
     for p in kept:
         for a in p.arcs:
-            start[inet.graph.position[a]] += p.weight
+            start[g.position[a]] += p.weight
+    before = ([list(arcs) for arcs in g.adj], list(g.tail), list(g.head), list(inet.cap), list(start))
+    assert indexed.max_flow(inet, sources, sinks) == (f, value)
     assert indexed.max_flow(inet, sources, sinks, start=start) == \
         reference_kernel.max_flow(inet, sources, sinks, start=start)
+    assert ([list(arcs) for arcs in g.adj], g.tail, g.head, inet.cap, start) == before
 
 
 def test_max_flow_takes_deep_levels_from_the_backward_search():

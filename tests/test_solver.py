@@ -340,7 +340,8 @@ def test_repair_keeps_capacity_complement():
     # lexicographic flow to the leaving arcs' heads first, then to qv
     assert calls == 1
     heads = [ig.head[k] for k in indexed.boundary(ig, side)[0]]
-    lex = indexed.lex_max_flow(inet, [num["s1"]], heads, [num["qv"]])
+    first, _value = indexed.max_flow(inet, [num["s1"]], heads)
+    lex, _value = indexed.max_flow(inet, [num["s1"]], [*heads, num["qv"]], start=first)
     assert new_side == indexed.min_cut_source_side(inet, lex, [num["s1"]])
     # the max flow that found the side carries the whole region: no flow runs
     side, new_side, calls = expand(["s2", "s3", "qv"], [])
