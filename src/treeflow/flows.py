@@ -25,16 +25,21 @@ from .graphs import ArcId, Cut, Network, TerminalPath, VertexId
 from .indexed import IntGraph, intern, intern_graph
 
 
-def _on_positions(graph: IntGraph, f: Dict[ArcId, int], cap: Optional[List[int]] = None) -> List[int]:
-    """An arc-id flow as one entry per arc position; ids of no arc are
-    ignored.  A negative entry, or one above cap if given, is an
-    InputError naming the first such arc in arc order."""
+def _on_positions(net: Network, graph: IntGraph, f: Dict[ArcId, int],
+                  cap: Optional[List[int]] = None) -> List[int]:
+    """An arc-id flow on net as one entry per arc position of its interned
+    graph; entries on loops, which the graph drops, are ignored.  An id
+    that names no arc of net is an InputError (dangling-reference), and so
+    is a negative entry, or one above cap if given (invalid-input), naming
+    the first such arc in arc order."""
     number = graph.ids.arc_number
     dense = [0] * len(graph.arcs)
     for a, w in f.items():
         k = number.get(a)
         if k is not None:
             dense[k] = w
+        elif a not in net.capacity:
+            raise InputError(f"unknown arc {a!r}", code="dangling-reference")
     bad = [k for k, w in enumerate(dense) if w < 0 or cap is not None and w > cap[k]]
     if bad:
         raise InputError(f"flow {dense[bad[0]]} on arc {graph.ids.arc_ids[bad[0]]!r} is out of range",
@@ -82,15 +87,15 @@ def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[Ver
 
     The side is the set of vertices reachable from the sources in the
     residual graph of f.  If any of the optional sinks is reachable, f was
-    not maximum and a ContractViolation is raised.  Unknown sources or
-    sinks, and a negative flow or one above an arc's capacity, are
+    not maximum and a ContractViolation is raised.  Unknown sources,
+    sinks or arcs, and a negative flow or one above an arc's capacity, are
     InputErrors.
     """
     src, snk = set(sources), set(sinks)
     _check_vertices(net, src | snk)
     inet = intern(net)
     ids = inet.graph.ids
-    side = indexed.min_cut_source_side(inet, _on_positions(inet.graph, f, inet.cap),
+    side = indexed.min_cut_source_side(inet, _on_positions(net, inet.graph, f, inet.cap),
                                        [ids.number[v] for v in src], [ids.number[t] for t in snk])
     return Cut(frozenset(ids.vertex_ids[v] for v in side))
 
@@ -126,13 +131,14 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
     first vertex to its last.
 
     A vertex listed both as source and sink takes the role its divergence
-    sign dictates.  Any other vertex must have zero divergence.
+    sign dictates.  Any other vertex must have zero divergence.  An id in
+    f that names no arc of net is an InputError.
     """
     srcs = set(allowed_sources)
     snks = set(allowed_sinks)
     _check_vertices(net, srcs | snks)
     graph = intern_graph(net.graph)
     ids = graph.ids
-    paths = indexed.decompose(graph, _on_positions(graph, f), [ids.number[v] for v in srcs],
+    paths = indexed.decompose(graph, _on_positions(net, graph, f), [ids.number[v] for v in srcs],
                               [ids.number[v] for v in snks])
     return [ids.path_ids(p) for p in paths]

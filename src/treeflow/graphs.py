@@ -149,7 +149,15 @@ class Cut:
 
 
 def divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
-    """Net outflow of f at v: f over out-arcs minus f over in-arcs."""
+    """Net outflow of f at v: f over out-arcs minus f over in-arcs.  An
+    id in f that net.capacity lacks is an InputError; loops have one."""
+    for a in f:
+        if a not in net.capacity:
+            raise InputError(f"unknown arc {a!r}", code="dangling-reference")
+    return _divergence(net, f, v)
+
+
+def _divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
     if v not in net.vertices:
         raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
     g = net.graph
@@ -158,9 +166,7 @@ def divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
 
 def is_eulerian_at(net: Network, v: VertexId) -> bool:
     """True iff capacity into v equals capacity out of v."""
-    if v not in net.vertices:
-        raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
-    return divergence(net, net.capacity, v) == 0
+    return _divergence(net, net.capacity, v) == 0
 
 
 def boundary(net: Network, side) -> Tuple[Set[ArcId], Set[ArcId]]:

@@ -12,9 +12,11 @@ An IntGraph lists its arcs in arc order: position k holds arc number
 arcs[k] from tail[k] to head[k].  Its adjacency lists, indexed by vertex
 number, hold each vertex's residual half-arcs in arc order: 2k where
 arc k leaves the vertex, 2k + 1 where it enters.  Max flows, residual
-cuts and contraction read these arrays directly.  Contraction is one
-pass, a vertex image plus an arc filter, and validates nothing: only
-the public entry points (graphs, flows, solver.solve) check input.
+cuts and contraction read these arrays directly.  An IntNetwork is arcs
+and capacities only; a solve reads its terminals from its tree's subtree
+map.  Contraction is one pass, a vertex image plus an arc filter, and
+validates nothing: only the public entry points (graphs, flows,
+solver.solve) check input.
 
 Kernels speak numbers: vertex numbers, flows as one entry per arc
 position, paths as TerminalPaths of vertex and arc numbers.  Arcs break
@@ -136,11 +138,10 @@ class IntGraph:
 
 @dataclass(frozen=True)
 class IntNetwork:
-    """An IntGraph with terminal vertex numbers and one capacity per arc
-    position.  Networks that differ only in capacities share a graph."""
+    """An IntGraph with one capacity per arc position and no terminals.
+    Networks that differ only in capacities share a graph."""
 
     graph: IntGraph
-    terminals: Tuple[int, ...]
     cap: List[int]
 
 
@@ -156,8 +157,7 @@ def intern_graph(graph: Digraph) -> IntGraph:
 def intern(net: Network) -> IntNetwork:
     """A validated network on numbers of a new IdTable."""
     g = intern_graph(net.graph)
-    return IntNetwork(g, tuple(g.ids.number[t] for t in net.terminals),
-                      [net.capacity[a] for a in g.ids.arc_ids])
+    return IntNetwork(g, [net.capacity[a] for a in g.ids.arc_ids])
 
 
 def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork:
@@ -165,8 +165,8 @@ def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork
 
     groups maps each new vertex number z (from IdTable.new_vertex) to
     the set it replaces.  Arcs inside one set disappear; all others keep
-    their numbers, capacities and order.  The terminals become those
-    outside the sets, followed by the new vertices in the order of groups.
+    their numbers, capacities and order.  The caller's tree holds the
+    terminals, the new vertices among them.
     """
     g = net.graph
     image = g.ids.ints(len(g.ids.vertex_ids))[:len(g.ids.vertex_ids)]
@@ -186,8 +186,7 @@ def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork
             head.append(h)
             cap.append(c)
     vertices = frozenset([v for v in g.vertices if image[v] == v]).union(groups)
-    terminals = tuple(t for t in net.terminals if image[t] == t) + tuple(groups)
-    return IntNetwork(IntGraph(g.ids, vertices, arcs, tail, head), terminals, cap)
+    return IntNetwork(IntGraph(g.ids, vertices, arcs, tail, head), cap)
 
 
 def boundary(graph: IntGraph, side: frozenset) -> Tuple[List[int], List[int]]:

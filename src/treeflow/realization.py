@@ -272,8 +272,11 @@ def choose_balanced_edge(real: RealizationTree):
 
     Returns (u, v) with leaf counts of both sides (counting the new leaf
     a contraction would create) at most 2k/3 + 1, or None when every edge
-    touches a leaf.  Only adjacency(), edges() and component_without_edge()
-    are read, so the solver passes its IntTree as well.
+    touches a leaf.  Such an edge exists when inner degrees are at most
+    three, as normalize leaves them; a tree with a vertex of degree four or
+    more and no such edge is an InputError.  Only adjacency(), edges() and
+    component_without_edge() are read, so the solver passes its IntTree as
+    well.
     """
     adj = real.adjacency()
     leaves = {v for v, ns in adj.items() if len(ns) == 1}
@@ -287,6 +290,9 @@ def choose_balanced_edge(real: RealizationTree):
         k2 = len(leaves - side_u) + 1
         if 3 * k1 <= 2 * k + 3 and 3 * k2 <= 2 * k + 3:
             return (u, v)
+    if any(len(ns) >= 4 for ns in adj.values()):
+        raise InputError("no balanced partition edge: the tree has a vertex of degree four or more",
+                         code="invalid-tree")
     raise ContractViolation("no balanced partition edge in a degree-3 tree")
 
 
@@ -390,9 +396,11 @@ class Reduction:
     """The five reductions on a numbered instance, run to a fixed point.
 
     The tree is held as neighbour sets, and each tree arc's length and the
-    input tree arcs it stands for (origin) by its pair of numbers.  Made
-    tree vertices, split vertices and split arcs take the next numbers of
-    their IdTables; the network is rebuilt once, at the end (network).
+    input tree arcs it stands for (origin) by its pair of numbers; subs
+    maps each terminal to its subtree, so its keys, in order, are the
+    terminals.  Made tree vertices, split vertices and split arcs take the
+    next numbers of their IdTables; the network is rebuilt once, at the
+    end (network), with arcs and capacities only.
     """
 
     def __init__(self, net: IntNetwork, tree_ids: IdTable, tree: IntTree,
@@ -400,7 +408,6 @@ class Reduction:
         self.net = net
         self.ids = net.graph.ids
         self.tree_ids = tree_ids
-        self.terminals = list(net.terminals)
         self.adj = {v: set(ns) for v, ns in tree.adj.items()}
         self.length = dict(length)
         self.input_arcs = sorted(length)
@@ -412,9 +419,9 @@ class Reduction:
         """Afterwards: no linear terminals, every leaf hosts a simple
         terminal, no simple terminal at an inner vertex, inner degrees at
         most three, and no mergeable degree-two chains."""
-        for _round in range(10 * (len(self.adj) + len(self.terminals)) + 20):
+        for _round in range(10 * (len(self.adj) + len(self.subs)) + 20):
             changed = False
-            for s in sorted(self.terminals):
+            for s in sorted(self.subs):
                 changed |= self.split(s)  # C1
             changed |= self._drop_bare_leaves()  # C2
             changed |= self._move_simple_terminals()  # C3
@@ -426,7 +433,7 @@ class Reduction:
 
     def tree(self) -> IntTree:
         return IntTree(frozenset(self.adj), {v: tuple(sorted(ns)) for v, ns in self.adj.items()},
-                       {t: frozenset(self.subs[t]) for t in self.terminals})
+                       {t: frozenset(sub) for t, sub in self.subs.items()})
 
     def network(self) -> IntNetwork:
         """The network with each split's arcs s -> s1, carrying the
@@ -443,8 +450,7 @@ class Reduction:
             cap += [sum(caps[e >> 1] for e in g.adj[s] if e & 1),
                     sum(caps[e >> 1] for e in g.adj[s] if not e & 1)]
         halves = [h for r in self.splits for h in (r.target_half, r.source_half)]
-        return IntNetwork(IntGraph(self.ids, g.vertices.union(halves), arcs, tail, head),
-                          tuple(self.terminals), cap)
+        return IntNetwork(IntGraph(self.ids, g.vertices.union(halves), arcs, tail, head), cap)
 
     def record(self) -> NormalizeRecord:
         """The splits, and each input tree arc mapped to the arc it became
@@ -464,8 +470,6 @@ class Reduction:
         s1, s2 = self.ids.new_vertex(), self.ids.new_vertex()
         a_in, a_out = self.ids.new_arc(), self.ids.new_arc()
         self.splits.append(SplitRecord(s, s2, s1, a_in, a_out))
-        self.terminals.remove(s)
-        self.terminals += [s1, s2]
         del self.subs[s]
         self.subs[s1], self.subs[s2] = {ends[0]}, {ends[1]}
         return True
@@ -569,7 +573,7 @@ def _in_ids(red: Reduction):
     vid, aid, tid = g.ids.vertex_ids, g.ids.arc_ids, red.tree_ids.vertex_ids
     out_net = Network(Digraph.build([vid[v] for v in g.vertices],
                                     [(aid[a], vid[t], vid[h]) for a, t, h in zip(g.arcs, g.tail, g.head)]),
-                      tuple(vid[t] for t in net.terminals), {aid[a]: c for a, c in zip(g.arcs, net.cap)})
+                      tuple(vid[t] for t in tree.subtrees), {aid[a]: c for a, c in zip(g.arcs, net.cap)})
     out_real = RealizationTree(frozenset(tid[x] for x in tree.vertices),
                                {(tid[u], tid[v]): ell for (u, v), ell in red.length.items()},
                                {vid[t]: frozenset(tid[x] for x in sub) for t, sub in tree.subtrees.items()})
@@ -589,12 +593,15 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     c(in(s)) and (s2, s) of capacity c(out(s)); afterwards s is an inner
     Eulerian vertex.  Distances are preserved: mu(x, s1) equals the old
     mu(x, s) and mu(s2, x) equals the old mu(s, x).  The new vertices and
-    arcs have ids that equal no input id.
+    arcs have ids that equal no input id.  An s that is no terminal, or
+    one that is not linear, is an InputError.
     """
     red = Reduction(*intern_instance(net, real))
     num = red.ids.number.get(s)
-    if num not in red.subs or not red.split(num):
-        raise ContractViolation(f"terminal {s!r} is not linear")
+    if num not in red.subs:
+        raise InputError(f"unknown terminal {s!r}", code="dangling-reference")
+    if not red.split(num):
+        raise InputError(f"terminal {s!r} is not linear", code="invalid-input")
     new_net, new_real, rec = _in_ids(red)
     return new_net, new_real, rec.splits[0]
 

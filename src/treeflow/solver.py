@@ -14,10 +14,12 @@ solve and free_imf validate their input and intern it once (indexed.py),
 the tree numbered too, in id order.  Normalization (realization.Reduction),
 the recursion, which contracts by relabelling, and the undo of the
 normalization then run on numbers and build no Network, Digraph or
-RealizationTree; paths and cuts return to ids once, at the end.  Ties
-break by number throughout: vertices by vertex number (input vertices are
-numbered in id order), arcs by arc number (arc order), and each vertex or
-arc made takes the next.
+RealizationTree; paths and cuts return to ids once, at the end.  Their
+networks are arcs and capacities only: every level reads its terminals,
+and the groups a tree arc separates (pi_set), from its tree's subtree
+map.  Ties break by number throughout: vertices by vertex number (input
+vertices are numbered in id order), arcs by arc number (arc order), and
+each vertex or arc made takes the next.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
@@ -120,6 +122,14 @@ def _by_position(net: IntNetwork, f: Dict[int, int]) -> List[int]:
     return dense
 
 
+def _cut(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int], stats: SolveStats, start=None):
+    """A counted max flow (from start, if given) and the source side of
+    its inclusion-minimal minimum cut: (side, flow)."""
+    stats.maxflow_calls += 1
+    f, _value = max_flow(net, sources, sinks, start=start)
+    return min_cut_source_side(net, f, sources, sinks), f
+
+
 # -- free multiflow (unit weights) -----------------------------------------
 
 
@@ -198,13 +208,10 @@ class _FreeCore:
         position = g.position
         for i, t in enumerate(self.terms):
             others = [u for u in self.terms if u != t]
-            # no arrivals at the source, no departures from sinks: capacity
-            # 0 forbids an arc, so the k flows share the core's own graph
-            caps = [0 if head == t or (tail in self.index and tail != t) else c - used
-                    for tail, head, c, used in zip(g.tail, g.head, self.cap, self.used)]
-            sub = IntNetwork(g, tuple(self.terms), caps)
+            # leftover capacity, unmasked: no rising arc enters a source and a
+            # path ends at the first sink, so arcs into t and out of the others carry 0
             self.stats.maxflow_calls += 1
-            f, value = max_flow(sub, [t], others)
+            f, value = max_flow(IntNetwork(g, [c - w for c, w in zip(self.cap, self.used)]), [t], others)
             if not value:
                 continue
             for p in decompose(g, f, [t], others):
@@ -473,7 +480,7 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
             tail.append(u)
             head.append(w)
             caps.append(hi)
-        trial = IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
+        trial = IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), caps)
         # u and w both terminals: no set holding only one of them is lowered
         untouched = {u, w} if u != w and u in tset and w in tset else ()
         short = 0
@@ -572,12 +579,8 @@ def _minimal_terminal_cuts(net: IntNetwork, groups: Sequence[Sequence[int]],
     """Each terminal group's inclusion-minimal minimum cut side against the
     other groups, disjoint for inner-Eulerian nets, with the max flow from
     the whole group that found it."""
-    cuts = []
-    for i, group in enumerate(groups):
-        others = [u for j, other in enumerate(groups) if j != i for u in other]
-        stats.maxflow_calls += 1
-        f, _v = max_flow(net, group, others)
-        cuts.append((min_cut_source_side(net, f, group, sinks=others), f))
+    cuts = [_cut(net, group, [u for j, other in enumerate(groups) if j != i for u in other], stats)
+            for i, group in enumerate(groups)]
     for i, (a, _f) in enumerate(cuts):
         for b, _g in cuts[i + 1:]:
             if a & b:
@@ -602,7 +605,7 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
     inet = intern(net)
     ids = inet.graph.ids
-    groups = [[t] for t in sorted(inet.terminals)]
+    groups = [[t] for t in sorted(ids.number[t] for t in net.terminals)]
     paths, sides = _free_imf_paths(inet, groups, _minimal_terminal_cuts(inet, groups, stats), {}, stats)
     return (Multiflow(tuple(map(ids.path_ids, paths))),
             {ids.vertex_ids[t]: Cut(frozenset([ids.vertex_ids[v] for v in side]))
@@ -677,16 +680,13 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     and act as balanced through-vertices; no path starts or ends at one.
     """
     v1, v2 = sorted(tree.vertices)
-    src = [t for t in net.terminals if tree.subtrees[t] == {v1}]
-    dst = [t for t in net.terminals if tree.subtrees[t] == {v2}]
-    if not src or not dst:
+    pi = pi_set(tree, tree.subtrees, (v1, v2))
+    if pi.empty:
         raise ContractViolation("two-vertex base without terminals at both ends")
-    stats.maxflow_calls += 1
-    f, _val = max_flow(net, src, dst)
-    x = min_cut_source_side(net, f, src, sinks=dst)
+    src, dst = pi.tail_side_terminals, pi.head_side_terminals
+    x, f = _cut(net, src, dst, stats)
     g = [c - used for c, used in zip(net.cap, f)]
-    ends = set(src) | set(dst)
-    paths = decompose(net.graph, f, src, dst) + decompose(net.graph, g, ends, ends)
+    paths = decompose(net.graph, f, src, dst) + decompose(net.graph, g, src | dst, src | dst)
     return paths, {(v1, v2): x}
 
 
@@ -709,11 +709,7 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
     leaving, entering = boundary(g, side)
     ends = [*{g.head[k] for k in leaving}, *q_terms]
     f = [w if t in side else 0 for t, w in zip(g.tail, f)]
-    new_side = side
-    if q_terms:
-        stats.maxflow_calls += 1
-        f, _value = max_flow(net, group, ends, start=f)
-        new_side = min_cut_source_side(net, f, group, sinks=ends)
+    new_side, f = _cut(net, group, ends, stats, start=f) if q_terms else (side, f)
     for k in leaving:
         if f[k] != net.cap[k]:
             raise ContractViolation("region flow does not saturate the cut boundary")
@@ -747,8 +743,7 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
 
     groups: List[List[int]] = [[] for _leaf in leaves]
     complexes: List[int] = []
-    for t in net.terminals:
-        sub = tree.subtrees[t]
+    for t, sub in tree.subtrees.items():
         hit = [i for i, v in enumerate(leaves) if v in sub]
         if len(sub) == 1:
             if sub == {center}:
@@ -823,22 +818,19 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
     v1, v2 = edge
     side1 = tree.component_without_edge(v1, v2)
     side2 = tree.vertices - side1
-    s1_group = [t for t in net.terminals if tree.subtrees[t] <= side1]
-    s2_group = [t for t in net.terminals if tree.subtrees[t] <= side2]
-    if not s1_group or not s2_group:
+    pi = pi_set(tree, tree.subtrees, edge)
+    if pi.empty:
         raise ContractViolation("partition with an empty terminal group")
 
-    stats.maxflow_calls += 1
-    f, _val = max_flow(net, s1_group, s2_group)
-    x1 = min_cut_source_side(net, f, s1_group, sinks=s2_group)
+    x1, _f = _cut(net, pi.tail_side_terminals, pi.head_side_terminals, stats)
     x2 = net.graph.vertices - x1
 
     ids = net.graph.ids
     z2 = ids.new_vertex()
     z1 = ids.new_vertex()
 
-    tree1 = _contract_tree(tree, side1, v2, [t for t in net.terminals if t in x1], z2)
-    tree2 = _contract_tree(tree, side2, v1, [t for t in net.terminals if t in x2], z1)
+    tree1 = _contract_tree(tree, side1, v2, x1, z2)
+    tree2 = _contract_tree(tree, side2, v1, x2, z1)
 
     # each child network lives only while its own recursion runs
     paths1, cuts1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1)
@@ -860,16 +852,16 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
 
 
 def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
-                   kept_terminals: Sequence[int], z: int) -> IntTree:
+                   kept: frozenset, z: int) -> IntTree:
     """The tree on one side of a partition edge plus its far endpoint
-    anchor, which realizes the contraction vertex z."""
+    anchor, which realizes z; its terminals are those in kept, then z."""
     verts = keep_side | {anchor}
     adj = {u: tuple(w for w in tree.adj[u] if w in verts) for u in verts}
     subs = {}
-    for t in kept_terminals:
-        sub = tree.subtrees[t]
-        rest = sub & keep_side
-        subs[t] = rest | {anchor} if sub - keep_side else rest
+    for t, sub in tree.subtrees.items():
+        if t in kept:
+            rest = sub & keep_side
+            subs[t] = rest | {anchor} if sub - keep_side else rest
     subs[z] = frozenset({anchor})
     return IntTree(verts, adj, subs)
 
@@ -907,7 +899,7 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     reduction.run()
     norm_tree = reduction.tree()
     paths, cuts = _solve_rec(reduction.network(), norm_tree, stats, 0)
-    paths, cert = _undo_normalization(inet, tree, norm_tree, reduction.record(), paths, cuts)
+    paths, cert = _undo_normalization(tree, norm_tree, reduction.record(), paths, cuts)
     paths, cert = _external(inet.graph.ids, tree_ids, paths, cert)
 
     flow = Multiflow(tuple(paths))
@@ -916,7 +908,7 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     return SolveOutput(flow, Certificate(cert), value, stats)
 
 
-def _undo_normalization(net0: IntNetwork, tree0: IntTree, norm_tree: IntTree,
+def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
                         record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
     """Map paths and cuts of the normalized instance back to the input, in
     numbers: one certificate cut per input tree edge with a nonempty pair
@@ -947,7 +939,7 @@ def _undo_normalization(net0: IntNetwork, tree0: IntTree, norm_tree: IntTree,
 
     cert: CutMap = {}
     for arc, mapped in record.arc_map.items():
-        if pi_set(tree0, net0.terminals, arc).empty:
+        if pi_set(tree0, tree0.subtrees, arc).empty:
             continue
         if mapped is None:
             raise ContractViolation(f"no surviving tree arc for {arc!r}")

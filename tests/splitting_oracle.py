@@ -51,7 +51,7 @@ def core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats):
                 tail.append(u)
                 head.append(w)
                 caps.append(gamma)
-        return IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), tuple(terms), caps)
+        return IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), caps)
 
     def feasible(a_id, b_id, gamma) -> bool:
         if gamma == 0:

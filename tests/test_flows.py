@@ -11,6 +11,7 @@ from treeflow import (
     Network,
     TerminalPath,
     decompose,
+    divergence,
     lex_max_flow,
     max_flow,
     min_cut_source_side,
@@ -120,6 +121,23 @@ def test_min_cut_rejects_unknown_sinks_and_flows_outside_capacity():
         with pytest.raises(InputError) as outside:
             min_cut_source_side(net, f, ["s"])
         assert outside.value.code == "invalid-input"
+
+
+def test_flows_by_arc_id_reject_ids_of_no_arc_and_ignore_loops():
+    net = make_net(["s", "x", "t"], [("a", "s", "x"), ("b", "x", "t")], ["s", "t"], {"a": 2, "b": 1})
+    calls = [lambda f: min_cut_source_side(net, f, ["s"]),
+             lambda f: decompose(net, f, ["s"], ["t"]),
+             lambda f: divergence(net, f, "s")]
+    for call in calls:
+        with pytest.raises(InputError) as unknown:
+            call({"nope": 7})
+        assert unknown.value.code == "dangling-reference"
+    # the graph drops the loop, but its id is an arc of the network
+    looped = make_net(["s", "x", "t"], [("a", "s", "x"), ("loop", "x", "x"), ("b", "x", "t")],
+                      ["s", "t"], {"a": 1, "loop": 5, "b": 1})
+    assert decompose(looped, looped.capacity, ["s"], ["t"]) == [TerminalPath("s", "t", ("a", "b"), 1)]
+    assert min_cut_source_side(looped, looped.capacity, ["s"]).source_side == {"s"}
+    assert divergence(looped, looped.capacity, "x") == 0
 
 
 def test_lex_flow_primary_only():
@@ -314,7 +332,7 @@ def test_complement_flow_on_balanced_inner(net):
     arcs = [(a.id, a.tail, a.head) for a in net.graph.arcs]
     k = 0
     for v in inner:
-        d = divergence(net, caps, v)
+        d = divergence(net, net.capacity, v)
         if d > 0:
             arcs.append((f"fix{k}", t if False else s, v))  # add inflow
             caps[f"fix{k}"] = d
@@ -454,6 +472,9 @@ def test_max_flow_matches_the_reference_kernel(instance, data):
     assert indexed.max_flow(inet, sources, sinks, start=start) == \
         reference_kernel.max_flow(inet, sources, sinks, start=start)
     assert ([list(arcs) for arcs in g.adj], g.tail, g.head, inet.cap, start) == before
+    # from the zero flow no arc into a source or out of a sink carries flow,
+    # so callers need not mask those arcs
+    assert not any(w and (h in sources or t in sinks) for t, h, w in zip(g.tail, g.head, f))
 
 
 def test_max_flow_takes_deep_levels_from_the_backward_search():

@@ -79,8 +79,8 @@ def test_cut_validation():
 def contract_ids(net, groups):
     """indexed.contract on the interned network, with ids in and out: the
     new vertex of each group is named by its key in groups.  Returns the
-    vertices, the arcs as (id, tail, head) in arc order, the capacities
-    and the terminals."""
+    vertices, the arcs as (id, tail, head) in arc order and the
+    capacities."""
     inet = intern(net)
     ids = inet.graph.ids
     made = {ids.new_vertex(): z for z in groups}
@@ -92,22 +92,20 @@ def contract_ids(net, groups):
     g = out.graph
     arcs = [(ids.arc_ids[a], name(t), name(h)) for a, t, h in zip(g.arcs, g.tail, g.head)]
     caps = {ids.arc_ids[a]: c for a, c in zip(g.arcs, out.cap)}
-    return {name(v) for v in g.vertices}, arcs, caps, tuple(map(name, out.terminals))
+    return {name(v) for v in g.vertices}, arcs, caps
 
 
 def test_contract_endpoint():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    vertices, arcs, caps, terminals = contract_ids(net, {"z": ["t"]})
+    vertices, arcs, caps = contract_ids(net, {"z": ["t"]})
     assert vertices == {"s", "z"}
     assert arcs == [("a", "s", "z")] and caps == {"a": 2}
-    assert terminals == ("s", "z")
 
 
 def test_contract_deletes_interior_arcs():
     net = make_net(["s", "t"], [("a", "s", "t")], ["s", "t"], {"a": 2})
-    vertices, arcs, caps, terminals = contract_ids(net, {"z": ["s", "t"]})
+    vertices, arcs, caps = contract_ids(net, {"z": ["s", "t"]})
     assert vertices == {"z"} and arcs == [] and caps == {}
-    assert terminals == ("z",)
 
 
 def test_contract_three_cycle():
@@ -115,7 +113,7 @@ def test_contract_three_cycle():
     net = make_net(["u", "v", "w"],
                    [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "w", "u")],
                    ["u"], {"e1": 1, "e2": 1, "e3": 1})
-    _vertices, arcs, caps, _terminals = contract_ids(net, {"z": ["v", "w"]})
+    _vertices, arcs, caps = contract_ids(net, {"z": ["v", "w"]})
     assert arcs == [("e1", "u", "z"), ("e3", "z", "u")]
     assert caps == {"e1": 1, "e3": 1}
 
@@ -137,7 +135,6 @@ def test_contract_commutes_for_disjoint_sets():
 
     assert arcs(one) == arcs(two) == arcs(both) == [(1, p, q, 2), (3, q, p, 4)]
     assert one.graph.vertices == two.graph.vertices == both.graph.vertices == {p, q}
-    assert both.terminals == one.terminals == (p, q)
 
 
 def test_validate_instance_cases():
@@ -213,7 +210,7 @@ def test_contract_preserves_outside_arcs(net, data):
     side = {v for v in verts if data.draw(st.booleans())} or {verts[0]}
     if side == set(verts):
         side = {verts[0]}
-    _vertices, arcs, caps, _terminals = contract_ids(net, {"fresh": side})
+    _vertices, arcs, caps = contract_ids(net, {"fresh": side})
     expected = [a.id for a in net.graph.arcs if not (a.tail in side and a.head in side)]
     assert [aid for aid, _t, _h in arcs] == expected
     lost = sum(net.capacity[a.id] for a in net.graph.arcs

@@ -347,3 +347,21 @@ def test_choose_balanced_edge_on_path():
                      [("a", "b", 1, 1), ("b", "c", 1, 1), ("c", "d", 1, 1)],
                      {"s": ["a"]})
     assert choose_balanced_edge(real) == ("b", "c")
+
+
+def test_tree_helpers_raise_input_errors_on_caller_input():
+    net = make_net(["s", "t"], [("a", "s", "t"), ("b", "t", "s")], ["s", "t"], {"a": 1, "b": 1})
+    real = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"], "t": ["v2"]})
+    for s, code in (("s", "invalid-input"), ("nope", "dangling-reference")):
+        with pytest.raises(InputError) as e:
+            split_linear_terminal(net, real, s)
+        assert e.value.code == code
+    # a centre of degree 6 with legs of length 2: every eligible edge cuts
+    # off one leaf, and no edge is balanced until degrees are bounded
+    legs = [(f"m{i}", f"l{i}") for i in range(6)]
+    spider = make_real(["c"] + [v for leg in legs for v in leg],
+                       [e for m, leaf in legs for e in (("c", m, 1, 1), (m, leaf, 1, 1))],
+                       {"s": ["l0"]})
+    with pytest.raises(InputError) as e:
+        choose_balanced_edge(spider)
+    assert e.value.code == "invalid-tree"
