@@ -14,9 +14,11 @@ number, hold each vertex's residual half-arcs in arc order: 2k where
 arc k leaves the vertex, 2k + 1 where it enters.  Max flows, residual
 cuts and contraction read these arrays directly.  An IntNetwork is arcs
 and capacities only; a solve reads its terminals from its tree's subtree
-map.  Contraction is one pass, a vertex image plus an arc filter, and
-validates nothing: only the public entry points (graphs, flows,
-solver.solve) check input.
+map.  Contraction walks only the smaller side: the adjacency of the
+sets it contracts, whose arcs it patches into a copy of the parent's
+arrays, or that of the few vertices it keeps, from which it builds the
+child.  It validates nothing: only the public entry points (graphs,
+flows, solver.solve) check input.
 
 Kernels speak numbers: vertex numbers, flows as one entry per arc
 position, paths as TerminalPaths of vertex and arc numbers.  Arcs break
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
 from .graphs import Digraph, Network, TerminalPath, sort_key
@@ -110,25 +112,38 @@ class IntGraph:
     arrays is arc number arcs[k] from tail[k] to head[k], in arc order;
     no arc is a loop.  adj[v] lists v's residual half-arcs in arc order
     (2k leaving along k, 2k + 1 entering along k); adj is as long as the
-    table was when the graph was built.  None of the lists is modified
-    after construction, so flows and callers read them in place.
+    table was when the graph was built.  The positions in some adjacency
+    list are the live arcs, and live counts them.  A contraction may
+    leave dead positions: arcs it put inside a contraction vertex, in no
+    adjacency list, with their old endpoints and capacity 0 in the
+    network; it keeps the positions at most twice the live arcs.  A
+    contracted graph shares the arc list and the adjacency lists of the
+    vertices it leaves alone with the graph it came from.  None of the
+    lists is modified after construction, so flows and callers read them
+    in place.
+
+    Given no adj, the constructor builds it from every position, all live.
     """
 
     def __init__(self, ids: IdTable, vertices: frozenset, arcs: List[int],
-                 tail: List[int], head: List[int]):
+                 tail: List[int], head: List[int],
+                 adj: Optional[List] = None, live: Optional[int] = None):
         self.ids = ids
         self.vertices = vertices
         self.arcs = arcs
         self.tail = tail
         self.head = head
-        adj: List = [()] * len(ids.vertex_ids)
-        for v in vertices:
-            adj[v] = []
-        half = ids.ints(2 * len(tail))
-        for k, (t, h) in enumerate(zip(tail, head)):
-            adj[t].append(half[2 * k])
-            adj[h].append(half[2 * k + 1])
+        if adj is None:
+            adj = [()] * len(ids.vertex_ids)
+            for v in vertices:
+                adj[v] = []
+            half = ids.ints(2 * len(tail))
+            for k, (t, h) in enumerate(zip(tail, head)):
+                adj[t].append(half[2 * k])
+                adj[h].append(half[2 * k + 1])
+            live = len(tail)
         self.adj: List[List[int]] = adj
+        self.live: int = live
 
     @cached_property
     def position(self) -> Dict[int, int]:
@@ -160,33 +175,90 @@ def intern(net: Network) -> IntNetwork:
     return IntNetwork(g, [net.capacity[a] for a in g.ids.arc_ids])
 
 
-def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork:
+def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwork:
     """Contract disjoint vertex sets, each into its own new vertex.
 
     groups maps each new vertex number z (from IdTable.new_vertex) to
-    the set it replaces.  Arcs inside one set disappear; all others keep
-    their numbers, capacities and order.  The caller's tree holds the
+    the set it replaces.  Arcs inside one set leave the graph; all others
+    keep their numbers, capacities and order.  The caller's tree holds the
     terminals, the new vertices among them.
+
+    The Python work follows the smaller side, as in Hopcroft's "process
+    the smaller half" (1971); only C-speed list copies read everything.
+    - One set with more vertices than the rest: the child is built from
+      the adjacency of the vertices it keeps, which holds all its arcs.
+    - Otherwise the child patches the parent.  It copies the arc arrays,
+      the capacities and the outer adjacency list, and walks only the
+      members' adjacency: an arc leaving a set gets z as its end there
+      and z gets its half-arc, and an arc inside one set becomes a dead
+      position.  A half-arc names its arc, not the far vertex, so every
+      other vertex keeps the parent's adjacency list object.  Where that
+      would leave more than twice as many positions as live arcs, the
+      child is rebuilt compactly from its live adjacency instead, which
+      bounds what the dead positions cost every later pass over the
+      arc positions.
+    Either way each live arc keeps its number, endpoints and capacity,
+    and each adjacency list its arc order, as a compact contraction gives
+    them; dead positions are in no list and have capacity 0.  So max
+    flows, decompositions, walk searches and splitting meet the same arcs
+    in the same order, and find the same flows.
     """
     g = net.graph
-    image = g.ids.ints(len(g.ids.vertex_ids))[:len(g.ids.vertex_ids)]
+    n = len(g.ids.vertex_ids)
+    kept = g.vertices.difference(*groups.values())
+    vertices = kept.union(groups)
+    if len(groups) == 1 and 2 * len(kept) < len(g.vertices):
+        (z,) = groups
+        image = [z] * n
+        for v in kept:
+            image[v] = v
+        return _compact(net, kept, image, vertices)
+
+    image = g.ids.ints(n)[:n]
     for z, members in groups.items():
         for v in members:
             image[v] = z
-    arcs: List[int] = []
-    tail: List[int] = []
-    head: List[int] = []
-    cap: List[int] = []
-    for a, t, h, c in zip(g.arcs, g.tail, g.head, net.cap):
-        t = image[t]
-        h = image[h]
-        if t != h:
-            arcs.append(a)
-            tail.append(t)
-            head.append(h)
-            cap.append(c)
-    vertices = frozenset([v for v in g.vertices if image[v] == v]).union(groups)
-    return IntNetwork(IntGraph(g.ids, vertices, arcs, tail, head), cap)
+    g_tail, g_head, g_adj = g.tail, g.head, g.adj
+    tail, head, cap = g_tail[:], g_head[:], net.cap[:]
+    adj = g_adj + [()] * (n - len(g_adj))
+    live = g.live
+    for z, members in groups.items():
+        z_adj = []
+        for v in members:
+            for e in g_adj[v]:
+                k = e >> 1
+                if e & 1:
+                    if image[g_tail[k]] == z:
+                        continue  # inside the set: dead, counted at its tail
+                    head[k] = z
+                else:
+                    if image[g_head[k]] == z:
+                        cap[k] = 0
+                        live -= 1
+                        continue
+                    tail[k] = z
+                z_adj.append(e)
+            adj[v] = ()
+        z_adj.sort()
+        adj[z] = z_adj
+    child = IntNetwork(IntGraph(g.ids, vertices, g.arcs, tail, head, adj, live), cap)
+    if len(tail) > 2 * live:
+        return _compact(child, vertices, g.ids.ints(n), vertices)
+    return child
+
+
+def _compact(net: IntNetwork, walked: Iterable[int], image: Sequence[int],
+             vertices: frozenset) -> IntNetwork:
+    """A network on vertices with no dead positions: the live arcs at the
+    walked vertices, in arc order, their endpoints mapped through image,
+    which must make no loop."""
+    g = net.graph
+    positions = sorted({e >> 1 for v in walked for e in g.adj[v]})
+    arcs, tail, head, cap = g.arcs, g.tail, g.head, net.cap
+    return IntNetwork(IntGraph(g.ids, vertices, [arcs[k] for k in positions],
+                               [image[tail[k]] for k in positions],
+                               [image[head[k]] for k in positions]),
+                      [cap[k] for k in positions])
 
 
 def boundary(graph: IntGraph, side: frozenset) -> Tuple[List[int], List[int]]:

@@ -302,6 +302,12 @@ class ValidationIssue:
     reason: str
 
 
+def _require_subtrees(net: Network, real: RealizationTree) -> None:
+    for t in net.terminals:
+        if t not in real.subtrees:
+            raise InputError(f"terminal {t!r} has no subtree", code="missing-subtree")
+
+
 def validate_instance(net: Network, real: RealizationTree) -> Optional[ValidationIssue]:
     """Check the solvability conditions; None when the instance is fine.
 
@@ -310,9 +316,7 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
     terminal is reported as a ValidationIssue instead, for the first such
     vertex in id order.
     """
-    for t in net.terminals:
-        if t not in real.subtrees:
-            raise InputError(f"terminal {t!r} has no subtree", code="missing-subtree")
+    _require_subtrees(net, real)
     caps_out: Dict[VertexId, int] = {}
     caps_in: Dict[VertexId, int] = {}
     for a in net.graph.arcs:
@@ -594,8 +598,10 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
     Eulerian vertex.  Distances are preserved: mu(x, s1) equals the old
     mu(x, s) and mu(s2, x) equals the old mu(s, x).  The new vertices and
     arcs have ids that equal no input id.  An s that is no terminal, or
-    one that is not linear, is an InputError.
+    one that is not linear, is an InputError, as is a network terminal
+    without a subtree.
     """
+    _require_subtrees(net, real)
     red = Reduction(*intern_instance(net, real))
     num = red.ids.number.get(s)
     if num not in red.subs:

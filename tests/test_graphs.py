@@ -19,6 +19,7 @@ from treeflow.indexed import contract, intern
 from treeflow.realization import ValidationIssue
 
 from builders import make_net, make_real
+from test_contract import live_arcs, live_positions
 
 
 def test_divergence_isolated_vertex():
@@ -79,7 +80,7 @@ def test_cut_validation():
 def contract_ids(net, groups):
     """indexed.contract on the interned network, with ids in and out: the
     new vertex of each group is named by its key in groups.  Returns the
-    vertices, the arcs as (id, tail, head) in arc order and the
+    vertices, the live arcs as (id, tail, head) in arc order and their
     capacities."""
     inet = intern(net)
     ids = inet.graph.ids
@@ -90,8 +91,9 @@ def contract_ids(net, groups):
         return made.get(v, ids.vertex_ids[v])
 
     g = out.graph
-    arcs = [(ids.arc_ids[a], name(t), name(h)) for a, t, h in zip(g.arcs, g.tail, g.head)]
-    caps = {ids.arc_ids[a]: c for a, c in zip(g.arcs, out.cap)}
+    live = live_positions(g)
+    arcs = [(ids.arc_ids[g.arcs[k]], name(g.tail[k]), name(g.head[k])) for k in live]
+    caps = {ids.arc_ids[g.arcs[k]]: out.cap[k] for k in live}
     return {name(v) for v in g.vertices}, arcs, caps
 
 
@@ -130,10 +132,7 @@ def test_contract_commutes_for_disjoint_sets():
     two = contract(contract(inet, {q: cd}), {p: ab})
     both = contract(inet, {p: ab, q: cd})
 
-    def arcs(n):
-        return list(zip(n.graph.arcs, n.graph.tail, n.graph.head, n.cap))
-
-    assert arcs(one) == arcs(two) == arcs(both) == [(1, p, q, 2), (3, q, p, 4)]
+    assert live_arcs(one) == live_arcs(two) == live_arcs(both) == [(1, p, q, 2), (3, q, p, 4)]
     assert one.graph.vertices == two.graph.vertices == both.graph.vertices == {p, q}
 
 

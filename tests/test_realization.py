@@ -356,6 +356,12 @@ def test_tree_helpers_raise_input_errors_on_caller_input():
         with pytest.raises(InputError) as e:
             split_linear_terminal(net, real, s)
         assert e.value.code == code
+    # a network terminal without a subtree, as normalize reports it
+    lone = make_real(["v1", "v2"], [("v1", "v2", 1, 1)], {"s": ["v1"]})
+    for call in (split_linear_terminal, lambda n, r, _s: normalize(n, r)):
+        with pytest.raises(InputError) as e:
+            call(net, lone, "s")
+        assert e.value.code == "missing-subtree"
     # a centre of degree 6 with legs of length 2: every eligible edge cuts
     # off one leaf, and no edge is balanced until degrees are bounded
     legs = [(f"m{i}", f"l{i}") for i in range(6)]
