@@ -117,8 +117,8 @@ class IntGraph:
     leave dead positions: arcs it put inside a contraction vertex, in no
     adjacency list, with their old endpoints and capacity 0 in the
     network; it keeps the positions at most twice the live arcs.  A
-    contracted graph shares the arc list and the adjacency lists of the
-    vertices it leaves alone with the graph it came from.  None of the
+    patched contraction shares the arc list and the adjacency lists of
+    the vertices it leaves alone with the graph it came from.  None of the
     lists is modified after construction, so flows and callers read them
     in place.
 
