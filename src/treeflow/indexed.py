@@ -120,7 +120,10 @@ class IntGraph:
     patched contraction shares the arc list and the adjacency lists of
     the vertices it leaves alone with the graph it came from.  None of the
     lists is modified after construction, so flows and callers read them
-    in place.
+    in place.  The one exception is the private copy of a core that the
+    splitting fallback (solver._core_by_splitting) owns: it grows and
+    shrinks by bypass arcs between max flows, never during one, and the
+    bypass positions, past its arc list, have no arc number.
 
     Given no adj, the constructor builds it from every position, all live.
     """

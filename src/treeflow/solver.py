@@ -443,44 +443,42 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
 
     Arcs are keyed by their position in the core, bypasses by the next
     keys, so key order is arc order: core arcs in the core's order, then
-    each bypass in the order it was made.  The trial networks list their
-    arcs in that order, and each vertex keeps its in and out arcs in it,
-    so a split reads only the arcs at its vertex.  Each bypass records its
-    walk of core arcs when it is made.
+    each bypass in the order it was made.  The fallback works on one
+    private copy of the core network, whose arrays and adjacency lists
+    grow by each bypass in key order, so a split reads only the arcs at
+    its vertex; the core's own lists, some shared with the networks it
+    was contracted from, stay as they are.  A trial is the split at full
+    width on that copy, its max flows, and the split undone: both
+    capacities restored and the bypass, the last key, popped again.  Each
+    bypass records its walk of core arcs when it is made.
     """
     g = net.graph
-    ids = g.ids
     tset = set(terms)
-    m = len(net.cap)
-    tails = list(g.tail)
-    heads = list(g.head)
-    cap = list(net.cap)
-    walk: List[Dict[int, int]] = [{i: 1} for i in range(m)]  # the core arcs behind each key
-    ins_of: Dict[int, List[int]] = {}  # per vertex, the arcs into it and out of it in order
-    outs_of: Dict[int, List[int]] = {}
-    for i in range(m):
-        ins_of.setdefault(heads[i], []).append(i)
-        outs_of.setdefault(tails[i], []).append(i)
-    out_target = {t: sum(cap[i] for i in outs_of.get(t, ())) for t in terms}
+    tail, head, cap = list(g.tail), list(g.head), list(net.cap)
+    adj = [list(x) for x in g.adj]
+    core = IntNetwork(IntGraph(g.ids, g.vertices, g.arcs, tail, head, adj, g.live), cap)
+    walk: List[Dict[int, int]] = [{i: 1} for i in range(len(cap))]  # the core arcs behind each key
+    out_target = {t: sum(cap[e >> 1] for e in adj[t] if not e & 1) for t in terms}
+
+    def split(a_id: int, b_id: int, amount: int) -> None:
+        """Take amount off the pair and, unless it closes a loop, add its
+        bypass as the next key."""
+        cap[a_id] -= amount
+        cap[b_id] -= amount
+        u, w = tail[a_id], head[b_id]
+        if u != w:
+            k = len(cap)
+            tail.append(u)
+            head.append(w)
+            cap.append(amount)
+            adj[u].append(2 * k)
+            adj[w].append(2 * k + 1)
 
     def admissible(a_id: int, b_id: int) -> int:
         """The largest amount the pair can split, from one trial at full width."""
         hi = min(cap[a_id], cap[b_id])
-        cap[a_id] -= hi
-        cap[b_id] -= hi
-        arcs = [i for i, c in enumerate(cap) if c > 0]
-        tail = [tails[i] for i in arcs]
-        head = [heads[i] for i in arcs]
-        caps = [cap[i] for i in arcs]
-        cap[a_id] += hi
-        cap[b_id] += hi
-        u, w = tails[a_id], heads[b_id]
-        if u != w:
-            arcs.append(len(tails))  # the trial bypass: a key no arc has yet
-            tail.append(u)
-            head.append(w)
-            caps.append(hi)
-        trial = IntNetwork(IntGraph(ids, g.vertices, arcs, tail, head), caps)
+        split(a_id, b_id, hi)
+        u, w = tail[a_id], head[b_id]
         # u and w both terminals: no set holding only one of them is lowered
         untouched = {u, w} if u != w and u in tset and w in tset else ()
         short = 0
@@ -488,46 +486,43 @@ def _core_by_splitting(net: IntNetwork, terms: Sequence[int], stats: SolveStats)
             if t in untouched:
                 continue
             stats.maxflow_calls += 1
-            short = max(short, out_target[t] - max_flow(trial, [t], [x for x in terms if x != t])[1])
+            short = max(short, out_target[t] - max_flow(core, [t], [x for x in terms if x != t])[1])
             if short >= hi:
-                return 0
-        return hi - short
+                break
+        cap[a_id] += hi
+        cap[b_id] += hi
+        if u != w:
+            for lst in (tail, head, cap, adj[u], adj[w]):
+                lst.pop()
+        return max(hi - short, 0)
 
     for v in sorted(g.vertices):
         if v in tset:
             continue
         while True:
-            ins = [i for i in ins_of.get(v, ()) if cap[i] > 0]
-            outs = [i for i in outs_of.get(v, ()) if cap[i] > 0]
+            ins = [e >> 1 for e in adj[v] if e & 1 and cap[e >> 1] > 0]
+            outs = [e >> 1 for e in adj[v] if not e & 1 and cap[e >> 1] > 0]
             if not ins and not outs:
                 break
             if not ins or not outs:
                 raise ContractViolation("unbalanced inner vertex during splitting")
-            if len({tails[i] for i in ins}) == 1 or len({heads[i] for i in outs}) == 1:
+            if len({tail[i] for i in ins}) == 1 or len({head[i] for i in outs}) == 1:
                 # a free split: the first pair is admissible at full width
-                split = (ins[0], outs[0], min(cap[ins[0]], cap[outs[0]]))
+                pair = (ins[0], outs[0], min(cap[ins[0]], cap[outs[0]]))
             else:
-                split = next(((a_id, b_id, amount) for a_id in ins for b_id in outs
-                              if (amount := admissible(a_id, b_id))), None)
-                if split is None:
+                pair = next(((a_id, b_id, amount) for a_id in ins for b_id in outs
+                             if (amount := admissible(a_id, b_id))), None)
+                if pair is None:
                     raise ContractViolation("no admissible capacity split at an inner vertex")
-            a_id, b_id, amount = split
-            cap[a_id] -= amount
-            cap[b_id] -= amount
-            u, w = tails[a_id], heads[b_id]
-            if u != w:
-                nid = len(tails)
-                tails.append(u)
-                heads.append(w)
-                cap.append(amount)
+            a_id, b_id, amount = pair
+            split(a_id, b_id, amount)
+            if tail[a_id] != head[b_id]:  # a bypass: it walks both arcs
                 walk.append(dict(walk[a_id]))
-                _add_arcfunc(walk[nid], walk[b_id])
-                outs_of.setdefault(u, []).append(nid)
-                ins_of.setdefault(w, []).append(nid)
+                _add_arcfunc(walk[-1], walk[b_id])
 
     index = {t: i for i, t in enumerate(terms)}
     flow: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for u, w, c, arcs in zip(tails, heads, cap, walk):
+    for u, w, c, arcs in zip(tail, head, cap, walk):
         if c <= 0:
             continue
         if u not in tset or w not in tset or u == w:
@@ -639,13 +634,13 @@ def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
     try:
         core_flow = core.run()
     except _AugmentationStall:
-        core_flow = _core_by_splitting(core_net, core.terms, stats)
+        core_flow = _core_by_splitting(core_net, core_terms, stats)
     core_paths: List[TerminalPath] = []
     for (i, j) in sorted(core_flow):
         comp = core_flow[(i, j)]
         if any(comp.values()):
             core_paths += decompose(core_net.graph, _by_position(core_net, comp),
-                                    [core.terms[i]], [core.terms[j]])
+                                    [core_terms[i]], [core_terms[j]])
 
     # expand every side on net: a path ending or starting outside it crosses its boundary
     lead_in: List[TerminalPath] = []   # terminal -> cut boundary
@@ -840,14 +835,11 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
 
     # a child may key the partition edge either way
     cuts: CutMap = {(v1, v2): x1}
-    for arc, side in cuts1.items():
-        if arc in ((v1, v2), (v2, v1)):
-            continue
-        cuts[arc] = frozenset((side - {z2}) | (x2 if z2 in side else frozenset()))
-    for arc, side in cuts2.items():
-        if arc in ((v1, v2), (v2, v1)):
-            continue
-        cuts[arc] = frozenset((side - {z1}) | (x1 if z1 in side else frozenset()))
+    for child_cuts, z, far in ((cuts1, z2, x2), (cuts2, z1, x1)):
+        for arc, side in child_cuts.items():
+            if arc in ((v1, v2), (v2, v1)):
+                continue
+            cuts[arc] = frozenset((side - {z}) | (far if z in side else frozenset()))
     return paths, cuts
 
 

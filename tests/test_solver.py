@@ -466,15 +466,35 @@ def test_splitting_fallback_is_exact(monkeypatch):
 def _oracle_checked(core_sizes):
     """A _core_by_splitting that also runs the binary-search oracle on every
     core, wants the same flow from no more max flows, and appends each
-    core's terminal count to core_sizes."""
+    core's terminal count to core_sizes.  The fallback must leave the
+    core's arrays and adjacency lists as they were, in content and in
+    identity (a patched core shares lists with its parent), and build at
+    most one graph, its private copy, however many trials it runs."""
     import treeflow.solver as S
     from splitting_oracle import core_by_splitting
+    from treeflow.indexed import IntGraph
 
     split = S._core_by_splitting
 
     def checked(net, terms, stats):
+        g = net.graph
+        lists = [g.tail, g.head, net.cap, *g.adj]
+        contents = [list(x) for x in lists]
+        graphs = [0]
+        init = IntGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            graphs[0] += 1
+            init(self, *args, **kwargs)
+
         mine, oracle = SolveStats(), SolveStats()
-        flow = split(net, terms, mine)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(IntGraph, "__init__", counted)
+            flow = split(net, terms, mine)
+        assert graphs[0] <= 1
+        after = [g.tail, g.head, net.cap, *g.adj]
+        assert len(after) == len(lists) and all(x is y for x, y in zip(after, lists))
+        assert [list(x) for x in after] == contents
         assert flow == core_by_splitting(net, terms, oracle)
         assert mine.maxflow_calls <= oracle.maxflow_calls
         stats.maxflow_calls += mine.maxflow_calls
