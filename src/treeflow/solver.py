@@ -165,8 +165,8 @@ class _FreeCore:
     def run(self) -> Dict[Tuple[int, int], Dict[int, int]]:
         """The core flow, or _AugmentationStall past a budget free of
         capacities: at most n·k augmentations on n vertices and k terminals,
-        each of at most 8(n·k+8) walk searches (_augment), each a BFS over
-        at most n·k states.  Splitting, which takes over, is capacity-free too."""
+        each of at most 8(n·k+8) walk searches (_augment), each labelling
+        at most 2·n·k states.  Splitting, which takes over, is capacity-free too."""
         self._bulk()
         guard = len(self.graph.vertices) * len(self.terms)
         while True:
@@ -228,82 +228,147 @@ class _FreeCore:
 
         vertex None means the walk starts fresh at the commodity's
         terminal; otherwise a half-built unit dangles at that vertex.
-        Moves: forward along spare capacity; reverse along a carried unit
-        (re-sourcing it); displacing a full arrival arc into a terminal.
-        The walk ends at the first spare-capacity arrival at a terminal
-        other than the one currently carried.
-        """
-        g = self.graph
-        tail, head, adj, used, cap, index = g.tail, g.head, g.adj, self.used, self.cap, self.index
-        seed = (self.terms[kappa] if vertex is None else vertex, kappa)
-        parents = {seed: (None, None)}
-        q = deque([seed])
-        while q:
-            state = q.popleft()
-            v, kap = state
-            home = self.terms[kap]
-            for e in adj[v]:
-                if e & 1:
-                    continue
-                a = e >> 1
-                h = head[a]
-                if used[a] < cap[a]:  # forward
-                    if h in index:
-                        if h != home:
-                            end = (h, kap)
-                            if end not in parents:
-                                parents[end] = (state, ("fwd", a, None))
-                                return self._rebuild(parents, end)
-                        continue
-                    nxt = (h, kap)
-                    if nxt not in parents:
-                        parents[nxt] = (state, ("fwd", a, None))
-                        q.append(nxt)
-                elif h in index and h != home:
-                    # displace a unit arriving on this full arc
-                    for donor in self._donors_for(a):
-                        nxt = (v, donor[0])
-                        if nxt not in parents:
-                            parents[nxt] = (state, ("disp", a, donor))
-                            q.append(nxt)
-            if v in index:
-                continue  # departures of other terminals stay untouched
-            for e in adj[v]:  # reverse, re-sourcing a unit
-                a = e >> 1
-                if not e & 1 or used[a] <= 0:
-                    continue
-                t = tail[a]
-                for donor in self._donors_for(a):
-                    k, l = donor
-                    if l == kap:
-                        continue  # splicing would close a path onto its source
-                    if t == self.terms[k]:
-                        resumed = (t, k)
-                        if resumed not in parents:
-                            parents[resumed] = (state, ("rev", a, donor))
-                            q.append(resumed)
-                            # the same arc may be re-added at once (net zero)
-                            readd = (v, k)
-                            if readd not in parents:
-                                parents[readd] = (resumed, ("fwd", a, None))
-                                q.append(readd)
-                    else:
-                        nxt = (t, k)
-                        if nxt not in parents:
-                            parents[nxt] = (state, ("rev", a, donor))
-                            q.append(nxt)
-        return None
+        The search runs over states (vertex, carried commodity) on two
+        relations, each edge a state pair with its moves: _succ lists
+        the edges out of a state and _pred, its exact converse, the
+        edges into one.  Moves: forward along spare capacity; reverse
+        along a carried unit (re-sourcing it), also as one edge together
+        with re-adding the same arc when the donor's home is the arc's
+        tail; displacing a full arrival arc into a terminal.  A walk
+        ends with a spare-capacity arrival at a terminal other than the
+        one carried; the goals (_goals) are the states one such arrival
+        away, read from the arcs into the terminals.
 
-    def _rebuild(self, parents, end):
-        moves = []
-        st = end
-        while st is not None:
-            prev, mv = parents[st]
-            if mv is not None:
-                moves.append(mv)
-            st = prev
-        moves.reverse()
-        return moves
+        A forward search from the start and a backward search from every
+        goal each grow by one whole layer at a time, the smaller
+        frontier first, and stop at the first state one side labels that
+        the other has labelled.  With every earlier layer complete and
+        no state labelled by both, a shortest walk has length at least
+        the two depths plus one, so every state met in the layer lies on
+        a shortest walk, with the same forward plus backward distance;
+        the first one met is taken.  The walk is the forward moves up to
+        it, then the backward moves from it to the goal; being shortest,
+        it repeats no state.
+        """
+        seed = (self.terms[kappa] if vertex is None else vertex, kappa)
+        after = {}  # backward labels: state -> (next state, moves to it)
+        for state, moves in self._goals():
+            after.setdefault(state, (None, moves))
+        if not after:
+            return None  # no spare arc into a terminal: no walk can end
+        before = {seed: (None, ())}  # forward labels: state -> (previous state, moves from it)
+        fronts, steps, labels = [[seed], list(after)], [self._succ, self._pred], [before, after]
+        meet = seed if seed in after else None
+        while meet is None and fronts[0] and fronts[1]:
+            side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+            mine, other, layer = labels[side], labels[1 - side], []
+            for state in fronts[side]:
+                for nxt, moves in steps[side](state):
+                    if nxt not in mine:
+                        mine[nxt] = (state, moves)
+                        layer.append(nxt)
+                        if nxt in other:
+                            meet = nxt
+                            break
+                if meet is not None:
+                    break
+            fronts[side] = layer
+        if meet is None:
+            return None
+        parts, state = [], meet
+        while state is not None:
+            state, moves = before[state]
+            parts.append(moves)
+        walk = [mv for moves in reversed(parts) for mv in moves]
+        state = meet
+        while state is not None:
+            state, moves = after[state]
+            walk.extend(moves)
+        return walk
+
+    def _goals(self):
+        """States (v, kap) one spare arrival away from the end of a walk:
+        an arc from v into a terminal other than kap's home.  Yields
+        (state, moves)."""
+        g, used, cap, terms = self.graph, self.used, self.cap, self.terms
+        for t in terms:
+            for e in g.adj[t]:
+                a = e >> 1
+                if e & 1 and used[a] < cap[a]:
+                    moves = (("fwd", a, None),)
+                    for kap, home in enumerate(terms):
+                        if home != t:
+                            yield (g.tail[a], kap), moves
+
+    def _succ(self, state):
+        """Edges of the walk search out of state: (next state, moves)."""
+        v, kap = state
+        g, used, cap, index = self.graph, self.used, self.cap, self.index
+        home = self.terms[kap]
+        for e in g.adj[v]:
+            if e & 1:
+                continue
+            a = e >> 1
+            h = g.head[a]
+            if used[a] < cap[a]:  # forward; an arrival at a terminal is a goal's move
+                if h not in index:
+                    yield (h, kap), (("fwd", a, None),)
+            elif h in index and h != home:
+                # displace a unit arriving on this full arc
+                for donor in self._donors_for(a):
+                    yield (v, donor[0]), (("disp", a, donor),)
+        if v in index:
+            return  # departures of other terminals stay untouched
+        for e in g.adj[v]:  # reverse, re-sourcing a unit
+            a = e >> 1
+            if not e & 1 or used[a] <= 0:
+                continue
+            t = g.tail[a]
+            for donor in self._donors_for(a):
+                k, l = donor
+                if l == kap:
+                    continue  # splicing would close a path onto its source
+                rev = ("rev", a, donor)
+                yield (t, k), (rev,)
+                if t == self.terms[k]:
+                    # the same arc may be re-added at once (net zero)
+                    yield (v, k), (rev, ("fwd", a, None))
+
+    def _pred(self, state):
+        """Edges of the walk search into state, the converse of _succ:
+        (previous state, moves)."""
+        w, lam = state
+        g, used, cap, index, terms = self.graph, self.used, self.cap, self.index, self.terms
+        for e in g.adj[w]:
+            a = e >> 1
+            if e & 1:  # a into w: a forward move, or a reversal re-added at once
+                if w in index:
+                    continue
+                t = g.tail[a]
+                if used[a] < cap[a]:
+                    yield (t, lam), (("fwd", a, None),)
+                if used[a] > 0 and t == terms[lam]:
+                    for donor in self._donors_for(a):
+                        if donor[0] == lam:
+                            moves = (("rev", a, donor), ("fwd", a, None))
+                            for kap in range(len(terms)):
+                                if kap != donor[1]:
+                                    yield (w, kap), moves
+                continue
+            h = g.head[a]  # a out of w
+            if h in index:
+                if used[a] >= cap[a]:  # displacing at w a unit lam carries into h
+                    for donor in self._donors_for(a):
+                        if donor[0] == lam:
+                            for kap, home in enumerate(terms):
+                                if home != h:
+                                    yield (w, kap), (("disp", a, donor),)
+            elif used[a] > 0:  # reversing at h a unit lam carries from w
+                for donor in self._donors_for(a):
+                    if donor[0] == lam:
+                        for kap in range(len(terms)):
+                            if kap != donor[1]:
+                                yield (h, kap), (("rev", a, donor),)
 
     def _donors_for(self, a: int):
         out = [kl for kl, comp in self.flow.items() if comp.get(a, 0) > 0]
