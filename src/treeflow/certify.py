@@ -63,9 +63,10 @@ def check_feasible(net: Network, flow: Iterable[TerminalPath]):
     id of the first arc that is unknown, does not continue its walk, or is
     loaded beyond its capacity.
     """
-    by_id = net.graph.arcs_by_id()
+    g = net.graph.index
+    number, vertex_number, tail, head = g.ids.arc_number, g.ids.number, g.tail, g.head
     terminals = set(net.terminals)
-    totals: Dict[ArcId, int] = {}
+    totals: Dict[int, int] = {}  # by arc position
     for p in flow:
         if (p.source == p.target or p.source not in terminals or p.target not in terminals
                 or not p.arcs or not isinstance(p.weight, int) or isinstance(p.weight, bool)
@@ -73,17 +74,15 @@ def check_feasible(net: Network, flow: Iterable[TerminalPath]):
             return p
         prev = None
         for aid in p.arcs:
-            a = by_id.get(aid)
-            if a is None or (prev is not None and a.tail != prev):
+            k = number.get(aid)
+            if k is None or (prev is not None and tail[k] != prev):
                 return aid
-            prev = a.head
-            totals[aid] = totals.get(aid, 0) + p.weight
-        if by_id[p.arcs[0]].tail != p.source or prev != p.target:
+            prev = head[k]
+            totals[k] = totals.get(k, 0) + p.weight
+        if tail[number[p.arcs[0]]] != vertex_number[p.source] or prev != vertex_number[p.target]:
             return p
-    for aid, w in totals.items():
-        if w > net.capacity[aid]:
-            return aid
-    return None
+    arc_ids = g.ids.arc_ids
+    return next((arc_ids[k] for k, w in totals.items() if w > net.capacity[arc_ids[k]]), None)
 
 
 def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[TerminalPath],
@@ -162,7 +161,7 @@ def dual_value(net: Network, real: RealizationTree) -> Fraction:
 
     Each arc with nonempty pair set A x B contributes its length times
     the minimum capacity of an (A, B)-cut, found by one max-flow run on
-    the network, interned once for all of them.  For valid instances
+    the network, numbered once for all of them.  For valid instances
     this equals the optimal distance-weighted value, which makes it the
     testing oracle for the solver.
     """

@@ -3,16 +3,13 @@ residual min cuts, lexicographic flows, and decomposition of
 nonnegative integer arc functions into weighted simple paths.
 
 Each function here is the public boundary of a kernel in indexed.py
-(lex_max_flow runs max_flow twice): it checks its arguments, interns
-the network's graph, runs the kernel on numbers and maps the answer
-back to the network's own ids.  All routines are deterministic: arcs
-break ties in arc order, the order they appear in the network, and
-vertices in id order, so path peeling always follows the positive arc
-that comes first in the network's arc list.
-
-Every call interns the graph afresh and keeps nothing: a caller that
-runs many flows on one graph (dual_value) interns it once itself and
-calls the kernels.
+(lex_max_flow runs max_flow twice): it checks its arguments, runs the
+kernel on the numbers of the graph's index (graphs.Digraph.index, built
+by the first call on a graph that needs it) and maps the answer back to
+the network's own ids.  All routines are deterministic: arcs break ties
+in arc order, the order they appear in the network, and vertices in id
+order, so path peeling always follows the positive arc that comes first
+in the network's arc list.
 """
 
 from __future__ import annotations
@@ -22,18 +19,18 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import indexed
 from .errors import InputError
 from .graphs import ArcId, Cut, Network, TerminalPath, VertexId
-from .indexed import IntGraph, intern, intern_graph
+from .indexed import intern
 
 
-def _on_positions(net: Network, graph: IntGraph, f: Dict[ArcId, int],
-                  cap: Optional[List[int]] = None) -> List[int]:
-    """An arc-id flow on net as one entry per arc position of its interned
-    graph; entries on loops, which the graph drops, are ignored.  An id
+def _on_positions(net: Network, f: Dict[ArcId, int], cap: Optional[List[int]] = None) -> List[int]:
+    """An arc-id flow on net as one entry per arc position of its graph's
+    index; entries on loops, which the graph drops, are ignored.  An id
     that names no arc of net is an InputError (dangling-reference), and so
     is a negative entry, or one above cap if given (invalid-input), naming
     the first such arc in arc order."""
-    number = graph.ids.arc_number
-    dense = [0] * len(graph.arcs)
+    ids = net.graph.index.ids
+    number = ids.arc_number
+    dense = [0] * len(ids.arc_ids)
     for a, w in f.items():
         k = number.get(a)
         if k is not None:
@@ -42,13 +39,13 @@ def _on_positions(net: Network, graph: IntGraph, f: Dict[ArcId, int],
             raise InputError(f"unknown arc {a!r}", code="dangling-reference")
     bad = [k for k, w in enumerate(dense) if w < 0 or cap is not None and w > cap[k]]
     if bad:
-        raise InputError(f"flow {dense[bad[0]]} on arc {graph.ids.arc_ids[bad[0]]!r} is out of range",
+        raise InputError(f"flow {dense[bad[0]]} on arc {ids.arc_ids[bad[0]]!r} is out of range",
                          code="invalid-input")
     return dense
 
 
-def _by_arc_id(graph: IntGraph, flow: List[int]) -> Dict[ArcId, int]:
-    return {a: w for a, w in zip(graph.ids.arc_ids, flow) if w}
+def _by_arc_id(net: Network, flow: List[int]) -> Dict[ArcId, int]:
+    return {a: w for a, w in zip(net.graph.index.ids.arc_ids, flow) if w}
 
 
 def _check_vertices(net: Network, vertices) -> None:
@@ -78,7 +75,7 @@ def max_flow(net: Network, sources: Iterable[VertexId], sinks: Iterable[VertexId
     inet = intern(net)
     num = inet.graph.ids.number
     flow, value = indexed.max_flow(inet, [num[v] for v in src], [num[v] for v in snk])
-    return _by_arc_id(inet.graph, flow), value
+    return _by_arc_id(net, flow), value
 
 
 def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[VertexId],
@@ -95,7 +92,7 @@ def min_cut_source_side(net: Network, f: Dict[ArcId, int], sources: Iterable[Ver
     _check_vertices(net, src | snk)
     inet = intern(net)
     ids = inet.graph.ids
-    side = indexed.min_cut_source_side(inet, _on_positions(net, inet.graph, f, inet.cap),
+    side = indexed.min_cut_source_side(inet, _on_positions(net, f, inet.cap),
                                        [ids.number[v] for v in src], [ids.number[t] for t in snk])
     return Cut(frozenset(ids.vertex_ids[v] for v in side))
 
@@ -115,7 +112,7 @@ def lex_max_flow(net: Network, source: VertexId, primary_sink: VertexId,
     num = inet.graph.ids.number
     f, _value = indexed.max_flow(inet, [num[source]], [num[primary_sink]])
     f, _value = indexed.max_flow(inet, [num[source]], [num[v] for v in sec | {primary_sink}], start=f)
-    return _by_arc_id(inet.graph, f)
+    return _by_arc_id(net, f)
 
 
 def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[VertexId],
@@ -137,8 +134,8 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
     srcs = set(allowed_sources)
     snks = set(allowed_sinks)
     _check_vertices(net, srcs | snks)
-    graph = intern_graph(net.graph)
+    graph = net.graph.index
     ids = graph.ids
-    paths = indexed.decompose(graph, _on_positions(net, graph, f), [ids.number[v] for v in srcs],
+    paths = indexed.decompose(graph, _on_positions(net, f), [ids.number[v] for v in srcs],
                               [ids.number[v] for v in snks])
     return [ids.path_ids(p) for p in paths]

@@ -5,21 +5,21 @@ hashable ids, and building a Network validates every capacity.  Parallel
 and antiparallel arcs are first class; self-loops are dropped on
 construction.
 
-Every structure here is frozen.  A Digraph indexes its arcs (by id, and
-out of and into each vertex, in arc order) in the same pass that builds
-it, and keeps the index for its lifetime; code that needs these lookups
-reads them from the graph instead of building its own copy.
+Every structure here is frozen.  A Digraph's index (Digraph.index), its
+graph on numbers, is built on first use and never written; every lookup
+beyond the arc list reads it, so a graph's vertex ids are sorted once.
 
 Validation happens here and in the other public entry points only.  The
-solver interns a validated network once into the integer-indexed form of
-indexed.py, normalizes, recurses and undoes the normalization on that
-form, and maps only its answer back to these types.
+solver works on a copy of its network's index whose id lists it may
+grow (indexed.intern), normalizes, recurses and undoes the normalization
+on numbers, and maps only its answer back to these types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from .errors import InputError
 
@@ -43,49 +43,53 @@ class Arc:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Immutable directed multigraph. Loops are removed on construction.
-
-    Built by build, which fills the index in the same pass: every arc by
-    its id, and the arcs out of and into each vertex, in arc order.  The
-    per-vertex lists stay lists: on graphs of 8k arcs, turning them into
-    tuples cost more than building the rest of the index.
-    """
+    """Immutable directed multigraph. Loops are removed on construction."""
 
     vertices: frozenset
     arcs: Tuple[Arc, ...]
-    _by_id: Mapping[ArcId, Arc] = field(repr=False, compare=False)
-    _out: Mapping[VertexId, List[Arc]] = field(repr=False, compare=False)
-    _into: Mapping[VertexId, List[Arc]] = field(repr=False, compare=False)
 
     @staticmethod
     def build(vertices: Iterable[VertexId], arcs: Iterable[Tuple[ArcId, VertexId, VertexId]]) -> "Digraph":
         vset = frozenset(vertices)
-        seen = set()
-        by_id, out, into = {}, {}, {}
+        seen, kept = set(), []
         for aid, tail, head in arcs:
             if aid in seen:
                 raise InputError(f"duplicate arc id {aid!r}", code="duplicate-arc")
             seen.add(aid)
             if tail not in vset or head not in vset:
                 raise InputError(f"arc {aid!r} references unknown vertex", code="dangling-reference")
-            if tail == head:
-                continue  # loops carry no flow and no cut capacity
-            a = by_id[aid] = Arc(aid, tail, head)
-            out.setdefault(tail, []).append(a)
-            into.setdefault(head, []).append(a)
-        return Digraph(vset, tuple(by_id.values()), by_id, out, into)
+            if tail != head:  # loops carry no flow and no cut capacity
+                kept.append(Arc(aid, tail, head))
+        return Digraph(vset, tuple(kept))
 
-    def arcs_by_id(self) -> Mapping[ArcId, Arc]:
-        """Every arc by its id; the graph's own copy, not to be modified."""
-        return self._by_id
+    @cached_property
+    def index(self):
+        """The graph on numbers (indexed.IntGraph): vertex ids in id order,
+        arc k at position k, ids.number and ids.arc_number from ids to
+        numbers.  Nothing writes it: a solve grows a copy (indexed.intern)."""
+        from .indexed import IdTable, IntGraph  # indexed builds on this module's types
+        ids = IdTable(self.vertices, [a.id for a in self.arcs])
+        num = ids.number
+        m = len(self.arcs)
+        return IntGraph(ids, frozenset(num.values()), ids.ints(m)[:m],
+                        [num[a.tail] for a in self.arcs], [num[a.head] for a in self.arcs])
 
-    def out_arcs(self, v: VertexId) -> Sequence[Arc]:
-        """Arcs leaving v, in arc order; the graph's own list, not to be modified."""
-        return self._out.get(v, ())
+    def arcs_by_id(self) -> Dict[ArcId, Arc]:
+        """Every arc by its id, in a new dict."""
+        return {aid: self.arcs[k] for aid, k in self.index.ids.arc_number.items()}
 
-    def in_arcs(self, v: VertexId) -> Sequence[Arc]:
-        """Arcs entering v, in arc order; the graph's own list, not to be modified."""
-        return self._into.get(v, ())
+    def out_arcs(self, v: VertexId) -> List[Arc]:
+        """Arcs leaving v, in arc order; none if v is no vertex."""
+        return self._at(v, 0)
+
+    def in_arcs(self, v: VertexId) -> List[Arc]:
+        """Arcs entering v, in arc order; none if v is no vertex."""
+        return self._at(v, 1)
+
+    def _at(self, v: VertexId, end: int) -> List[Arc]:
+        g = self.index
+        k = g.ids.number.get(v)
+        return [] if k is None else [self.arcs[e >> 1] for e in g.adj[k] if e & 1 == end]
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,6 @@ class Network:
     @property
     def vertices(self) -> frozenset:
         return self.graph.vertices
-
-    def inner_vertices(self):
-        ts = set(self.terminals)
-        return [v for v in sorted(self.vertices, key=sort_key) if v not in ts]
 
 
 @dataclass(frozen=True)
@@ -172,15 +172,23 @@ def is_eulerian_at(net: Network, v: VertexId) -> bool:
 def boundary(net: Network, side) -> Tuple[Set[ArcId], Set[ArcId]]:
     """Ids of the arcs leaving and of the arcs entering a vertex set.
 
-    Walks, through the graph index, only the arcs at the vertices of the
+    Numbers and walks, through the graph index, only the vertices of the
     side or of its complement, whichever is smaller: cut sides are mostly
-    a few vertices or all but a few.
+    a few vertices or all but a few.  Ids of no vertex are ignored.
     """
-    g = net.graph
+    g = net.graph.index
+    num, arc_ids, tail, head = g.ids.number, g.ids.arc_ids, g.tail, g.head
     flip = 2 * len(side) > len(net.vertices)
-    walked = net.vertices - side if flip else side
-    leaving = {a.id for v in walked for a in g.out_arcs(v) if a.head not in walked}
-    entering = {a.id for v in walked for a in g.in_arcs(v) if a.tail not in walked}
+    walked = {num[v] for v in (net.vertices - side if flip else side) if v in num}
+    leaving, entering = set(), set()
+    for v in walked:  # as indexed.boundary walks, collecting ids instead of positions
+        for e in g.adj[v]:
+            k = e >> 1
+            if e & 1:
+                if tail[k] not in walked:
+                    entering.add(arc_ids[k])
+            elif head[k] not in walked:
+                leaving.add(arc_ids[k])
     return (entering, leaving) if flip else (leaving, entering)
 
 
@@ -188,3 +196,4 @@ def cut_capacity(net: Network, cut: Cut) -> int:
     """Total capacity of arcs leaving the cut's source side."""
     cut.validate(net)
     return sum(net.capacity[aid] for aid in boundary(net, cut.source_side)[0])
+

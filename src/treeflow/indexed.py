@@ -1,12 +1,13 @@
 """The integer-indexed network the solver works on, and its flow kernels.
 
-A solve interns its validated network once (intern): vertex ids are
-numbered in id order, arc ids in arc order, and one IdTable keeps the
-ids and their order for every network the solve makes.  Normalization,
-the recursion and its undo run on these numbers, which stay stable
-across contraction; each vertex or arc made takes the next number, so
-it sorts after everything made before it.  Paths and cuts go back to
-ids once, when they leave the solver.
+A solve interns its validated network once (intern): it takes its
+graph's index (graphs.Digraph.index), whose vertex ids are numbered in
+id order and arc ids in arc order, with a private copy of its IdTable,
+which keeps the ids and their order for every network the solve makes.
+Normalization, the recursion and its undo run on these numbers, which
+stay stable across contraction; each vertex or arc made takes the next
+number, so it sorts after everything made before it.  Paths and cuts go
+back to ids once, when they leave the solver.
 
 An IntGraph lists its arcs in arc order: position k holds arc number
 arcs[k] from tail[k] to head[k].  Its adjacency lists, indexed by vertex
@@ -31,13 +32,14 @@ order.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
-from .graphs import Digraph, Network, TerminalPath, sort_key
+from .graphs import Network, TerminalPath, sort_key
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class IdTable:
     (new_vertex), so sorting vertex numbers is the tie order.  arc_ids[a]
     is the id of arc a: input arcs are numbered in arc order, made arcs
     after them (new_arc), so arc numbers are the arc tie order.  number
-    and arc_number map input ids to their numbers.
+    and arc_number map input ids to their numbers; nothing writes them.
     """
 
     def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
@@ -67,6 +69,7 @@ class IdTable:
         self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
         self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(self.vertex_ids))))
         self.arc_ids: List[Hashable] = list(arc_ids)
+        self.arc_number: Dict[Hashable, int] = dict(zip(self.arc_ids, self.ints(len(self.arc_ids))))
         self._generation = 1 + max((x.generation for x in chain(self.vertex_ids, self.arc_ids)
                                     if x.__class__ is _Made), default=-1)
 
@@ -81,10 +84,6 @@ class IdTable:
         if len(self._ints) < n:
             self._ints.extend(range(len(self._ints), n))
         return self._ints
-
-    @cached_property
-    def arc_number(self) -> Dict[Hashable, int]:
-        return {a: i for i, a in enumerate(self.arc_ids)}
 
     def new_vertex(self) -> int:
         """Number of a new vertex, after every vertex so far."""
@@ -163,19 +162,14 @@ class IntNetwork:
     cap: List[int]
 
 
-def intern_graph(graph: Digraph) -> IntGraph:
-    """The graph on numbers of a new IdTable; arc number k is position k."""
-    ids = IdTable(graph.vertices, [a.id for a in graph.arcs])
-    num = ids.number
-    m = len(graph.arcs)
-    return IntGraph(ids, frozenset(num.values()), ids.ints(m)[:m],
-                    [num[a.tail] for a in graph.arcs], [num[a.head] for a in graph.arcs])
-
-
 def intern(net: Network) -> IntNetwork:
-    """A validated network on numbers of a new IdTable."""
-    g = intern_graph(net.graph)
-    return IntNetwork(g, [net.capacity[a] for a in g.ids.arc_ids])
+    """A validated network on numbers: its graph's index, sharing the
+    arrays, with a copy of the IdTable whose lists the caller may grow."""
+    g, cap = net.graph.index, net.capacity
+    ids = copy(g.ids)  # shares the number maps, which nothing writes
+    ids._ints, ids.vertex_ids, ids.arc_ids = ids._ints[:], ids.vertex_ids[:], ids.arc_ids[:]
+    return IntNetwork(IntGraph(ids, g.vertices, g.arcs, g.tail, g.head, g.adj, g.live),
+                      [cap[a] for a in ids.arc_ids])
 
 
 def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwork:

@@ -91,7 +91,10 @@ class RealizationTree(_Sides):
                 raise InputError("tree edge endpoints must differ", code="invalid-tree")
             if (u, v) in lengths:
                 raise InputError(f"duplicate tree edge {u!r}-{v!r}", code="invalid-tree")
-            luv, lvu = Fraction(luv), Fraction(lvu)
+            try:
+                luv, lvu = Fraction(luv), Fraction(lvu)
+            except (ArithmeticError, TypeError, ValueError):  # not a number, inf, nan, 1/0
+                raise InputError(f"tree edge {u!r}-{v!r}: a length is no rational", code="bad-rational") from None
             if luv < 0 or lvu < 0:
                 raise InputError("tree arc lengths must be nonnegative", code="negative-length")
             lengths[(u, v)] = luv

@@ -660,8 +660,9 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
         stats = SolveStats()
     if len(net.terminals) < 2:
         raise InputError("free multiflow needs at least two terminals", code="invalid-input")
-    for v in net.inner_vertices():
-        if not is_eulerian_at(net, v):
+    ts = set(net.terminals)
+    for v in net.graph.index.ids.vertex_ids:
+        if v not in ts and not is_eulerian_at(net, v):
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
     inet = intern(net)
     ids = inet.graph.ids

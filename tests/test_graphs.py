@@ -14,7 +14,7 @@ from treeflow import (
     is_eulerian_at,
     validate_instance,
 )
-from treeflow.graphs import boundary
+from treeflow.graphs import boundary, sort_key
 from treeflow.indexed import contract, intern
 from treeflow.realization import ValidationIssue
 
@@ -221,12 +221,26 @@ def test_contract_preserves_outside_arcs(net, data):
 @given(small_nets(), st.data())
 def test_arc_index_matches_scan(net, data):
     g = net.graph
+    index, ids = g.index, g.index.ids
+    # vertices numbered in id order, arc k at position k
+    assert ids.vertex_ids == sorted(net.vertices, key=sort_key)
+    assert ids.number == {v: i for i, v in enumerate(ids.vertex_ids)}
+    assert index.vertices == frozenset(range(len(net.vertices)))
+    assert ids.arc_ids == [a.id for a in g.arcs]
+    assert ids.arc_number == {a.id: k for k, a in enumerate(g.arcs)}
+    assert index.arcs == list(range(len(g.arcs)))
+    assert index.tail == [ids.number[a.tail] for a in g.arcs]
+    assert index.head == [ids.number[a.head] for a in g.arcs]
+    for v in net.vertices:  # half-arcs in arc order: 2k leaving along k, 2k + 1 entering
+        assert index.adj[ids.number[v]] == [2 * k if a.tail == v else 2 * k + 1
+                                            for k, a in enumerate(g.arcs) if v in (a.tail, a.head)]
     assert len(g.arcs_by_id()) == len(g.arcs)
     for a in g.arcs:
         assert g.arcs_by_id()[a.id] is a
     for v in net.vertices:
         assert list(g.out_arcs(v)) == [a for a in g.arcs if a.tail == v]
         assert list(g.in_arcs(v)) == [a for a in g.arcs if a.head == v]
+    assert list(g.out_arcs("absent")) == list(g.in_arcs("absent")) == []
     verts = sorted(net.vertices)
     s = data.draw(st.sampled_from(verts))
     f = {a.id: data.draw(st.integers(min_value=0, max_value=3)) for a in g.arcs}
@@ -247,11 +261,11 @@ def test_boundary_matches_scan(net, data):
 
 def test_public_types_are_frozen(e1):
     net, real = e1
-    for obj, name in [(net.graph, "arcs"), (net, "terminals"), (net, "capacity"),
+    for obj, name in [(net.graph, "arcs"), (net.graph, "index"), (net, "terminals"), (net, "capacity"),
                       (real, "arc_length"), (real, "subtrees"),
                       (Multiflow(), "paths"), (Certificate({}), "cuts")]:
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, getattr(obj, name))
     # the indexes are built once and shared
-    assert net.graph.arcs_by_id() is net.graph.arcs_by_id()
+    assert net.graph.index is net.graph.index
     assert real.adjacency() is real.adjacency()

@@ -92,6 +92,14 @@ def test_tree_distance_basics():
     assert tree_distance(real, "w", "u") == 12
 
 
+@pytest.mark.parametrize("length", ["x", float("nan"), float("inf"), None, "1/0"])
+def test_tree_length_that_is_no_rational_is_an_input_error(length):
+    for luv, lvu in [(length, 1), (1, length)]:
+        with pytest.raises(InputError) as exc:
+            RealizationTree.build(["u", "v"], [("u", "v", luv, lvu)], {"s": ["u"]})
+        assert exc.value.code == "bad-rational"
+
+
 def test_tree_distance_one_sided_edge():
     real = make_real(["u", "v"], [("u", "v", 3, 0)], {"s": ["u"]})
     assert tree_distance(real, "u", "v") == 3

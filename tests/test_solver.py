@@ -770,6 +770,91 @@ def test_no_id_sorting_between_interning_and_export(case, request, monkeypatch):
     assert out.value == dual_value(net, real)
 
 
+@pytest.mark.parametrize("case", ["e2", 239])
+def test_a_network_is_numbered_once(case, request, monkeypatch):
+    # the first solve builds the graph's index; later calls on the network
+    # read it and sort no vertex id again, and what a solve makes lands in
+    # its own copy of the id lists, so the index stays as it was built
+    import pkgutil
+    import treeflow
+    import treeflow.graphs
+    from treeflow.flows import decompose
+    from test_acceptance import corpus_params
+
+    if isinstance(case, str):
+        net, real = request.getfixturevalue(case)
+    else:
+        net, real = generate_network(case, *corpus_params(case))
+    out = solve(net, real)
+    index = net.graph.index
+    ids = index.ids
+
+    def lists():
+        return (list(ids.vertex_ids), list(ids.arc_ids), list(ids.ints(0)), dict(ids.number),
+                dict(ids.arc_number), list(index.arcs), list(index.tail), list(index.head),
+                [list(a) for a in index.adj])
+
+    before = lists()
+    sort_key = treeflow.graphs.sort_key
+    graph_only = net.vertices - real.vertices
+    assert graph_only  # so the counter below can see the graph's vertex ids
+    keyed = []
+
+    def counted(x):
+        if x in graph_only:
+            keyed.append(x)
+        return sort_key(x)
+
+    for info in pkgutil.iter_modules(treeflow.__path__):
+        module = getattr(treeflow, info.name, None)
+        if hasattr(module, "sort_key"):
+            monkeypatch.setattr(module, "sort_key", counted)
+
+    again = solve(net, real)
+    assert again.value == out.value == dual_value(net, real)
+    paths = out.multiflow.to_paths(net)
+    assert verify_certificate(net, real, paths, out.certificate) is None
+    assert check_feasible(net, out.multiflow) is None
+    s, *others = net.terminals
+    f, value = max_flow(net, [s], others)
+    assert sum(p.weight for p in decompose(net, f, [s], others)) == value
+    assert keyed == []
+    assert net.graph.index is index
+    assert lists() == before
+
+
+def test_threads_share_one_network():
+    # threads that race to build a network's index, and solve on it, get
+    # the answers of a network solved alone, and leave its index as built
+    import sys
+    import threading
+    from test_acceptance import corpus_params
+
+    net, real = generate_network(239, *corpus_params(239))
+    alone, alone_real = generate_network(239, *corpus_params(239))
+    expected = (solve(alone, alone_real).value, dual_value(alone, alone_real))
+    results = []
+
+    def work():
+        results.append((solve(net, real).value, dual_value(net, real)))
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+    mine, theirs = net.graph.index, alone.graph.index
+    assert (mine.ids.vertex_ids, mine.ids.arc_ids, mine.tail, mine.head, mine.adj) == \
+        (theirs.ids.vertex_ids, theirs.ids.arc_ids, theirs.tail, theirs.head, theirs.adj)
+
+
 def test_input_ids_shaped_like_the_solvers_own(monkeypatch):
     # ids of every shape the solver or normalization makes or once made:
     # contraction vertices ('@', name, k), splitting bypasses ('~', c), the
