@@ -17,7 +17,7 @@ from .certify import Certificate
 from .errors import InputError
 from .graphs import Digraph, Network, sort_key
 from .multiflow import TerminalPath
-from .realization import RealizationTree
+from .realization import RealizationTree, parse_rational
 
 
 def format_rational(x: Fraction) -> str:
@@ -27,22 +27,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(Decimal(x.numerator))
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
-
-
-def parse_rational(text) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    # exponents are rejected unread: "1e999999999" would build a 415 MB integer
-    if isinstance(text, str) and "e" not in text.lower():
-        # Decimal reads digit strings of any length, where int(str) and
-        # Fraction(str) stop at the int-string limit
-        num, slash, den = text.partition("/")
-        try:
-            value = Fraction(Decimal(num))
-            return value / Fraction(Decimal(den)) if slash else value
-        except (ArithmeticError, ValueError):  # a bad literal, a zero denominator, inf or nan
-            pass
-    raise InputError(f"bad rational literal {text!r}", code="bad-rational")
 
 
 def _subtree_keys(terminals) -> List[str]:

@@ -70,8 +70,7 @@ class Digraph:
         from .indexed import IdTable, IntGraph  # indexed builds on this module's types
         ids = IdTable(self.vertices, [a.id for a in self.arcs])
         num = ids.number
-        m = len(self.arcs)
-        return IntGraph(ids, frozenset(num.values()), ids.ints(m)[:m],
+        return IntGraph(ids, frozenset(num.values()), list(range(len(self.arcs))),
                         [num[a.tail] for a in self.arcs], [num[a.head] for a in self.arcs])
 
     def arcs_by_id(self) -> Dict[ArcId, Arc]:

@@ -61,29 +61,17 @@ class IdTable:
     (new_vertex), so sorting vertex numbers is the tie order.  arc_ids[a]
     is the id of arc a: input arcs are numbered in arc order, made arcs
     after them (new_arc), so arc numbers are the arc tie order.  number
-    and arc_number map input ids to their numbers; nothing writes them.
+    and arc_number map input ids to their numbers; nothing writes them,
+    so a copy (intern) shares them and copies only the two id lists.
     """
 
     def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
-        self._ints: List[int] = []
         self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
-        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, self.ints(len(self.vertex_ids))))
+        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, range(len(self.vertex_ids))))
         self.arc_ids: List[Hashable] = list(arc_ids)
-        self.arc_number: Dict[Hashable, int] = dict(zip(self.arc_ids, self.ints(len(self.arc_ids))))
+        self.arc_number: Dict[Hashable, int] = dict(zip(self.arc_ids, range(len(self.arc_ids))))
         self._generation = 1 + max((x.generation for x in chain(self.vertex_ids, self.arc_ids)
                                     if x.__class__ is _Made), default=-1)
-
-    def ints(self, n: int) -> List[int]:
-        """A list holding at least the numbers 0..n-1, the same int objects
-        for every caller.  Ints above 256 are allocated one by one: every
-        graph's adjacency holds the numbers 0..2m-1 and every contraction
-        maps vertices through an image of 0..n-1, and taking them from
-        here keeps one object per number for the whole solve instead of a
-        new set per graph, which the allocator cannot give back while
-        older graphs are alive."""
-        if len(self._ints) < n:
-            self._ints.extend(range(len(self._ints), n))
-        return self._ints
 
     def new_vertex(self) -> int:
         """Number of a new vertex, after every vertex so far."""
@@ -139,10 +127,9 @@ class IntGraph:
             adj = [()] * len(ids.vertex_ids)
             for v in vertices:
                 adj[v] = []
-            half = ids.ints(2 * len(tail))
             for k, (t, h) in enumerate(zip(tail, head)):
-                adj[t].append(half[2 * k])
-                adj[h].append(half[2 * k + 1])
+                adj[t].append(2 * k)
+                adj[h].append(2 * k + 1)
             live = len(tail)
         self.adj: List[List[int]] = adj
         self.live: int = live
@@ -167,7 +154,7 @@ def intern(net: Network) -> IntNetwork:
     arrays, with a copy of the IdTable whose lists the caller may grow."""
     g, cap = net.graph.index, net.capacity
     ids = copy(g.ids)  # shares the number maps, which nothing writes
-    ids._ints, ids.vertex_ids, ids.arc_ids = ids._ints[:], ids.vertex_ids[:], ids.arc_ids[:]
+    ids.vertex_ids, ids.arc_ids = ids.vertex_ids[:], ids.arc_ids[:]
     return IntNetwork(IntGraph(ids, g.vertices, g.arcs, g.tail, g.head, g.adj, g.live),
                       [cap[a] for a in ids.arc_ids])
 
@@ -211,7 +198,7 @@ def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwo
             image[v] = v
         return _compact(net, kept, image, vertices)
 
-    image = g.ids.ints(n)[:n]
+    image = list(range(n))
     for z, members in groups.items():
         for v in members:
             image[v] = z
@@ -240,7 +227,7 @@ def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwo
         adj[z] = z_adj
     child = IntNetwork(IntGraph(g.ids, vertices, g.arcs, tail, head, adj, live), cap)
     if len(tail) > 2 * live:
-        return _compact(child, vertices, g.ids.ints(n), vertices)
+        return _compact(child, vertices, range(n), vertices)
     return child
 
 
@@ -458,7 +445,10 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
     and differs from it by a nonnegative circulation.
 
     A vertex listed both as source and sink takes the role its divergence
-    sign dictates.  Any other vertex must have zero divergence.
+    sign dictates.  Any other vertex must have zero divergence.  The paths
+    come in peel order, and no two share source, sink and arcs: each peel
+    exhausts an arc on its path, its source's surplus or its sink's
+    demand, and a walk stops only at a sink with unmet demand.
     """
     tail, head, arcs = g.tail, g.head, g.arcs
     srcs = set(allowed_sources)
@@ -501,7 +491,7 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
         out_ptr[v] = i
         return lst[i] if i < len(lst) else None
 
-    collected: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+    paths: List[TerminalPath] = []
 
     for s in sorted(surplus):
         while surplus[s] > 0:
@@ -538,9 +528,8 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
                 remaining[a] -= theta
             surplus[s] -= theta
             demand[t] -= theta
-            key = (s, t, tuple(path_arcs))
-            collected[key] = collected.get(key, 0) + theta
+            paths.append(TerminalPath(s, t, tuple([arcs[k] for k in path_arcs]), theta))
 
     if any(surplus.values()) or any(demand.values()):
         raise ContractViolation("decomposition left unmet surplus or demand")
-    return [TerminalPath(s, t, tuple([arcs[k] for k in ks]), w) for (s, t, ks), w in collected.items()]
+    return paths

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
@@ -65,6 +66,25 @@ class _Sides:
         return side
 
 
+def parse_rational(text) -> Fraction:
+    """A rational from an int or from a decimal or fraction literal such as
+    "-1.5" or "7/3"; anything else, an exponent literal among them, is an
+    InputError (bad-rational)."""
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    # exponents are rejected unread: "1e999999999" would build a 415 MB integer
+    if isinstance(text, str) and "e" not in text.lower():
+        # Decimal reads digit strings of any length, where int(str) and
+        # Fraction(str) stop at the int-string limit
+        num, slash, den = text.partition("/")
+        try:
+            value = Fraction(Decimal(num))
+            return value / Fraction(Decimal(den)) if slash else value
+        except (ArithmeticError, ValueError):  # a bad literal, a zero denominator, inf or nan
+            pass
+    raise InputError(f"bad rational literal {text!r}", code="bad-rational")
+
+
 @dataclass(frozen=True)
 class RealizationTree(_Sides):
     """Undirected tree with per-direction arc lengths and terminal subtrees.
@@ -92,7 +112,7 @@ class RealizationTree(_Sides):
             if (u, v) in lengths:
                 raise InputError(f"duplicate tree edge {u!r}-{v!r}", code="invalid-tree")
             try:
-                luv, lvu = Fraction(luv), Fraction(lvu)
+                luv, lvu = [parse_rational(x) if isinstance(x, str) else Fraction(x) for x in (luv, lvu)]
             except (ArithmeticError, TypeError, ValueError):  # not a number, inf, nan, 1/0
                 raise InputError(f"tree edge {u!r}-{v!r}: a length is no rational", code="bad-rational") from None
             if luv < 0 or lvu < 0:

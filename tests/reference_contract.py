@@ -18,7 +18,7 @@ def contract(net: IntNetwork, groups: Mapping[int, Iterable[int]]) -> IntNetwork
     terminals, the new vertices among them.
     """
     g = net.graph
-    image = g.ids.ints(len(g.ids.vertex_ids))[:len(g.ids.vertex_ids)]
+    image = list(range(len(g.ids.vertex_ids)))
     for z, members in groups.items():
         for v in members:
             image[v] = z

@@ -92,7 +92,7 @@ def test_tree_distance_basics():
     assert tree_distance(real, "w", "u") == 12
 
 
-@pytest.mark.parametrize("length", ["x", float("nan"), float("inf"), None, "1/0"])
+@pytest.mark.parametrize("length", ["x", float("nan"), float("inf"), None, "1/0", "1e5", "1E300000"])
 def test_tree_length_that_is_no_rational_is_an_input_error(length):
     for luv, lvu in [(length, 1), (1, length)]:
         with pytest.raises(InputError) as exc:

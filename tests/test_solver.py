@@ -281,6 +281,22 @@ def test_free_imf_zero_capacity():
     assert all(mf.component_value(net, p) == 0 for p in mf.pairs())
 
 
+def test_free_imf_needs_two_terminals():
+    net = make_net(["s", "x"], [("a", "s", "x"), ("b", "x", "s")], ["s"], {"a": 1, "b": 1})
+    with pytest.raises(InputError) as exc:
+        free_imf(net)
+    assert exc.value.code == "invalid-input"
+
+
+def test_free_imf_names_the_first_unbalanced_inner_vertex():
+    net = make_net(["s", "t", "b", "a"], [("x", "s", "b"), ("y", "s", "a")], ["s", "t"],
+                   {"x": 1, "y": 1})
+    with pytest.raises(InputError) as exc:
+        free_imf(net)
+    assert exc.value.code == "not-eulerian"
+    assert "'a'" in str(exc.value) and "'b'" not in str(exc.value)
+
+
 def test_free_imf_theorem_identity_randomized():
     rng = random.Random(47)
     for _ in range(25):
@@ -790,7 +806,7 @@ def test_a_network_is_numbered_once(case, request, monkeypatch):
     ids = index.ids
 
     def lists():
-        return (list(ids.vertex_ids), list(ids.arc_ids), list(ids.ints(0)), dict(ids.number),
+        return (list(ids.vertex_ids), list(ids.arc_ids), dict(ids.number),
                 dict(ids.arc_number), list(index.arcs), list(index.tail), list(index.head),
                 [list(a) for a in index.adj])
 
