@@ -46,7 +46,7 @@ def instance_to_document(net: Network, real: RealizationTree) -> dict:
     keys = _subtree_keys(net.terminals)
     return {
         "graph": {
-            "vertices": sorted(net.vertices, key=sort_key),
+            "vertices": list(net.graph.index.ids.vertex_ids),  # id order, sorted once per graph
             "arcs": [
                 {"id": a.id, "tail": a.tail, "head": a.head, "cap": net.capacity[a.id]}
                 for a in net.graph.arcs

@@ -66,9 +66,10 @@ def superpose_walks(rng: random.Random, vertices: Sequence, cycles: int, pairs: 
     def bump(u, v):
         caps[(u, v)] = caps.get((u, v), 0) + 1
 
+    pool = list(vertices)
     for _ in range(cycles):
         k = rng.randint(2, min(len(vertices), 6))
-        loop = rng.sample(list(vertices), k)
+        loop = rng.sample(pool, k)
         for i in range(k):
             bump(loop[i], loop[(i + 1) % k])
     for _ in range(pairs):

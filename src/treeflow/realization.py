@@ -340,22 +340,20 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
     vertex in id order.
     """
     _require_subtrees(net, real)
-    caps_out: Dict[VertexId, int] = {}
-    caps_in: Dict[VertexId, int] = {}
-    for a in net.graph.arcs:
-        c = net.capacity[a.id]
-        caps_out[a.tail] = caps_out.get(a.tail, 0) + c
-        caps_in[a.head] = caps_in.get(a.head, 0) + c
+    g, capacity = net.graph.index, net.capacity
+    balance = [0] * len(g.ids.vertex_ids)
+    for aid, t, h in zip(g.ids.arc_ids, g.tail, g.head):
+        balance[t] += capacity[aid]
+        balance[h] -= capacity[aid]
     terms = set(net.terminals)
-    issues = []
-    for v in net.vertices:
-        if caps_out.get(v, 0) == caps_in.get(v, 0):
+    for v, excess in zip(g.ids.vertex_ids, balance):  # number order is id order
+        if not excess:
             continue
         if v not in terms:
-            issues.append(ValidationIssue(v, "inner vertex is not Eulerian"))
-        elif classify_terminal(real, v) == "complex":
-            issues.append(ValidationIssue(v, "complex terminal is not Eulerian"))
-    return min(issues, key=lambda issue: sort_key(issue.vertex), default=None)
+            return ValidationIssue(v, "inner vertex is not Eulerian")
+        if classify_terminal(real, v) == "complex":
+            return ValidationIssue(v, "complex terminal is not Eulerian")
+    return None
 
 
 # -- the instance on numbers and its reductions -----------------------------

@@ -145,8 +145,10 @@ class _FreeCore:
     Flow is grown per source terminal and repaired by augmenting walks
     that may re-source existing units: traversing an arc backwards hands
     the cancelled unit's remainder to the walk and re-routes the donor.
-    Rare configurations that need a simultaneous rotation of several
-    units stall the search; callers fall back to capacity splitting.
+    Each augmentation applies one plan from the lacking terminal.  A
+    stale width-one plan ends the run, and the caller starts the core
+    over in the next rotation of its terminal order; a search that runs
+    dry stalls, and the caller falls back to capacity splitting.
     Arcs are arc positions of the core network; the flow maps each pair
     of terminal indices (i, j) to the arc function it carries.
     """
@@ -162,45 +164,27 @@ class _FreeCore:
         self.sigma = [sum(self.cap[e >> 1] for e in self.graph.adj[t] if not e & 1) for t in self.terms]
         self.out_total = [0] * len(self.terms)
 
-    def run(self) -> Dict[Tuple[int, int], Dict[int, int]]:
-        """The core flow, or _AugmentationStall past a budget free of
-        capacities: at most n·k augmentations on n vertices and k terminals,
-        each of at most 8(n·k+8) walk searches (_augment), each labelling
-        at most 2·n·k states.  Splitting, which takes over, is capacity-free too."""
+    def run(self) -> Optional[Dict[Tuple[int, int], Dict[int, int]]]:
+        """The core flow; None when a width-one plan went stale and left the
+        flow half re-routed; _AugmentationStall when a search runs dry or
+        past a budget free of capacities: at most n·k augmentations on n
+        vertices and k terminals, each one walk search labelling at most
+        2·n·k states.  Over at most k orders, and in splitting after them,
+        the work still does not depend on capacities."""
         self._bulk()
         guard = len(self.graph.vertices) * len(self.terms)
         while True:
             lacking = next((i for i in range(len(self.terms)) if self.out_total[i] < self.sigma[i]), None)
             if lacking is None:
-                break
+                return self.flow
             guard -= 1
             if guard < 0:
                 raise _AugmentationStall("free multiflow augmentation did not converge")
-            if not self._augment(lacking):
-                raise _AugmentationStall("free multiflow augmentation stalled")
-        return self.flow
-
-    def _augment(self, i: int) -> bool:
-        """Raise the outflow of terminal i, re-planning after any splice
-        whose donor moved under the walk's feet.
-
-        Plans without repeated arcs or donors are applied at full bundle
-        width in one pass; repetitive plans run unit by unit and may go
-        stale, leaving a width-one dangle to continue from.  A False
-        return may leave the flow half re-routed: the caller then
-        discards the whole core.
-        """
-        kappa, vertex = i, None
-        prefix: Dict[int, int] = {}
-        for _segment in range(8 * (len(self.graph.vertices) * len(self.terms) + 8)):
-            walk = self._find_walk(kappa, vertex)
+            walk = self._find_walk(lacking)
             if walk is None:
-                return False
-            width = self._walk_width(walk) if not prefix else 1
-            status, kappa, vertex, prefix = self._apply_walk(kappa, vertex, prefix, walk, width)
-            if status == "done":
-                return True
-        return False
+                raise _AugmentationStall("free multiflow augmentation stalled")
+            if not self._apply_walk(lacking, walk, self._walk_width(walk)):
+                return None
 
     # bulk phase: one truncated max flow per terminal on leftover capacity
     def _bulk(self) -> None:
@@ -223,11 +207,10 @@ class _FreeCore:
                 self.out_total[i] += p.weight
 
     # augmenting walk search over states (vertex, carried commodity)
-    def _find_walk(self, kappa: int, vertex):
-        """Plan a walk completing one unit for commodity kappa.
+    def _find_walk(self, kappa: int):
+        """Plan a walk completing one unit for commodity kappa, from its
+        terminal.
 
-        vertex None means the walk starts fresh at the commodity's
-        terminal; otherwise a half-built unit dangles at that vertex.
         The search runs over states (vertex, carried commodity) on two
         relations, each edge a state pair with its moves: _succ lists
         the edges out of a state and _pred, its exact converse, the
@@ -250,7 +233,7 @@ class _FreeCore:
         it, then the backward moves from it to the goal; being shortest,
         it repeats no state.
         """
-        seed = (self.terms[kappa] if vertex is None else vertex, kappa)
+        seed = (self.terms[kappa], kappa)
         after = {}  # backward labels: state -> (next state, moves to it)
         for state, moves in self._goals():
             after.setdefault(state, (None, moves))
@@ -404,16 +387,17 @@ class _FreeCore:
             idx += 2 if composite else 1
         return max(1, width if width is not None else 1)
 
-    def _apply_walk(self, kappa: int, position, prefix: Dict[int, int], moves, width: int):
-        """Execute planned moves until done or until the plan goes stale.
+    def _apply_walk(self, kappa: int, moves, width: int) -> bool:
+        """Execute a plan from kappa's terminal, width units at a time.
 
-        Returns ("done", ...) after a completing arrival, or
-        ("dangling", kappa, vertex, prefix) when a move's precondition no
-        longer holds and the caller should re-plan from the dangle.
-        Bundled plans are pre-validated by _walk_width and cannot go
-        stale; a stale move there means a broken invariant.
+        Returns True after its completing arrival, or False when a move's
+        precondition no longer holds: the plan went stale and left the
+        flow half re-routed.  Only width-one plans can go stale; bundled
+        plans are pre-validated by _walk_width, and a stale move there
+        means a broken invariant.
         """
         g = self.graph
+        prefix: Dict[int, int] = {}
         for kind, a, donor_key in moves:
             if kind == "fwd":
                 stale = self.used[a] + width > self.cap[a]
@@ -424,18 +408,17 @@ class _FreeCore:
             if stale:
                 if width > 1:
                     raise ContractViolation("bundled walk went stale")
-                return "dangling", kappa, position, prefix
+                return False
             if kind == "fwd":
                 prefix[a] = prefix.get(a, 0) + width
                 self.used[a] += width
-                position = g.head[a]
-                j = self.index.get(position)
+                j = self.index.get(g.head[a])
                 if j is not None:  # completing arrival
                     if j == kappa:
                         raise ContractViolation("augmenting walk arrived at its own source")
                     _add_arcfunc(self.flow.setdefault((kappa, j), {}), prefix)
                     self.out_total[kappa] += width
-                    return "done", kappa, None, {}
+                    return True
                 continue
             donor[a] -= width
             if kind == "rev":
@@ -452,7 +435,6 @@ class _FreeCore:
             prefix = _extract(donor, g, self.terms[k], g.tail[a], width)
             self.out_total[k] -= width
             kappa = k
-            position = g.tail[a]
         # a plan ends in a forward arrival at a terminal, which returns above
         raise ContractViolation("augmenting walk ended away from a terminal")
 
@@ -696,10 +678,18 @@ def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
     core_terms = [ids.new_vertex() for _group in groups]
     core_net = contract(net, {z: side for z, (side, _f) in zip(core_terms, cuts)})
 
-    core = _FreeCore(core_net, core_terms, stats)
-    try:
-        core_flow = core.run()
-    except _AugmentationStall:
+    # a stale plan leaves the flow half re-routed: start over in the next order
+    k, core_flow = len(core_terms), None
+    for r in range(k):
+        core = _FreeCore(core_net, core_terms[r:] + core_terms[:r], stats)
+        try:
+            flow = core.run()
+        except _AugmentationStall:
+            break
+        if flow is not None:
+            core_flow = {((i + r) % k, (j + r) % k): comp for (i, j), comp in flow.items()}
+            break
+    if core_flow is None:
         core_flow = _core_by_splitting(core_net, core_terms, stats)
     core_paths: List[TerminalPath] = []
     for (i, j) in sorted(core_flow):

@@ -162,6 +162,19 @@ def test_validate_instance_cases():
         validate_instance(net3, make_real(["v1"], [], {"s": ["v1"]}))
 
 
+@pytest.mark.parametrize("inner, first", [("a", "a"), ("z", "q")])
+def test_validate_instance_names_the_first_unbalanced_vertex_in_id_order(inner, first):
+    # the inner vertex takes in 1 and sends nothing, the complex terminal q
+    # takes in 1 and sends 2; whichever id comes first is reported
+    net = make_net(["s", "t", "q", inner],
+                   [("a1", "s", "q"), ("a2", "q", "t"), ("a3", "q", "t"), ("a4", "s", inner)],
+                   ["s", "t", "q"], {"a1": 1, "a2": 1, "a3": 1, "a4": 1})
+    real = make_real(["v1", "v2"], [("v1", "v2", 1, 1)],
+                     {"s": ["v1"], "t": ["v2"], "q": ["v1", "v2"]})
+    reasons = {inner: "inner vertex is not Eulerian", "q": "complex terminal is not Eulerian"}
+    assert validate_instance(net, real) == ValidationIssue(first, reasons[first])
+
+
 @st.composite
 def small_nets(draw):
     n = draw(st.integers(min_value=2, max_value=5))

@@ -479,6 +479,73 @@ def test_splitting_fallback_is_exact(monkeypatch):
         assert verify_certificate(net, real, out.multiflow, out.certificate) is None
 
 
+def _core_events(mp):
+    """Patch the free core and the splitting fallback to log, in order,
+    ("run", terminal order, "flow" / "stale" / "stall") per free-core run
+    and ("split", terminal order) per fallback core."""
+    import treeflow.solver as S
+
+    events = []
+    run, split = S._FreeCore.run, S._core_by_splitting
+
+    def logged_run(core):
+        try:
+            flow = run(core)
+        except S._AugmentationStall:
+            events.append(("run", tuple(core.terms), "stall"))
+            raise
+        events.append(("run", tuple(core.terms), "stale" if flow is None else "flow"))
+        return flow
+
+    def logged_split(net, terms, stats):
+        events.append(("split", tuple(terms)))
+        return split(net, terms, stats)
+
+    mp.setattr(S._FreeCore, "run", logged_run)
+    mp.setattr(S, "_core_by_splitting", logged_split)
+    return events
+
+
+def test_a_stale_plan_starts_the_core_over_in_the_next_order(monkeypatch):
+    # on these corpus seeds a width-one plan goes stale once; the core
+    # starts over in the next rotation of its terminal order and finishes
+    from test_acceptance import corpus_params
+
+    events = _core_events(monkeypatch)
+    for seed in (165, 204, 222, 346, 458):
+        events.clear()
+        net, real = generate_network(seed, *corpus_params(seed))
+        assert_solution_checks(net, real, solve(net, real))
+        assert not any(e[0] == "split" for e in events), seed
+        stale = [i for i, e in enumerate(events) if e[2] == "stale"]
+        assert stale, seed
+        for i in stale:
+            terms = events[i][1]
+            assert events[i + 1][:2] == ("run", terms[1:] + terms[:1]), seed
+
+
+def test_a_core_stale_in_every_order_falls_back_to_splitting(monkeypatch):
+    # every plan goes stale: on these corpus seeds one core needs a walk in
+    # every rotation of its terminal order, so it runs once per rotation,
+    # then splitting solves it exactly
+    import treeflow.solver as S
+    from test_acceptance import corpus_params
+
+    events = _core_events(monkeypatch)
+    monkeypatch.setattr(S._FreeCore, "_apply_walk", lambda core, kappa, moves, width: False)
+    for seed in (22, 89, 142, 167, 220):
+        events.clear()
+        net, real = generate_network(seed, *corpus_params(seed))
+        assert_solution_checks(net, real, solve(net, real))
+        splits = [i for i, e in enumerate(events) if e[0] == "split"]
+        assert splits, seed
+        for i in splits:
+            terms = events[i][1]
+            k = len(terms)
+            rotations = [("run", terms[r:] + terms[:r], "stale") for r in range(k)]
+            assert events[i - k:i] == rotations, seed
+
+
 def _oracle_checked(core_sizes):
     """A _core_by_splitting that also runs the binary-search oracle on every
     core, wants the same flow from no more max flows, and appends each

@@ -47,22 +47,22 @@ def _checked(mp, searches):
     searches collects (walk, reference walk) pairs."""
     find_walk, apply_walk = S._FreeCore._find_walk, S._FreeCore._apply_walk
 
-    def checked_find(core, kappa, vertex):
+    def checked_find(core, kappa):
         out, into = _edges(core)
         assert out == into
-        walk = find_walk(core, kappa, vertex)
-        ref, _labels = reference_walk.search(core, kappa, vertex)
+        walk = find_walk(core, kappa)
+        ref, _labels = reference_walk.search(core, kappa, None)
         assert walk is not None or ref is None
         if walk is not None:
             # a walk of the search graph from the start that repeats no state
-            start = (core.terms[kappa] if vertex is None else vertex, kappa)
+            start = (core.terms[kappa], kappa)
             assert any(len(set(p)) == len(p) for p in _paths(core, start, walk))
         searches.append((walk, ref))
         return walk
 
     def checked_apply(core, *args):
         result = apply_walk(core, *args)
-        assert result[0] in ("done", "dangling")
+        assert isinstance(result, bool)
         assert all(u <= c for u, c in zip(core.used, core.cap))
         assert all(w >= 0 for comp in core.flow.values() for w in comp.values())
         return result
@@ -114,10 +114,10 @@ def test_walk_search_labels_at_most_a_quarter_of_the_reference_states(monkeypatc
             labelled[-1][1].setdefault(state)
             yield state, moves
 
-    def counted(core, kappa, vertex):
-        seed = (core.terms[kappa] if vertex is None else vertex, kappa)
-        labelled.append(({seed: None}, {}, len(reference_walk.search(core, kappa, vertex)[1])))
-        return find_walk(core, kappa, vertex)
+    def counted(core, kappa):
+        seed = (core.terms[kappa], kappa)
+        labelled.append(({seed: None}, {}, len(reference_walk.search(core, kappa, None)[1])))
+        return find_walk(core, kappa)
 
     monkeypatch.setattr(S._FreeCore, "_goals", ends)
     monkeypatch.setattr(S._FreeCore, "_succ", forward)
@@ -139,14 +139,14 @@ def test_walk_search_without_a_spare_arc_into_a_terminal_finds_nothing(e2):
     inet = intern(net)
     terms = sorted(inet.graph.ids.number[t] for t in net.terminals)
     core = S._FreeCore(inet, terms, S.SolveStats())
-    walk = core._find_walk(0, None)
+    walk = core._find_walk(0)
     assert [kind for kind, _a, _donor in walk] == ["fwd", "fwd"]
     assert len(walk) == len(reference_walk.search(core, 0, None)[0])
     core._bulk()
     assert all(u == c for u, c in zip(core.used, core.cap))
     assert list(core._goals()) == []
     for kappa in range(len(terms)):
-        assert core._find_walk(kappa, None) is None
+        assert core._find_walk(kappa) is None
         assert reference_walk.search(core, kappa, None)[0] is None
 
 
@@ -161,5 +161,5 @@ def test_walk_search_stops_when_the_backward_side_runs_out():
     terms = sorted(inet.graph.ids.number[t] for t in net.terminals)
     core = S._FreeCore(inet, terms, S.SolveStats())
     assert [state for state, _moves in core._goals()] == [(inet.graph.ids.number["u"], 0)]
-    assert core._find_walk(0, None) is None
+    assert core._find_walk(0) is None
     assert reference_walk.search(core, 0, None)[0] is None
