@@ -129,13 +129,15 @@ def decompose(net: Network, f: Dict[ArcId, int], allowed_sources: Iterable[Verte
 
     A vertex listed both as source and sink takes the role its divergence
     sign dictates.  Any other vertex must have zero divergence.  An id in
-    f that names no arc of net is an InputError.
+    f that names no arc of net is an InputError.  After the checks the
+    peel reads only f's positive entries.
     """
     srcs = set(allowed_sources)
     snks = set(allowed_sinks)
     _check_vertices(net, srcs | snks)
     graph = net.graph.index
     ids = graph.ids
-    paths = indexed.decompose(graph, _on_positions(net, f), [ids.number[v] for v in srcs],
-                              [ids.number[v] for v in snks])
+    # the index holds arc number k at position k, so positions are arc numbers
+    paths = indexed.decompose(graph, indexed.sparse(_on_positions(net, f)),
+                              [ids.number[v] for v in srcs], [ids.number[v] for v in snks])
     return [ids.path_ids(p) for p in paths]

@@ -22,7 +22,9 @@ child.  It validates nothing: only the public entry points (graphs,
 flows, solver.solve) check input.
 
 Kernels speak numbers: vertex numbers, flows as one entry per arc
-position, paths as TerminalPaths of vertex and arc numbers.  Arcs break
+position, or for peeling only the positive entries ({position: units}),
+and paths as plain tuples (source, target, arcs, weight), which become
+TerminalPaths of ids once, on export (IdTable.path_ids).  Arcs break
 ties in arc order and vertices by number, which is id order on input
 vertices: Dinic adds no vertex or arc, scans arcs in arc order and
 starts its paths at sources in number order; peeling starts at sources
@@ -34,12 +36,13 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import Collection, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ContractViolation
 from .graphs import Network, TerminalPath, sort_key
+
+Path = Tuple[int, int, Tuple[int, ...], int]  # (source, target, arcs or positions, weight)
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,12 @@ class IdTable:
         self.arc_ids.append(_Made(self._generation, a))
         return a
 
-    def path_ids(self, p: TerminalPath) -> TerminalPath:
-        """The path with ids in place of vertex and arc numbers."""
+    def path_ids(self, p: Path) -> TerminalPath:
+        """The path (source, target, arc numbers, weight) in ids."""
+        source, target, arcs, weight = p
         arc_ids = self.arc_ids
-        return TerminalPath(self.vertex_ids[p.source], self.vertex_ids[p.target],
-                            tuple([arc_ids[a] for a in p.arcs]), p.weight)
+        return TerminalPath(self.vertex_ids[source], self.vertex_ids[target],
+                            tuple([arc_ids[a] for a in arcs]), weight)
 
 
 class IntGraph:
@@ -133,11 +137,6 @@ class IntGraph:
             live = len(tail)
         self.adj: List[List[int]] = adj
         self.live: int = live
-
-    @cached_property
-    def position(self) -> Dict[int, int]:
-        """Position of every arc number."""
-        return {a: k for k, a in enumerate(self.arcs)}
 
 
 @dataclass(frozen=True)
@@ -433,10 +432,19 @@ def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int
     return frozenset(seen)
 
 
-def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
-              allowed_sinks: Iterable[int]) -> List[TerminalPath]:
-    """Peel a nonnegative integer flow on a graph (one entry per arc
-    position) into weighted simple paths of vertex and arc numbers.
+def sparse(f: Sequence[int]) -> Dict[int, int]:
+    """The nonzero entries of a flow given one entry per arc position, as
+    {position: units}, found by a scan at C speed."""
+    return dict(zip(compress(range(len(f)), f), compress(f, f)))
+
+
+def decompose(g: IntGraph, f: Mapping[int, int], allowed_sources: Iterable[int],
+              allowed_sinks: Iterable[int]) -> List[Path]:
+    """Peel a nonnegative integer flow on a graph, {arc position: units},
+    into weighted simple paths (source, target, positions, weight).  It
+    reads only the entries of f, in position order, and skips zeros: the
+    work follows the arcs that carry flow (Ahuja, Magnanti and Orlin,
+    Network Flows, 1993, section 3.5), not the graph.
 
     Walks start at vertices with positive remaining divergence, in number
     order, follow the positive arc that comes first in arc order, and stop
@@ -450,14 +458,14 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
     exhausts an arc on its path, its source's surplus or its sink's
     demand, and a walk stops only at a sink with unmet demand.
     """
-    tail, head, arcs = g.tail, g.head, g.arcs
+    tail, head = g.tail, g.head
     srcs = set(allowed_sources)
     snks = set(allowed_sinks)
 
     remaining: Dict[int, int] = {}
     div: Dict[int, int] = {}
     out_pos: Dict[int, List[int]] = {}  # each vertex's positive out-arcs in arc order
-    for k, w in enumerate(f):
+    for k, w in sorted(f.items()):
         if w:
             if w < 0:
                 raise ContractViolation(f"negative flow on arc position {k}")
@@ -479,37 +487,28 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
                 raise ContractViolation(f"negative divergence at non-sink {g.ids.vertex_ids[v]!r}")
             demand[v] = -d
 
-    out_ptr: Dict[int, int] = {}
+    for lst in out_pos.values():
+        lst.reverse()  # a stack: the first positive arc in arc order on top
 
-    def next_arc(v) -> Optional[int]:
-        lst = out_pos.get(v)
-        if not lst:
-            return None
-        i = out_ptr.get(v, 0)
-        while i < len(lst) and remaining[lst[i]] <= 0:
-            i += 1
-        out_ptr[v] = i
-        return lst[i] if i < len(lst) else None
-
-    paths: List[TerminalPath] = []
-
+    paths: List[Path] = []
     for s in sorted(surplus):
         while surplus[s] > 0:
             path_arcs: List[int] = []
             on_path = {s: 0}
             v = s
-            while True:
-                if v != s and v in snks and demand.get(v, 0) > 0:
-                    break
-                a = next_arc(v)
-                if a is None:
+            while v == s or not demand.get(v):  # only sinks have demand
+                lst = out_pos.get(v)
+                while lst and not remaining[lst[-1]]:
+                    lst.pop()  # flow only ever falls: an empty arc stays empty
+                if not lst:
                     raise ContractViolation(f"path peeling stuck at {g.ids.vertex_ids[v]!r}")
+                a = lst[-1]
                 nxt = head[a]
                 if nxt in on_path:
                     # cancel the cycle immediately and keep walking
                     k = on_path[nxt]
                     cycle = path_arcs[k:] + [a]
-                    theta = min(remaining[c] for c in cycle)
+                    theta = min([remaining[c] for c in cycle])
                     for c in cycle:
                         remaining[c] -= theta
                     for c in path_arcs[k:]:
@@ -523,12 +522,12 @@ def decompose(g: IntGraph, f: Sequence[int], allowed_sources: Iterable[int],
                 on_path[nxt] = len(path_arcs)
                 v = nxt
             t = v
-            theta = min(min(remaining[a] for a in path_arcs), surplus[s], demand[t])
+            theta = min(surplus[s], demand[t], *[remaining[a] for a in path_arcs])
             for a in path_arcs:
                 remaining[a] -= theta
             surplus[s] -= theta
             demand[t] -= theta
-            paths.append(TerminalPath(s, t, tuple([arcs[k] for k in path_arcs]), theta))
+            paths.append((s, t, tuple(path_arcs), theta))
 
     if any(surplus.values()) or any(demand.values()):
         raise ContractViolation("decomposition left unmet surplus or demand")

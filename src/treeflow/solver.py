@@ -5,19 +5,19 @@ has an edge with two non-leaf endpoints it splits the instance at a
 minimum cut between the two terminal groups, solves both contractions,
 and glues the results.  Otherwise the tree is a single edge or a small
 star, handled by direct flow constructions.  Every level returns its
-flow as weighted TerminalPaths, glued on the cut's boundary arcs, and
-one saturated separating cut per tree edge, under the arc whose tail
-side it is (the other arc's cut, its complement, is never built); the
-lifted family certifies optimality of the final answer.
+flow as weighted (source, target, arcs, weight) tuples of numbers, glued
+on the cut's boundary arcs, and one saturated separating cut per tree
+edge, under the arc whose tail side it is (the other arc's cut, its
+complement, is never built); the lifted family certifies optimality.
 
 solve and free_imf validate their input and intern it once (indexed.py),
 the tree numbered too, in id order.  Normalization (realization.Reduction),
 the recursion, which contracts by relabelling, and the undo of the
-normalization then run on numbers and build no Network, Digraph or
-RealizationTree; paths and cuts return to ids once, at the end.  Their
-networks are arcs and capacities only: every level reads its terminals,
-and the groups a tree arc separates (pi_set), from its tree's subtree
-map.  Ties break by number throughout: vertices by vertex number (input
+normalization then run on numbers and build no Network, Digraph,
+RealizationTree or TerminalPath; paths and cuts return to ids once, at
+the end.  Their networks are arcs and capacities only: every level reads
+its terminals, and the groups a tree arc separates (pi_set), from its
+tree's subtree map.  Ties break by number throughout: vertices by vertex number (input
 vertices are numbered in id order), arcs by arc number (arc order), and
 each vertex or arc made takes the next.
 """
@@ -32,10 +32,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .graphs import Cut, Network, TerminalPath, is_eulerian_at
+from .graphs import Cut, Network, is_eulerian_at
 from .flows import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
-from .indexed import (IdTable, IntGraph, IntNetwork, boundary, contract, decompose, intern,
-                      max_flow, min_cut_source_side)
+from .indexed import (IdTable, IntGraph, IntNetwork, Path, boundary, contract, decompose, intern,
+                      max_flow, min_cut_source_side, sparse)
 from .multiflow import Multiflow
 from .realization import (
     IntTree,
@@ -68,7 +68,7 @@ class SolveOutput:
     stats: SolveStats
 
 
-def _external(ids: IdTable, tree_ids: IdTable, paths: List[TerminalPath], cert: CutMap):
+def _external(ids: IdTable, tree_ids: IdTable, paths: List[Path], cert: CutMap):
     """Paths and certificate cuts of a solve, in ids: one cut per tree
     edge, under the arc it was made for."""
     vertex_ids, tree_vertex_ids = ids.vertex_ids, tree_ids.vertex_ids
@@ -86,24 +86,29 @@ def _add_arcfunc(target: Dict[int, int], src: Dict[int, int]) -> None:
             target[a] = target.get(a, 0) + w
 
 
-def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[TerminalPath]:
+def _numbered(g: IntGraph, paths: List[Path]) -> List[Path]:
+    """Peeled paths on g with arc numbers in place of arc positions."""
+    arcs = g.arcs
+    return [(s, t, tuple([arcs[k] for k in positions]), w) for s, t, positions, w in paths]
+
+
+def _join_on_arc(left: List[Path], right: List[Path]) -> List[Path]:
     """Concatenate weighted paths: each left path ends with the arc the
     matching right path starts with; weights are split greedily and must
     all be used.  Glues regions to the core in _free_imf_paths and the
     two partition children in aggregate."""
     queues: Dict[int, deque] = {}
     for p in right:
-        queues.setdefault(p.arcs[0], deque()).append([p, p.weight])
-    out: List[TerminalPath] = []
-    for lp in left:
-        need = lp.weight
-        q = queues.get(lp.arcs[-1])
+        queues.setdefault(p[2][0], deque()).append([p, p[3]])
+    out: List[Path] = []
+    for source, _target, arcs, need in left:
+        q = queues.get(arcs[-1])
         while need > 0:
             if not q:
                 raise ContractViolation("boundary stitching ran out of partner paths")
             rp, avail = q[0]
             take = min(need, avail)
-            out.append(TerminalPath(lp.source, rp.target, lp.arcs + rp.arcs[1:], take))
+            out.append((source, rp[1], arcs + rp[2][1:], take))
             need -= take
             q[0][1] -= take
             if q[0][1] == 0:
@@ -112,14 +117,6 @@ def _join_on_arc(left: List[TerminalPath], right: List[TerminalPath]) -> List[Te
         if any(item[1] for item in q):
             raise ContractViolation("boundary stitching left unmatched partner paths")
     return out
-
-
-def _by_position(net: IntNetwork, f: Dict[int, int]) -> List[int]:
-    """A sparse flow on arc positions as one entry per position."""
-    dense = [0] * len(net.cap)
-    for k, w in f.items():
-        dense[k] = w
-    return dense
 
 
 def _cut(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int], stats: SolveStats, start=None):
@@ -150,7 +147,7 @@ class _FreeCore:
     over in the next rotation of its terminal order; a search that runs
     dry stalls, and the caller falls back to capacity splitting.
     Arcs are arc positions of the core network; the flow maps each pair
-    of terminal indices (i, j) to the arc function it carries.
+    of terminal indices (i, j) to the arc function it carries, positive entries only.
     """
 
     def __init__(self, net: IntNetwork, terminals: Sequence[int], stats: SolveStats):
@@ -188,23 +185,23 @@ class _FreeCore:
 
     # bulk phase: one truncated max flow per terminal on leftover capacity
     def _bulk(self) -> None:
-        g = self.graph
-        position = g.position
+        g, used = self.graph, self.used
+        # leftover capacity cap - used, unmasked: no rising arc enters a source and
+        # a path ends at the first sink, so arcs into t and out of the others carry 0
+        left = list(self.cap)
         for i, t in enumerate(self.terms):
             others = [u for u in self.terms if u != t]
-            # leftover capacity, unmasked: no rising arc enters a source and a
-            # path ends at the first sink, so arcs into t and out of the others carry 0
             self.stats.maxflow_calls += 1
-            f, value = max_flow(IntNetwork(g, [c - w for c, w in zip(self.cap, self.used)]), [t], others)
+            f, value = max_flow(IntNetwork(g, left), [t], others)
             if not value:
                 continue
-            for p in decompose(g, f, [t], others):
-                comp = self.flow.setdefault((i, self.index[p.target]), {})
-                for arc in p.arcs:
-                    a = position[arc]
-                    comp[a] = comp.get(a, 0) + p.weight
-                    self.used[a] += p.weight
-                self.out_total[i] += p.weight
+            for _s, target, positions, w in decompose(g, sparse(f), [t], others):
+                comp = self.flow.setdefault((i, self.index[target]), {})
+                for a in positions:
+                    comp[a] = comp.get(a, 0) + w
+                    used[a] += w
+                    left[a] -= w
+                self.out_total[i] += w
 
     # augmenting walk search over states (vertex, carried commodity)
     def _find_walk(self, kappa: int):
@@ -421,6 +418,8 @@ class _FreeCore:
                     return True
                 continue
             donor[a] -= width
+            if not donor[a]:
+                del donor[a]
             if kind == "rev":
                 self.used[a] -= width
             else:  # displacing a full arrival arc: the walk takes it over
@@ -611,6 +610,8 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
         theta = min(min(f[a] for a in path), left)
         for a in path:
             f[a] -= theta
+            if not f[a]:
+                del f[a]
             taken[a] = taken.get(a, 0) + theta
         left -= theta
     return taken
@@ -691,32 +692,31 @@ def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
             break
     if core_flow is None:
         core_flow = _core_by_splitting(core_net, core_terms, stats)
-    core_paths: List[TerminalPath] = []
+    core_g = core_net.graph
+    core_paths: List[Path] = []
     for (i, j) in sorted(core_flow):
         comp = core_flow[(i, j)]
         if any(comp.values()):
-            core_paths += decompose(core_net.graph, _by_position(core_net, comp),
-                                    [core_terms[i]], [core_terms[j]])
+            core_paths += _numbered(core_g, decompose(core_g, comp, [core_terms[i]], [core_terms[j]]))
 
     # expand every side on net: a path ending or starting outside it crosses its boundary
-    lead_in: List[TerminalPath] = []   # terminal -> cut boundary
-    lead_out: List[TerminalPath] = []  # cut boundary -> terminal
-    expelled: List[TerminalPath] = []  # terminal <-> misplaced vertex
+    lead_in: List[Path] = []   # terminal -> cut boundary
+    lead_out: List[Path] = []  # cut boundary -> terminal
+    expelled: List[Path] = []  # terminal <-> misplaced vertex
     sides: List[frozenset] = []
     for i, (group, (side, f)) in enumerate(zip(groups, cuts)):
         new_side, forward, backward = repair_three_leaves(net, group, side, f, misplaced.get(i, ()), stats)
         sides.append(new_side)
         for p in forward:
-            (expelled if p.target in side else lead_in).append(p)
+            (expelled if p[1] in side else lead_in).append(p)
         for p in backward:
-            (expelled if p.source in side else lead_out).append(p)
+            (expelled if p[0] in side else lead_out).append(p)
 
     full = _join_on_arc(_join_on_arc(lead_in, core_paths), lead_out)
-    for p in full:
-        if p.source == p.target:
-            raise ContractViolation("free multiflow produced a closed path")
+    if any(s == t for s, t, _arcs, _w in full):
+        raise ContractViolation("free multiflow produced a closed path")
     # a core terminal's out-capacity is the capacity of its cut
-    if sum(p.weight for p in full) != sum(core.sigma):
+    if sum(w for _s, _t, _arcs, w in full) != sum(core.sigma):
         raise ContractViolation("free multiflow value does not meet the cut bound")
     return full + expelled, sides
 
@@ -736,9 +736,10 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
         raise ContractViolation("two-vertex base without terminals at both ends")
     src, dst = pi.tail_side_terminals, pi.head_side_terminals
     x, f = _cut(net, src, dst, stats)
-    g = [c - used for c, used in zip(net.cap, f)]
-    paths = decompose(net.graph, f, src, dst) + decompose(net.graph, g, src | dst, src | dst)
-    return paths, {(v1, v2): x}
+    g = net.graph
+    back = sparse([c - w for c, w in zip(net.cap, f)])
+    paths = decompose(g, sparse(f), src, dst) + decompose(g, back, src | dst, src | dst)
+    return _numbered(g, paths), {(v1, v2): x}
 
 
 def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, f: List[int],
@@ -757,22 +758,36 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
     into the group.
     """
     g = net.graph
+    tail, adj, cap = g.tail, g.adj, net.cap
     leaving, entering = boundary(g, side)
     ends = [*{g.head[k] for k in leaving}, *q_terms]
-    f = [w if t in side else 0 for t, w in zip(g.tail, f)]
-    new_side, f = _cut(net, group, ends, stats, start=f) if q_terms else (side, f)
+    new_side = side
+    if q_terms:  # f counts only on arcs out of side vertices
+        new_side, f = _cut(net, group, ends, stats, start=[w if t in side else 0 for t, w in zip(tail, f)])
     for k in leaving:
-        if f[k] != net.cap[k]:
+        if f[k] != cap[k]:
             raise ContractViolation("region flow does not saturate the cut boundary")
-    forward = decompose(g, f, group, ends)
-    # members have distance zero: the complement skips arcs between them and
-    # drops paths from one member to another, circulations through the group
+    # the region's two flows, read from the arcs at side vertices: f on those out
+    # of them, its capacity complement on those into them (f counts only on arcs
+    # from the side).  Members have distance zero: the complement skips arcs between
+    # them and drops paths from one member to another, circulations through the group
     members = set(group)
-    h = [c - w if v in side and not (t in members and v in members) else 0
-         for t, v, c, w in zip(g.tail, g.head, net.cap, f)]
-    backward = [p for p in decompose(g, h, [*{g.tail[k] for k in entering}, *q_terms, *group], group)
-                if p.source not in members]
-    return new_side, forward, backward
+    out_flow: Dict[int, int] = {}
+    in_flow: Dict[int, int] = {}
+    for v in side:
+        for e in adj[v]:
+            k = e >> 1
+            if not e & 1:
+                if f[k]:
+                    out_flow[k] = f[k]
+            elif tail[k] not in members or v not in members:
+                w = cap[k] - f[k] if tail[k] in side else cap[k]
+                if w:
+                    in_flow[k] = w
+    forward = decompose(g, out_flow, group, ends)
+    backward = [p for p in decompose(g, in_flow, [*{tail[k] for k in entering}, *q_terms, *group], group)
+                if p[0] not in members]
+    return new_side, _numbered(g, forward), _numbered(g, backward)
 
 
 def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
@@ -825,8 +840,8 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
 # -- partition step ----------------------------------------------------------
 
 
-def aggregate(net: IntNetwork, paths1: List[TerminalPath], paths2: List[TerminalPath],
-              x1: frozenset, z2: int, z1: int) -> List[TerminalPath]:
+def aggregate(net: IntNetwork, paths1: List[Path], paths2: List[Path],
+              x1: frozenset, z2: int, z1: int) -> List[Path]:
     """Glue two child solutions across a saturated partition cut.
 
     Child 1 lives on x1 plus z2 (the rest contracted), child 2 on the
@@ -844,19 +859,20 @@ def aggregate(net: IntNetwork, paths1: List[TerminalPath], paths2: List[Terminal
     internal, into, out_of = [], {z1: [], z2: []}, {z1: [], z2: []}
     for paths, z in ((paths1, z2), (paths2, z1)):
         for p in paths:
-            if p.target == z:
+            source, target, arcs, _w = p
+            if target == z:
                 into[z].append(p)
-            elif p.source == z:
+            elif source == z:
                 out_of[z].append(p)
-            elif crossing.isdisjoint(p.arcs):
+            elif crossing.isdisjoint(arcs):
                 internal.append(p)
             else:
                 raise ContractViolation("side-internal path touches the partition boundary")
 
     for z, positions, direction in ((z2, leaving, "forward"), (z1, entering, "backward")):
         load = {g.arcs[k]: 0 for k in positions}
-        for p in into[z]:
-            load[p.arcs[-1]] += p.weight
+        for _s, _t, arcs, w in into[z]:
+            load[arcs[-1]] += w
         if any(load[g.arcs[k]] != net.cap[k] for k in positions):
             raise ContractViolation(f"partition boundary not saturated {direction}")
 
@@ -957,7 +973,7 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
 
 
 def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
-                        record: NormalizeRecord, paths: List[TerminalPath], cuts: CutMap):
+                        record: NormalizeRecord, paths: List[Path], cuts: CutMap):
     """Map paths and cuts of the normalized instance back to the input, in
     numbers: one certificate cut per input tree edge with a nonempty pair
     set, emitted by the input arc whose normalized arc holds the cut.
@@ -968,9 +984,8 @@ def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
     """
     src_of = {rec.source_half: rec for rec in record.splits}
     dst_of = {rec.target_half: rec for rec in record.splits}
-    out_paths: List[TerminalPath] = []
-    for p in paths:
-        s, t, arcs = p.source, p.target, p.arcs
+    out_paths: List[Path] = []
+    for s, t, arcs, w in paths:
         if s in src_of:
             if arcs[0] != src_of[s].out_arc:
                 raise ContractViolation("path from a split half misses its synthetic arc")
@@ -983,7 +998,7 @@ def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
             if arcs:
                 raise ContractViolation("split round trip left a same-endpoint path")
             continue
-        out_paths.append(TerminalPath(s, t, arcs, p.weight))
+        out_paths.append((s, t, arcs, w))
 
     cert: CutMap = {}
     for arc, mapped in record.arc_map.items():

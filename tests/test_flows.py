@@ -20,6 +20,7 @@ from treeflow import indexed
 from treeflow.generator import generate_network
 from treeflow.indexed import intern
 
+import reference_decompose
 import reference_kernel
 from builders import make_net
 
@@ -212,6 +213,67 @@ def test_decompose_rejects_bad_divergence():
 
 
 @st.composite
+def peel_instances(draw):
+    """A graph of up to 6 vertices, parallel arcs allowed, some of it
+    contracted so that arc positions differ from arc numbers or are dead;
+    a nonnegative flow made of random walks, which close cycles, plus at
+    times a stray unit; and source and sink sets around the walks' ends
+    that may share a vertex.  The flow comes dense, and sparse with some
+    explicit zero entries in shuffled order."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    verts = [f"v{i}" for i in range(n)]
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+                         min_size=1, max_size=14))
+    arcs = [(f"a{i:02d}", verts[u], verts[v]) for i, (u, v) in enumerate(ends)]
+    inet = intern(make_net(verts, arcs, verts[:1], {a: 9 for a, _u, _v in arcs}))
+    members = draw(st.sets(st.sampled_from(sorted(inet.graph.vertices)), max_size=n - 1))
+    if len(members) >= 2:
+        inet = indexed.contract(inet, {inet.graph.ids.new_vertex(): members})
+    g = inet.graph
+    f = [0] * len(g.tail)
+    sources, sinks = set(), set()
+    for _walk in range(draw(st.integers(min_value=1, max_value=4))):
+        v = draw(st.sampled_from(sorted(g.vertices)))
+        sources.add(v)
+        w = draw(st.integers(min_value=1, max_value=3))
+        for _step in range(draw(st.integers(min_value=1, max_value=6))):
+            outs = [e >> 1 for e in g.adj[v] if not e & 1]
+            if not outs:
+                break
+            k = draw(st.sampled_from(outs))
+            f[k] += w
+            v = g.head[k]
+        sinks.add(v)
+    if draw(st.booleans()):
+        live = [e >> 1 for v in sorted(g.vertices) for e in g.adj[v] if not e & 1]
+        if live:
+            f[draw(st.sampled_from(live))] += 1
+    for _extra in range(draw(st.integers(min_value=0, max_value=2))):
+        (sources if draw(st.booleans()) else sinks).add(draw(st.sampled_from(sorted(g.vertices))))
+    zeros = draw(st.sets(st.sampled_from(range(len(f))))) if f else set()
+    keys = draw(st.permutations([k for k, w in enumerate(f) if w or k in zeros]))
+    return g, f, {k: f[k] for k in keys}, sorted(sources), sorted(sinks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_instances())
+def test_decompose_matches_the_dense_reference(instance):
+    # the same paths in the same order as the dense peel, positions mapped
+    # to arc numbers, and a ContractViolation on exactly the same flows
+    g, dense, f, sources, sinks = instance
+    try:
+        expected = reference_decompose.decompose(g, dense, sources, sinks)
+    except ContractViolation as e:
+        with pytest.raises(ContractViolation) as got:
+            indexed.decompose(g, f, sources, sinks)
+        assert str(got.value) == str(e)
+        return
+    paths = indexed.decompose(g, f, sources, sinks)
+    assert [TerminalPath(s, t, tuple(g.arcs[k] for k in positions), w)
+            for s, t, positions, w in paths] == expected
+
+
+@st.composite
 def flow_instances(draw):
     n = draw(st.integers(min_value=2, max_value=5))
     verts = [f"v{i}" for i in range(n)]
@@ -262,13 +324,13 @@ def test_max_flow_continues_a_start_flow(net, data):
     f, value = indexed.max_flow(inet, s, t)
     assert indexed.max_flow(inet, s, t, start=f) == (f, 0)
     assert indexed.max_flow(inet, s, t, start=[0] * len(f)) == (f, value)
-    kept = [p for p in indexed.decompose(inet.graph, f, s, t) if data.draw(st.booleans())]
+    kept = [p for p in indexed.decompose(inet.graph, indexed.sparse(f), s, t) if data.draw(st.booleans())]
     part = [0] * len(f)
-    for p in kept:
-        for a in p.arcs:
-            part[inet.graph.position[a]] += p.weight
+    for _s, _t, positions, w in kept:
+        for k in positions:
+            part[k] += w
     g, added = indexed.max_flow(inet, s, t, start=part)
-    assert added == value - sum(p.weight for p in kept)
+    assert added == value - sum(w for _s, _t, _positions, w in kept)
     indexed.min_cut_source_side(inet, g, s, t)  # raises unless g is maximum
 
 
@@ -462,11 +524,11 @@ def test_max_flow_matches_the_reference_kernel(instance, data):
     inet, sources, sinks = instance
     g = inet.graph
     f, value = reference_kernel.max_flow(inet, sources, sinks)
-    kept = [p for p in indexed.decompose(g, f, sources, sinks) if data.draw(st.booleans())]
+    kept = [p for p in indexed.decompose(g, indexed.sparse(f), sources, sinks) if data.draw(st.booleans())]
     start = [0] * len(f)
-    for p in kept:
-        for a in p.arcs:
-            start[g.position[a]] += p.weight
+    for _s, _t, positions, w in kept:
+        for k in positions:
+            start[k] += w
     before = ([list(arcs) for arcs in g.adj], list(g.tail), list(g.head), list(inet.cap), list(start))
     assert indexed.max_flow(inet, sources, sinks) == (f, value)
     assert indexed.max_flow(inet, sources, sinks, start=start) == \

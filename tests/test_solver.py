@@ -180,9 +180,9 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
 
     def out_weights(paths, drop):
         total = {}
-        for p in paths:
-            if p.source != drop:
-                total[p.source] = total.get(p.source, 0) + p.weight
+        for source, _target, _arcs, weight in paths:
+            if source != drop:
+                total[source] = total.get(source, 0) + weight
         return total
 
     def checking(net, paths1, paths2, x1, z2, z1):
@@ -193,10 +193,10 @@ def test_aggregate_conserves_terminal_totals(monkeypatch):
         # every glued path walks the parent's arcs from its source to its target
         g = net.graph
         ends = {a: (t, h) for a, t, h in zip(g.arcs, g.tail, g.head)}
-        for p in glued:
-            walk = [p.source] + [ends[a][1] for a in p.arcs]
-            assert [ends[a][0] for a in p.arcs] == walk[:-1]
-            assert walk[-1] == p.target and len(set(walk)) == len(walk)
+        for source, target, arcs, _weight in glued:
+            walk = [source] + [ends[a][1] for a in arcs]
+            assert [ends[a][0] for a in arcs] == walk[:-1]
+            assert walk[-1] == target and len(set(walk)) == len(walk)
         calls[0] += 1
         return glued
 
@@ -221,7 +221,7 @@ def _aggregate_fixture():
     def path(s, t, arcs, w):
         # the fixture's vertex and arc ids as the network's numbers
         num = {**ids.number, "z2": z2, "z1": z1}
-        return TerminalPath(num[s], num[t], tuple(ids.arc_ids.index(a) for a in arcs), w)
+        return (num[s], num[t], tuple(ids.arc_ids.index(a) for a in arcs), w)
 
     paths1 = [path("a", "z2", ("e",), 2), path("c", "z2", ("g",), 1),
               path("z2", "c", ("f",), 1)]
@@ -332,13 +332,13 @@ def test_repair_keeps_capacity_complement():
         # forward plus backward flow reconstructs the capacity of every arc
         # touching the side, arc by arc
         g = {}
-        for p in fwd:
-            for aid in p.arcs:
-                g[aid] = g.get(aid, 0) + p.weight
+        for _s, _t, arcs, w in fwd:
+            for aid in arcs:
+                g[aid] = g.get(aid, 0) + w
         h = {}
-        for p in back:
-            for aid in p.arcs:
-                h[aid] = h.get(aid, 0) + p.weight
+        for _s, _t, arcs, w in back:
+            for aid in arcs:
+                h[aid] = h.get(aid, 0) + w
         for aid, tail, head, c in zip(ig.arcs, ig.tail, ig.head, inet.cap):
             if tail in side or head in side:
                 assert g.get(aid, 0) + h.get(aid, 0) == c
@@ -798,6 +798,38 @@ def test_pinned_corpus_work_and_no_builds_inside_the_recursion(monkeypatch):
         assert builds[0] == 0, seed
         depths.add(out.stats.recursion_depth)
     assert depths == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("case", ["e2", 25, 80, 239])
+def test_peels_read_positive_entries_and_only_export_builds_paths(case, request, monkeypatch):
+    # every flow the solver peels holds positive entries only, core arc
+    # functions whose donors a walk lowered to zero included (seeds 25 and
+    # 80; 239 falls back to splitting), and a solve builds one TerminalPath
+    # per path it returns, when it maps its answer to ids
+    import treeflow.solver as S
+    from test_acceptance import corpus_params
+
+    if isinstance(case, str):
+        net, real = request.getfixturevalue(case)
+    else:
+        net, real = generate_network(case, *corpus_params(case))
+    entries, built = [], [0]
+    decompose, init = S.decompose, TerminalPath.__init__
+
+    def counted_decompose(g, f, *args):
+        entries.extend(f.values())
+        return decompose(g, f, *args)
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(S, "decompose", counted_decompose)
+    monkeypatch.setattr(TerminalPath, "__init__", counted_init)
+    out = solve(net, real)
+    assert entries and min(entries) > 0
+    assert built[0] == len(out.multiflow.paths) > 0
+    assert out.value == dual_value(net, real)
 
 
 @pytest.mark.parametrize("case", ["e1", "e2", 25, 239, 416])
