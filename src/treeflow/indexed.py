@@ -104,10 +104,10 @@ class IntGraph:
     no arc is a loop.  adj[v] lists v's residual half-arcs in arc order
     (2k leaving along k, 2k + 1 entering along k); adj is as long as the
     table was when the graph was built.  The positions in some adjacency
-    list are the live arcs, and live counts them.  A contraction may
-    leave dead positions: arcs it put inside a contraction vertex, in no
+    list are the live arcs, and live counts them.  contract (arcs inside
+    a contraction vertex) and split_off leave dead positions, in no
     adjacency list, with their old endpoints and capacity 0 in the
-    network; it keeps the positions at most twice the live arcs.  A
+    network; both keep the positions at most twice the live arcs.  A
     patched contraction shares the arc list and the adjacency lists of
     the vertices it leaves alone with the graph it came from.  None of the
     lists is modified after construction, so flows and callers read them
@@ -228,6 +228,29 @@ def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwo
     if len(tail) > 2 * live:
         return _compact(child, vertices, range(n), vertices)
     return child
+
+
+def split_off(net: IntNetwork, ends: Collection[int]) -> Tuple[IntNetwork, List[Path]]:
+    """The positive arcs between two vertices of the set ends, found from
+    their out-arcs, as one-arc paths (tail, head, (arc,), capacity) in arc
+    order, and the network without them: dead positions, as contract
+    leaves, and the same rule for a compact rebuild."""
+    g, caps = net.graph, net.cap
+    tail, head = g.tail, g.head
+    dropped = sorted(e >> 1 for v in ends for e in g.adj[v]
+                     if not e & 1 and head[e >> 1] in ends and caps[e >> 1])
+    if not dropped:
+        return net, []
+    cap, adj, gone = caps[:], g.adj[:], set(dropped)
+    for k in dropped:
+        cap[k] = 0
+    for v in {x for k in dropped for x in (tail[k], head[k])}:
+        adj[v] = [e for e in adj[v] if e >> 1 not in gone]
+    live = g.live - len(dropped)
+    child = IntNetwork(IntGraph(g.ids, g.vertices, g.arcs, tail, head, adj, live), cap)
+    if len(tail) > 2 * live:
+        child = _compact(child, g.vertices, range(len(adj)), g.vertices)
+    return child, [(tail[k], head[k], (g.arcs[k],), caps[k]) for k in dropped]
 
 
 def _compact(net: IntNetwork, walked: Iterable[int], image: Sequence[int],

@@ -1,14 +1,16 @@
 """Exact solver for maximum tree-distance-weighted integer multiflows.
 
-The algorithm normalizes the realization, then recurses: while the tree
-has an edge with two non-leaf endpoints it splits the instance at a
-minimum cut between the two terminal groups, solves both contractions,
-and glues the results.  Otherwise the tree is a single edge or a small
-star, handled by direct flow constructions.  Every level returns its
-flow as weighted (source, target, arcs, weight) tuples of numbers, glued
-on the cut's boundary arcs, and one saturated separating cut per tree
-edge, under the arc whose tail side it is (the other arc's cut, its
-complement, is never built); the lifted family certifies optimality.
+The algorithm normalizes the realization, then recurses.  Each level
+first returns every positive arc between two simple terminals as its own
+one-arc path (_solve_rec).  Then, while the tree has an edge with two
+non-leaf endpoints, it splits the instance at a minimum cut between the
+two terminal groups, solves both contractions, and glues the results.
+Otherwise the tree is a single edge or a small star, handled by direct
+flow constructions.  Every level returns its flow as weighted (source,
+target, arcs, weight) tuples of numbers, glued on the cut's boundary
+arcs, and one saturated separating cut per tree edge, under the arc
+whose tail side it is (the other arc's cut, its complement, is never
+built); the lifted family certifies optimality.
 
 solve and free_imf validate their input and intern it once (indexed.py),
 the tree numbered too, in id order.  Normalization (realization.Reduction),
@@ -35,7 +37,7 @@ from .errors import InputError, ContractViolation
 from .graphs import Cut, Network, is_eulerian_at
 from .flows import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
 from .indexed import (IdTable, IntGraph, IntNetwork, Path, boundary, contract, decompose, intern,
-                      max_flow, min_cut_source_side, sparse)
+                      max_flow, min_cut_source_side, sparse, split_off)
 from .multiflow import Multiflow
 from .realization import (
     IntTree,
@@ -769,8 +771,8 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
             raise ContractViolation("region flow does not saturate the cut boundary")
     # the region's two flows, read from the arcs at side vertices: f on those out
     # of them, its capacity complement on those into them (f counts only on arcs
-    # from the side).  Members have distance zero: the complement skips arcs between
-    # them and drops paths from one member to another, circulations through the group
+    # from the side).  Members have distance zero: the complement drops paths from one
+    # member to another; an arc between two members left the network in _solve_rec
     members = set(group)
     out_flow: Dict[int, int] = {}
     in_flow: Dict[int, int] = {}
@@ -780,7 +782,7 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
             if not e & 1:
                 if f[k]:
                     out_flow[k] = f[k]
-            elif tail[k] not in members or v not in members:
+            else:
                 w = cap[k] - f[k] if tail[k] in side else cap[k]
                 if w:
                     in_flow[k] = w
@@ -934,15 +936,30 @@ def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
 
 
 def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
+    """Paths and certificate cuts of one level.  First every positive arc
+    a, of capacity c, from a simple terminal x to a simple terminal y (one
+    tree vertex each) leaves the network as its own one-arc path.  This
+    is exact: lengths are nonnegative and a tree walk from S to T runs
+    along the S-T path, so mu(S, T) <= mu(S, x) + mu(x, y) + mu(y, T) and
+    OPT(N) = OPT(N - a) + c * mu(x, y); only the terminals x and y change
+    balance, so N - a meets the Eulerian conditions; a tree arc's cut puts
+    x and y on the sides of their subtrees, so it crosses a only when it
+    separates them, and then the one-arc path fills a: every certificate
+    cut of N - a stays valid in N.  Contraction vertices are simple
+    terminals, so arcs that jump over a child network leave it here.
+    """
     stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(tree.vertices) == 1:
         return [], {}
+    net, direct = split_off(net, {t for t, sub in tree.subtrees.items() if len(sub) == 1})
     edge = choose_balanced_edge(tree)
     if edge is not None:
-        return partition_step(net, tree, edge, stats, depth)
-    if len(tree.vertices) == 2:
-        return base_two_vertices(net, tree, stats)
-    return base_three_leaves(net, tree, stats)
+        paths, cuts = partition_step(net, tree, edge, stats, depth)
+    elif len(tree.vertices) == 2:
+        paths, cuts = base_two_vertices(net, tree, stats)
+    else:
+        paths, cuts = base_three_leaves(net, tree, stats)
+    return direct + paths, cuts
 
 
 def solve(net: Network, real: RealizationTree) -> SolveOutput:
