@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 from .errors import InputError
-from .graphs import ArcId, Network, TerminalPath, boundary, sort_key
+from .graphs import Network, TerminalPath, boundary, sort_key
 from .indexed import intern, max_flow
 from .realization import RealizationTree, TreeArc, mu, pi_set
 
@@ -81,8 +81,8 @@ def check_feasible(net: Network, flow: Iterable[TerminalPath]):
             totals[k] = totals.get(k, 0) + p.weight
         if tail[number[p.arcs[0]]] != vertex_number[p.source] or prev != vertex_number[p.target]:
             return p
-    arc_ids = g.ids.arc_ids
-    return next((arc_ids[k] for k, w in totals.items() if w > net.capacity[arc_ids[k]]), None)
+    cap = net.cap
+    return next((g.ids.arc_ids[k] for k, w in totals.items() if w > cap[k]), None)
 
 
 def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[TerminalPath],
@@ -98,8 +98,8 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
     is a path packing or a Multiflow, checked as given.  A violation names
     the first offending terminal or arc in id order, or the first
     offending path in packing order.  Each cut reads only the paths on
-    its boundary arcs: every arc is indexed once to the paths that use
-    it, one entry per use.
+    its boundary arcs: every arc position is indexed once to the paths
+    that use it, one entry per use.
     """
     paths = list(flow)
     bad = check_feasible(net, paths)
@@ -107,10 +107,11 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
         return CertificateViolation("infeasible", detail=bad)
 
     terminals = net.terminals
-    uses: Dict[ArcId, List[int]] = {}
+    number, arc_ids, cap = net.graph.index.ids.arc_number, net.graph.index.ids.arc_ids, net.cap
+    uses: Dict[int, List[int]] = {}
     for i, p in enumerate(paths):
         for aid in p.arcs:
-            uses.setdefault(aid, []).append(i)
+            uses.setdefault(number[aid], []).append(i)
 
     for a in real.quasi_arcs():
         pi = pi_set(real, terminals, a)
@@ -129,14 +130,13 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
         if wrong:
             return CertificateViolation("separation", a, min(wrong, key=sort_key))
         out_arcs, in_arcs = boundary(net, side)
-        crossings = [i for aid in chain(out_arcs, in_arcs) for i in uses.get(aid, ())]
+        crossings = [i for k in chain(out_arcs, in_arcs) for i in uses.get(k, ())]
         if len(set(crossings)) < len(crossings):
             p = paths[min(i for i, c in Counter(crossings).items() if c > 1)]
             return CertificateViolation("crossing", a, (p.source, p.target))
         checks = [(out_arcs, a)] if reverse in cert.cuts else [(out_arcs, a), (in_arcs, reverse)]
         for arcs, arc in checks:
-            unmet = [aid for aid in arcs
-                     if sum(paths[i].weight for i in uses.get(aid, ())) != net.capacity[aid]]
+            unmet = [arc_ids[k] for k in arcs if sum(paths[i].weight for i in uses.get(k, ())) != cap[k]]
             if unmet:
                 return CertificateViolation("capacity", arc, min(unmet, key=sort_key))
     return None

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from .certify import Certificate
 from .errors import InputError
-from .graphs import Digraph, Network, sort_key
+from .graphs import Network, sort_key
 from .multiflow import TerminalPath
 from .realization import RealizationTree, parse_rational
 
@@ -44,12 +45,14 @@ def _subtree_keys(terminals) -> List[str]:
 
 def instance_to_document(net: Network, real: RealizationTree) -> dict:
     keys = _subtree_keys(net.terminals)
+    g = net.graph.index
+    vid = g.ids.vertex_ids  # id order, sorted once per graph
     return {
         "graph": {
-            "vertices": list(net.graph.index.ids.vertex_ids),  # id order, sorted once per graph
+            "vertices": list(vid),
             "arcs": [
-                {"id": a.id, "tail": a.tail, "head": a.head, "cap": net.capacity[a.id]}
-                for a in net.graph.arcs
+                {"id": a, "tail": vid[t], "head": vid[h], "cap": c}
+                for a, t, h, c in zip(g.ids.arc_ids, g.tail, g.head, net.cap)
             ],
         },
         "terminals": list(net.terminals),
@@ -71,6 +74,8 @@ def instance_to_document(net: Network, real: RealizationTree) -> dict:
 
 # JSON values usable as vertex, arc and terminal ids: the hashable ones
 _ID = (str, int, float, type(None))
+_ENDS = itemgetter("id", "tail", "head")
+_CAP = itemgetter("cap")
 
 
 def _expect(doc: dict, key: str, kind, where: str):
@@ -93,19 +98,22 @@ def _expect_ids(doc: dict, key: str, where: str) -> list:
 
 
 def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
+    """The instance of a document of JSON values.  Its network is checked
+    and numbered in one pass over the arcs (Network.build); a KeyError or
+    TypeError there, from an arc entry that is no object, lacks a field or
+    has a list or object for an id, sends each entry through _expect."""
     graph = _expect(doc, "graph", dict, "document")
     vertices = _expect_ids(graph, "vertices", "graph")
-    arcs_doc = _expect(graph, "arcs", list, "graph")
-    arcs = []
-    caps = {}
-    for a in arcs_doc:
-        aid = _expect(a, "id", _ID, "arc")
-        tail = _expect(a, "tail", _ID, "arc")
-        head = _expect(a, "head", _ID, "arc")
-        arcs.append((aid, tail, head))
-        caps[aid] = _expect(a, "cap", None, "arc")
-    terminals = tuple(_expect_ids(doc, "terminals", "document"))
-    net = Network(Digraph.build(vertices, arcs), terminals, caps)
+    arcs = _expect(graph, "arcs", list, "graph")
+    terminals = _expect_ids(doc, "terminals", "document")
+    try:
+        net = Network.build(vertices, map(_ENDS, arcs), map(_CAP, arcs), terminals)
+    except (KeyError, TypeError):
+        for a in arcs:
+            for key in ("id", "tail", "head"):
+                _expect(a, key, _ID, "arc")
+            _expect(a, "cap", None, "arc")
+        raise
 
     tree = _expect(doc, "tree", dict, "document")
     tvertices = _expect_ids(tree, "vertices", "tree")
@@ -117,7 +125,7 @@ def document_to_instance(doc: dict) -> Tuple[Network, RealizationTree]:
                       parse_rational(_expect(e, "len_vu", None, "tree edge"))))
     subs_doc = _expect(doc, "subtrees", dict, "document")
     subtrees = {}
-    for key, t in zip(_subtree_keys(terminals), terminals):
+    for key, t in zip(_subtree_keys(net.terminals), net.terminals):
         if key not in subs_doc:
             raise InputError(f"terminal {t!r} has no subtree", code="missing-subtree")
         subtrees[t] = _expect_ids(subs_doc, key, "subtrees")

@@ -5,11 +5,10 @@ nonnegative integer arc functions into weighted simple paths.
 Each function here is the public boundary of a kernel in indexed.py
 (lex_max_flow runs max_flow twice): it checks its arguments, runs the
 kernel on the numbers of the graph's index (graphs.Digraph.index, built
-by the first call on a graph that needs it) and maps the answer back to
-the network's own ids.  All routines are deterministic: arcs break ties
-in arc order, the order they appear in the network, and vertices in id
-order, so path peeling always follows the positive arc that comes first
-in the network's arc list.
+with the graph) and maps the answer back to the network's own ids.  All
+routines are deterministic: arcs break ties in arc order, the order they
+appear in the network, and vertices in id order, so path peeling always
+follows the positive arc that comes first in the network's arc list.
 """
 
 from __future__ import annotations

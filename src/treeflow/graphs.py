@@ -5,9 +5,13 @@ hashable ids, and building a Network validates every capacity.  Parallel
 and antiparallel arcs are first class; self-loops are dropped on
 construction.
 
-Every structure here is frozen.  A Digraph's index (Digraph.index), its
-graph on numbers, is built on first use and never written; every lookup
-beyond the arc list reads it, so a graph's vertex ids are sorted once.
+Every structure here is frozen.  A Digraph is numbered as it is built
+(Digraph.build, Network.build): one sort of the vertex ids and one loop
+over the arcs that checks them, drops loops and fills its index, the
+graph on numbers, and a Network's capacities by arc position.  Only
+library callers build more: the Arc objects of Digraph.arcs on the
+first read of an item, and a new container per arcs_by_id, out_arcs or
+in_arcs call.
 
 Validation happens here and in the other public entry points only.  The
 solver works on a copy of its network's index whose id lists it may
@@ -17,11 +21,16 @@ on numbers, and maps only its answer back to these types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    from .indexed import IntGraph
 
 VertexId = Hashable
 ArcId = Hashable
@@ -41,37 +50,50 @@ class Arc:
     head: VertexId
 
 
-@dataclass(frozen=True)
+class _Arcs(SequenceABC):
+    """A graph's arcs in arc order.  Its length is read from the index; the
+    Arc objects are made on the first read of an item, once."""
+
+    def __init__(self, index: IntGraph):
+        self._index = index
+
+    def __len__(self) -> int:
+        return len(self._index.tail)
+
+    def __getitem__(self, k):
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    @cached_property
+    def _items(self) -> Tuple[Arc, ...]:
+        g = self._index
+        vid = g.ids.vertex_ids
+        return tuple(map(Arc, g.ids.arc_ids, [vid[t] for t in g.tail], [vid[h] for h in g.head]))
+
+
+@dataclass(frozen=True, eq=False)
 class Digraph:
-    """Immutable directed multigraph. Loops are removed on construction."""
+    """Immutable directed multigraph, numbered as it is built: its index
+    (indexed.IntGraph) holds the vertex ids in id order, arc k at position
+    k in arc order, ids.number and ids.arc_number from ids to numbers, and
+    the half-arc adjacency.  Nothing writes it: a solve grows a copy
+    (indexed.intern).  Loops are removed on construction.  Two digraphs
+    are equal only if they are the same object."""
 
     vertices: frozenset
-    arcs: Tuple[Arc, ...]
+    index: IntGraph = field(repr=False)
+
+    @cached_property
+    def arcs(self) -> Sequence[Arc]:
+        """The arcs in arc order, as Arc objects made on first read (_Arcs)."""
+        return _Arcs(self.index)
 
     @staticmethod
     def build(vertices: Iterable[VertexId], arcs: Iterable[Tuple[ArcId, VertexId, VertexId]]) -> "Digraph":
-        vset = frozenset(vertices)
-        seen, kept = set(), []
-        for aid, tail, head in arcs:
-            if aid in seen:
-                raise InputError(f"duplicate arc id {aid!r}", code="duplicate-arc")
-            seen.add(aid)
-            if tail not in vset or head not in vset:
-                raise InputError(f"arc {aid!r} references unknown vertex", code="dangling-reference")
-            if tail != head:  # loops carry no flow and no cut capacity
-                kept.append(Arc(aid, tail, head))
-        return Digraph(vset, tuple(kept))
-
-    @cached_property
-    def index(self):
-        """The graph on numbers (indexed.IntGraph): vertex ids in id order,
-        arc k at position k, ids.number and ids.arc_number from ids to
-        numbers.  Nothing writes it: a solve grows a copy (indexed.intern)."""
-        from .indexed import IdTable, IntGraph  # indexed builds on this module's types
-        ids = IdTable(self.vertices, [a.id for a in self.arcs])
-        num = ids.number
-        return IntGraph(ids, frozenset(num.values()), list(range(len(self.arcs))),
-                        [num[a.tail] for a in self.arcs], [num[a.head] for a in self.arcs])
+        """The digraph of the vertex ids and the (id, tail, head) arcs, numbered as it is checked."""
+        return _number(vertices, arcs, repeat(None))[0]
 
     def arcs_by_id(self) -> Dict[ArcId, Arc]:
         """Every arc by its id, in a new dict."""
@@ -91,16 +113,88 @@ class Digraph:
         return [] if k is None else [self.arcs[e >> 1] for e in g.adj[k] if e & 1 == end]
 
 
+def _number(vertices: Iterable[VertexId], arcs: Iterable[Tuple[ArcId, VertexId, VertexId]],
+            caps: Iterable) -> Tuple[Digraph, List, Dict[ArcId, object]]:
+    """The digraph, numbered in one pass: the vertex ids sorted once, then
+    one loop over the arcs that checks each id and end, drops loops and
+    fills the index.  Also the capacities that caps lists beside the arcs,
+    by arc position, and by id for the loops; it checks none of them."""
+    from .indexed import IdTable, IntGraph  # indexed builds on this module's types
+    vset = frozenset(vertices)
+    vertex_ids = sorted(vset, key=sort_key)
+    number = dict(zip(vertex_ids, range(len(vertex_ids))))
+    adj: List[List[int]] = [[] for _ in vertex_ids]
+    arc_ids, tail, head, cap, arc_number, loops = [], [], [], [], {}, {}
+    k = 0  # the next arc position
+    for (aid, t, h), c in zip(arcs, caps):
+        if arc_number.setdefault(aid, k) != k:  # a loop's id holds -1 until the loops go
+            raise InputError(f"duplicate arc id {aid!r}", code="duplicate-arc")
+        t, h = number.get(t), number.get(h)
+        if t is None or h is None:
+            raise InputError(f"arc {aid!r} references unknown vertex", code="dangling-reference")
+        if t == h:  # loops carry no flow and no cut capacity
+            arc_number[aid] = -1
+            loops[aid] = c
+            continue
+        arc_ids.append(aid)
+        tail.append(t)
+        head.append(h)
+        cap.append(c)
+        adj[t].append(2 * k)
+        adj[h].append(2 * k + 1)
+        k += 1
+    for aid in loops:
+        del arc_number[aid]
+    ids = IdTable(vertex_ids, number, arc_ids, arc_number)
+    index = IntGraph(ids, frozenset(range(len(vertex_ids))), list(arc_number.values()),
+                     tail, head, adj, len(tail))
+    return Digraph(vset, index), cap, loops
+
+
+class _Capacities(MappingABC):
+    """Capacities by arc id, read in place from a graph's arc numbers and
+    its capacities by position (cap), and those of its loops."""
+
+    def __init__(self, arc_number: Dict[ArcId, int], cap: List, loops: Dict[ArcId, object]):
+        self.arc_number, self.cap, self.loops = arc_number, cap, loops
+
+    def __getitem__(self, aid):
+        k = self.arc_number.get(aid)
+        return self.loops[aid] if k is None else self.cap[k]
+
+    def __iter__(self):
+        return chain(self.arc_number, self.loops)
+
+    def __len__(self):
+        return len(self.arc_number) + len(self.loops)
+
+
 @dataclass(frozen=True)
 class Network:
-    """A digraph with an ordered terminal set and integer capacities."""
+    """A digraph with an ordered terminal set and integer capacities.
+
+    capacity maps arc ids to capacities, also those of loops, which the
+    graph drops; cap holds them by arc position in the graph's index,
+    which is what the solver, the verifier and the dual oracle read.
+    Building a Network checks the terminals and every capacity, once:
+    Network.build numbers the arcs and lists their capacities by position
+    in its one pass, and its capacity map is a view of cap."""
 
     graph: Digraph
     terminals: Tuple[VertexId, ...]
-    capacity: Dict[ArcId, int]
+    capacity: Mapping[ArcId, int]
+    cap: List[int] = field(init=False, repr=False, compare=False)
+
+    @staticmethod
+    def build(vertices: Iterable[VertexId], arcs: Iterable[Tuple[ArcId, VertexId, VertexId]],
+              caps: Iterable, terminals: Iterable[VertexId]) -> "Network":
+        """Network(Digraph.build(vertices, arcs), terminals, capacity) in one
+        pass over the arcs, caps listing each arc's capacity beside it."""
+        graph, cap, loops = _number(vertices, arcs, caps)
+        return Network(graph, tuple(terminals), _Capacities(graph.index.ids.arc_number, cap, loops))
 
     def __post_init__(self):
-        vset = self.graph.vertices
+        vset, ids, capacity = self.graph.vertices, self.graph.index.ids, self.capacity
         if len(self.terminals) < 1:
             raise InputError("a network needs at least one terminal", code="no-terminals")
         if len(set(self.terminals)) != len(self.terminals):
@@ -108,17 +202,23 @@ class Network:
         for t in self.terminals:
             if t not in vset:
                 raise InputError(f"terminal {t!r} is not a vertex", code="dangling-reference")
-        for a in self.graph.arcs:
-            if self.capacity.get(a.id) is None:
-                raise InputError(f"arc {a.id!r} has no capacity", code="missing-capacity")
-        # every entry, also those of loops, which the graph drops
-        for aid, c in self.capacity.items():
+        if isinstance(capacity, _Capacities) and capacity.arc_number is ids.arc_number:
+            cap, others = capacity.cap, capacity.loops.items()  # listed as the graph was numbered
+        else:
+            cap = [capacity.get(aid) for aid in ids.arc_ids]
+            others = [x for x in capacity.items() if x[0] not in ids.arc_number] if len(capacity) > len(cap) else ()
+        # a scan at C speed when the arcs' capacities are fine; else the first fault
+        fine = set(map(type, cap)) <= {int} and (not cap or min(cap) >= 0 and max(cap) <= MAX_CAPACITY)
+        if not fine and None in cap:
+            raise InputError(f"arc {ids.arc_ids[cap.index(None)]!r} has no capacity", code="missing-capacity")
+        for aid, c in chain(() if fine else zip(ids.arc_ids, cap), others):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InputError(f"capacity of arc {aid!r} is not an integer", code="non-integer-capacity")
             if c < 0:
                 raise InputError(f"capacity of arc {aid!r} is negative", code="negative-capacity")
             if c > MAX_CAPACITY:
                 raise InputError(f"capacity of arc {aid!r} exceeds 64-bit range", code="capacity-overflow")
+        object.__setattr__(self, "cap", cap)
 
     @property
     def vertices(self) -> frozenset:
@@ -168,31 +268,34 @@ def is_eulerian_at(net: Network, v: VertexId) -> bool:
     return _divergence(net, net.capacity, v) == 0
 
 
-def boundary(net: Network, side) -> Tuple[Set[ArcId], Set[ArcId]]:
-    """Ids of the arcs leaving and of the arcs entering a vertex set.
+def boundary(net: Network, side) -> Tuple[List[int], List[int]]:
+    """Positions in the graph's index of the arcs leaving and of the arcs
+    entering a vertex set.
 
-    Numbers and walks, through the graph index, only the vertices of the
-    side or of its complement, whichever is smaller: cut sides are mostly
-    a few vertices or all but a few.  Ids of no vertex are ignored.
+    Numbers and walks only the vertices of the side or of its complement,
+    whichever is smaller: cut sides are mostly a few vertices or all but a
+    few.  Ids of no vertex are ignored.  The walk is indexed.boundary's,
+    written out: a call to it costs a third more on small graphs.
     """
     g = net.graph.index
-    num, arc_ids, tail, head = g.ids.number, g.ids.arc_ids, g.tail, g.head
+    num, tail, head = g.ids.number, g.tail, g.head
     flip = 2 * len(side) > len(net.vertices)
     walked = {num[v] for v in (net.vertices - side if flip else side) if v in num}
-    leaving, entering = set(), set()
-    for v in walked:  # as indexed.boundary walks, collecting ids instead of positions
+    leaving: List[int] = []
+    entering: List[int] = []
+    for v in walked:
         for e in g.adj[v]:
             k = e >> 1
             if e & 1:
                 if tail[k] not in walked:
-                    entering.add(arc_ids[k])
+                    entering.append(k)
             elif head[k] not in walked:
-                leaving.add(arc_ids[k])
+                leaving.append(k)
     return (entering, leaving) if flip else (leaving, entering)
 
 
 def cut_capacity(net: Network, cut: Cut) -> int:
     """Total capacity of arcs leaving the cut's source side."""
     cut.validate(net)
-    return sum(net.capacity[aid] for aid in boundary(net, cut.source_side)[0])
-
+    cap = net.cap
+    return sum(cap[k] for k in boundary(net, cut.source_side)[0])

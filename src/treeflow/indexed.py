@@ -1,9 +1,10 @@
 """The integer-indexed network the solver works on, and its flow kernels.
 
 A solve interns its validated network once (intern): it takes its
-graph's index (graphs.Digraph.index), whose vertex ids are numbered in
-id order and arc ids in arc order, with a private copy of its IdTable,
-which keeps the ids and their order for every network the solve makes.
+graph's index (graphs.Digraph.index, numbered as the graph was built:
+vertex ids in id order, arc ids in arc order) and the network's
+capacities by arc position, with a private copy of the IdTable, which
+keeps the ids and their order for every network the solve makes.
 Normalization, the recursion and its undo run on these numbers, which
 stay stable across contraction; each vertex or arc made takes the next
 number, so it sorts after everything made before it.  Paths and cuts go
@@ -66,15 +67,22 @@ class IdTable:
     after them (new_arc), so arc numbers are the arc tie order.  number
     and arc_number map input ids to their numbers; nothing writes them,
     so a copy (intern) shares them and copies only the two id lists.
+    A graph's table is filled as the graph is built (graphs._number), a
+    tree's by of().  It also holds max_flow's per-vertex scratch arrays.
     """
 
-    def __init__(self, vertex_ids: Iterable[Hashable], arc_ids: Sequence[Hashable]):
-        self.vertex_ids: List[Hashable] = sorted(vertex_ids, key=sort_key)
-        self.number: Dict[Hashable, int] = dict(zip(self.vertex_ids, range(len(self.vertex_ids))))
-        self.arc_ids: List[Hashable] = list(arc_ids)
-        self.arc_number: Dict[Hashable, int] = dict(zip(self.arc_ids, range(len(self.arc_ids))))
-        self._generation = 1 + max((x.generation for x in chain(self.vertex_ids, self.arc_ids)
+    def __init__(self, vertex_ids: List[Hashable], number: Dict[Hashable, int],
+                 arc_ids: List[Hashable], arc_number: Dict[Hashable, int]):
+        self.vertex_ids, self.number, self.arc_ids, self.arc_number = vertex_ids, number, arc_ids, arc_number
+        self._generation = 1 + max((x.generation for x in chain(vertex_ids, arc_ids)
                                     if x.__class__ is _Made), default=-1)
+        self._scratch: Tuple[List[int], List[int], List[int]] = ([], [], [])
+
+    @classmethod
+    def of(cls, vertices: Iterable[Hashable]) -> "IdTable":
+        """The table of a vertex set with no arcs, numbered in id order."""
+        vertex_ids = sorted(vertices, key=sort_key)
+        return cls(vertex_ids, dict(zip(vertex_ids, range(len(vertex_ids)))), [], {})
 
     def new_vertex(self) -> int:
         """Number of a new vertex, after every vertex so far."""
@@ -149,13 +157,14 @@ class IntNetwork:
 
 
 def intern(net: Network) -> IntNetwork:
-    """A validated network on numbers: its graph's index, sharing the
-    arrays, with a copy of the IdTable whose lists the caller may grow."""
-    g, cap = net.graph.index, net.capacity
+    """A validated network on numbers: its graph's index and its
+    capacities by arc position, sharing the arrays, with a copy of the
+    IdTable whose lists and scratch arrays are the caller's own."""
+    g = net.graph.index
     ids = copy(g.ids)  # shares the number maps, which nothing writes
     ids.vertex_ids, ids.arc_ids = ids.vertex_ids[:], ids.arc_ids[:]
-    return IntNetwork(IntGraph(ids, g.vertices, g.arcs, g.tail, g.head, g.adj, g.live),
-                      [cap[a] for a in ids.arc_ids])
+    ids._scratch = ([], [], [])
+    return IntNetwork(IntGraph(ids, g.vertices, g.arcs, g.tail, g.head, g.adj, g.live), net.cap)
 
 
 def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwork:
@@ -298,7 +307,10 @@ def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
     network's capacities in place and never writes them; it owns only
     the residual capacities and the residual head list.  Residual arc 2k
     is the forward copy of arc position k and 2k + 1 its reverse, so the
-    tail of residual arc e is head[e ^ 1].
+    tail of residual arc e is head[e ^ 1].  Its per-vertex labels (level,
+    dist and the DFS arc pointers) are the IdTable's scratch arrays, blank
+    between phases: a phase clears only the entries it labelled, so its
+    cost follows the vertices it reaches, not the table's length.
 
     Two shortcuts leave every augmenting path as the textbook loop finds
     it, so the flows are identical arc for arc.  A phase builds its levels
@@ -341,20 +353,28 @@ def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
     head = [0] * len(cap)
     head[::2] = g.head
     head[1::2] = g.tail
+    # level: distance from the sources, then the DFS level; dist: distance
+    # to the sinks; it: the DFS arc pointers.  Blank: -1, -1 and 0.
+    level, dist, it = g.ids._scratch
+    if len(level) < n:
+        level += [-1] * (n - len(level))
+        dist += [-1] * (n - len(dist))
+        it += [0] * (n - len(it))
     total = 0
     while True:
-        level = [-1] * n  # distance from the sources, then the DFS level
-        dist = [-1] * n  # distance to the sinks
         for s in src:
             level[s] = 0
         for t in snk:
             dist[t] = 0
         fwd, bwd, back = src, snk, []  # back: the backward layers before bwd
+        ahead = src[:]  # the forward layers
         meet = -1
         # grow the smaller frontier by a layer; the two sides' loops are
         # written out, as a call per layer costs more than small graphs' scans
         while meet < 0:
             if not fwd or not bwd:
+                for v in chain(ahead, back, bwd):
+                    level[v] = dist[v] = -1
                 # the reverse capacity of an arc equals the flow pushed on it
                 return cap[1::2], total
             layer = []
@@ -374,6 +394,7 @@ def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
                         continue
                     break
                 fwd = layer
+                ahead += layer
             else:
                 back += bwd
                 lv = dist[bwd[0]] + 1
@@ -395,7 +416,6 @@ def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
         for v in back + bwd:
             if level[v] < 0:
                 level[v] = d - dist[v]
-        it = [0] * n
         path: List[int] = []
         for u in src:  # DFS for one blocking flow
             while True:
@@ -424,6 +444,9 @@ def max_flow(net: IntNetwork, sources: Iterable[int], sinks: Iterable[int],
                     level[u] = -1  # dead end: retreat past the arc into u
                     u = head[path.pop() ^ 1]
                     it[u] += 1
+        for v in chain(ahead, back, bwd, (meet,)):  # blank what the phase labelled
+            level[v] = dist[v] = -1
+            it[v] = 0
 
 
 def min_cut_source_side(net: IntNetwork, f: Sequence[int], sources: Iterable[int],

@@ -340,11 +340,11 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
     vertex in id order.
     """
     _require_subtrees(net, real)
-    g, capacity = net.graph.index, net.capacity
+    g = net.graph.index
     balance = [0] * len(g.ids.vertex_ids)
-    for aid, t, h in zip(g.ids.arc_ids, g.tail, g.head):
-        balance[t] += capacity[aid]
-        balance[h] -= capacity[aid]
+    for t, h, c in zip(g.tail, g.head, net.cap):
+        balance[t] += c
+        balance[h] -= c
     terms = set(net.terminals)
     for v, excess in zip(g.ids.vertex_ids, balance):  # number order is id order
         if not excess:
@@ -384,7 +384,7 @@ def intern_instance(net: Network, real: RealizationTree):
     tree vertices (in id order), the IntTree and its arc lengths.  Checks
     nothing."""
     inet = intern(net)
-    tree_ids = IdTable(real.vertices, ())
+    tree_ids = IdTable.of(real.vertices)
     tnum = tree_ids.number
     length = {(tnum[u], tnum[v]): ell for (u, v), ell in real.arc_length.items()}
     num = inet.graph.ids.number

@@ -266,10 +266,10 @@ def test_arc_index_matches_scan(net, data):
 @given(small_nets(), st.data())
 def test_boundary_matches_scan(net, data):
     side = frozenset(v for v in sorted(net.vertices) if data.draw(st.booleans()))
-    out_ids, in_ids = boundary(net, side)
+    leaving, entering = boundary(net, side)  # arc positions, arc k at position k
     arcs = net.graph.arcs
-    assert out_ids == {a.id for a in arcs if a.tail in side and a.head not in side}
-    assert in_ids == {a.id for a in arcs if a.head in side and a.tail not in side}
+    assert sorted(leaving) == [k for k, a in enumerate(arcs) if a.tail in side and a.head not in side]
+    assert sorted(entering) == [k for k, a in enumerate(arcs) if a.head in side and a.tail not in side]
 
 
 def test_public_types_are_frozen(e1):
