@@ -25,7 +25,7 @@ from collections.abc import Mapping as MappingABC, Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 
@@ -257,15 +257,28 @@ def divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
 
 
 def _divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
-    if v not in net.vertices:
+    g = net.graph.index
+    k = g.ids.number.get(v)
+    if k is None:
         raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
-    g = net.graph
-    return sum(f.get(a.id, 0) for a in g.out_arcs(v)) - sum(f.get(a.id, 0) for a in g.in_arcs(v))
+    arc_ids = g.ids.arc_ids
+    return sum(-f.get(arc_ids[e >> 1], 0) if e & 1 else f.get(arc_ids[e >> 1], 0) for e in g.adj[k])
 
 
 def is_eulerian_at(net: Network, v: VertexId) -> bool:
     """True iff capacity into v equals capacity out of v."""
     return _divergence(net, net.capacity, v) == 0
+
+
+def unbalanced(net: Network) -> Iterator[VertexId]:
+    """The vertices whose capacity in and out differ, in id order, summed
+    on the index's arc arrays."""
+    g = net.graph.index
+    excess = [0] * len(g.ids.vertex_ids)
+    for t, h, c in zip(g.tail, g.head, net.cap):
+        excess[t] += c
+        excess[h] -= c
+    return (v for v, x in zip(g.ids.vertex_ids, excess) if x)  # number order is id order
 
 
 def boundary(net: Network, side) -> Tuple[List[int], List[int]]:

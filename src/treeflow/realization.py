@@ -4,7 +4,9 @@ A realization is an undirected tree in which every edge uv carries two
 directed lengths (one per traversal direction) together with one
 connected subtree per terminal.  The distance from terminal s to
 terminal t is the smallest directed path length from a vertex of s's
-subtree to a vertex of t's subtree.
+subtree to a vertex of t's subtree.  Every tree query reads one rooted
+index (TreeIndex) of the tree on numbers, built once per tree: sides
+are preorder intervals, and distances integer prefix sums.
 
 The module also hosts the pre-processing reductions that the solver
 relies on: splitting linear terminals into simple pairs, pruning bare
@@ -18,51 +20,133 @@ split_linear_terminal are thin wrappers that take and return ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from .errors import InputError, ContractViolation
-from .graphs import Network, Digraph, VertexId, sort_key
+from .graphs import Network, Digraph, VertexId, sort_key, unbalanced
 from .indexed import IdTable, IntGraph, IntNetwork, intern
 
 TreeVertex = Hashable
 TreeArc = Tuple[TreeVertex, TreeVertex]
 
 
-class _Sides:
-    """Tree sides, for RealizationTree and IntTree alike."""
+class TreeIndex:
+    """A tree on vertex numbers, rooted at its lowest number by one walk.
+
+    adj lists each vertex's neighbours in number order.  The walk lists
+    the vertices in preorder (order), so those below v, v included, are
+    order[start[v]:start[v] + size[v]].  parent is -1 at the root; leaves
+    counts the degree-one vertices below each vertex.  Given arc lengths,
+    down[v] and up[v] are the lengths of the paths root -> v and
+    v -> root in units of 1/denominator.  If adj is no tree, order is short.
+    """
+
+    def __init__(self, adj: Dict[int, Tuple[int, ...]],
+                 length: Optional[Dict[Tuple[int, int], Fraction]] = None):
+        self.adj, self.length = adj, length
+        root = min(adj)
+        parent, order, stack = {root: -1}, [], [root]
+        while stack:  # each vertex is pushed once, by its parent: a preorder
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if w not in parent:
+                    parent[w] = v
+                    stack.append(w)
+        self.parent, self.order = parent, order
+        self.start = {v: i for i, v in enumerate(order)}
+        self.size = size = dict.fromkeys(order, 1)
+        self.leaves = leaves = {v: int(len(adj[v]) == 1) for v in order}
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+            leaves[parent[v]] += leaves[v]
+        if length is not None:
+            self.denominator = den = lcm(*(ell.denominator for ell in length.values()))
+            self.down, self.up = down, up = {root: 0}, {root: 0}
+            for v in order[1:]:
+                down[v] = down[parent[v]] + int(length[(parent[v], v)] * den)
+                up[v] = up[parent[v]] + int(length[(v, parent[v])] * den)
+
+    def below(self, v: int, x: int) -> bool:
+        return self.start[v] <= self.start[x] < self.start[v] + self.size[v]
+
+    def lower(self, u, v) -> Optional[int]:
+        """The end of tree edge uv farther from the root; None if uv is no edge."""
+        if self.parent.get(v, -2) == u:
+            return v
+        return u if self.parent.get(u, -2) == v else None
+
+    def top(self, sub: FrozenSet[int]) -> Optional[int]:
+        """The vertex of a vertex set nearest the root; None if the set is
+        not connected, as then more than one has its parent outside it."""
+        tops = [x for x in sub if self.parent[x] not in sub]
+        return tops[0] if len(tops) == 1 else None
+
+    def gap(self, s: int, sub_s: FrozenSet[int], t: int, sub_t: FrozenSet[int]) -> int:
+        """Length of the shortest path from a connected vertex set with top
+        s to one with top t: the path joining them, lengths being
+        nonnegative.  Where one set hangs below the other's top, it joins
+        the lower top and the first vertex of the other set on the walk up
+        from it; otherwise the two tops, through their lowest common
+        ancestor."""
+        parent = self.parent
+        if self.below(s, t):
+            x = t
+            while x not in sub_s:
+                x = parent[x]
+            return self.down[t] - self.down[x]
+        x = s
+        if self.below(t, s):
+            while x not in sub_t:
+                x = parent[x]
+            return self.up[s] - self.up[x]
+        while not self.below(x, t):
+            x = parent[x]
+        return self.up[s] - self.up[x] + self.down[t] - self.down[x]
+
+
+class _Tree:
+    """Side queries that a RealizationTree and an IntTree answer alike from
+    the index of the tree on numbers (_int, an IntTree's own); _number and
+    _label map a tree vertex to its number and back (an IntTree's vertices
+    are numbers)."""
+
+    @property
+    def _int(self) -> "IntTree":
+        return self
+
+    @staticmethod
+    def _number(x):
+        return x
+
+    _label = _number
+
+    def _lower(self, a: TreeArc) -> Tuple[int, bool]:
+        """The number of a's end below the other, and whether it is a's tail."""
+        u = self._number(a[0])
+        c = self._int.index.lower(u, self._number(a[1]))
+        if c is None:
+            raise InputError(f"unknown tree arc {a!r}", code="dangling-reference")
+        return c, c == u
 
     @cached_property
-    def _sides(self) -> Mapping[TreeArc, FrozenSet]:
-        """u's side of every tree arc (u, v), from one walk of the tree."""
-        adj = self.adjacency()
-        root = next(iter(self.vertices))
-        parent = {root: None}
-        order = [root]
-        for w in order:
-            for x in adj[w]:
-                if x not in parent:
-                    parent[x] = w
-                    order.append(x)
-        below: Dict[TreeVertex, set] = {w: {w} for w in order}
-        sides: Dict[TreeArc, FrozenSet] = {}
-        for w in reversed(order[1:]):
-            p = parent[w]
-            side = sides[(w, p)] = frozenset(below[w])
-            sides[(p, w)] = self.vertices - side
-            below[p] |= side
-        return sides
+    def _sides(self) -> Dict[TreeArc, FrozenSet]:
+        return {}
 
     def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
-        """Vertices on u's side after removing edge uv; the tree keeps one
-        copy per arc, built on first use."""
+        """Vertices on u's side after removing edge uv, read from the index
+        on first use; the tree keeps one copy per arc."""
         side = self._sides.get((u, v))
         if side is None:
-            raise InputError(f"unknown tree arc {(u, v)!r}", code="dangling-reference")
+            c, tail_below = self._lower((u, v))
+            index = self._int.index
+            below = frozenset(map(self._label, index.order[index.start[c]:index.start[c] + index.size[c]]))
+            side = self._sides[(u, v)] = below if tail_below else self.vertices - below
         return side
 
 
@@ -86,11 +170,11 @@ def parse_rational(text) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RealizationTree(_Sides):
+class RealizationTree(_Tree):
     """Undirected tree with per-direction arc lengths and terminal subtrees.
 
-    The neighbour lists are built on first use and kept; every tree walk
-    reads that one copy.
+    Its vertices are numbered in id order and rooted once (_int), by build
+    or on first use.
     """
 
     vertices: frozenset
@@ -102,8 +186,6 @@ class RealizationTree(_Sides):
         """edges: iterable of (u, v, len_uv, len_vu)."""
         vset = frozenset(vertices)
         lengths: Dict[TreeArc, Fraction] = {}
-        adj: Dict[TreeVertex, set] = {v: set() for v in vset}
-        n_edges = 0
         for u, v, luv, lvu in edges:
             if u not in vset or v not in vset:
                 raise InputError(f"tree edge {u!r}-{v!r} references unknown vertex", code="dangling-reference")
@@ -119,12 +201,12 @@ class RealizationTree(_Sides):
                 raise InputError("tree arc lengths must be nonnegative", code="negative-length")
             lengths[(u, v)] = luv
             lengths[(v, u)] = lvu
-            adj[u].add(v)
-            adj[v].add(u)
-            n_edges += 1
-        if n_edges != len(vset) - 1 or not _connected(vset, adj):
-            raise InputError("the realization graph is not a tree", code="invalid-tree")
         subs: Dict[Hashable, frozenset] = {}
+        real = RealizationTree(vset, lengths, subs)  # subs and its numbered copy fill below, once checked
+        num, tree = real._ids.number, real._int
+        # n - 1 edges that the walk from the root joins: a tree
+        if len(lengths) != 2 * len(vset) - 2 or len(tree.index.order) < len(vset):
+            raise InputError("the realization graph is not a tree", code="invalid-tree")
         for term, verts in subtrees.items():
             sub = frozenset(verts)
             if not sub:
@@ -132,19 +214,36 @@ class RealizationTree(_Sides):
             for x in sub:
                 if x not in vset:
                     raise InputError(f"subtree of {term!r} references unknown tree vertex", code="dangling-reference")
-            if not _connected(sub, {v: adj[v] & sub for v in sub}):
+            numbers = frozenset([num[x] for x in sub])
+            if tree.index.top(numbers) is None:
                 raise InputError(f"subtree of terminal {term!r} is not connected", code="disconnected-subtree")
-            subs[term] = sub
-        return RealizationTree(vset, lengths, subs)
+            subs[term], tree.subtrees[term] = sub, numbers
+        return real
 
-    # -- structure helpers ------------------------------------------------
+    @cached_property
+    def _ids(self) -> IdTable:
+        return IdTable.of(self.vertices)
+
+    @cached_property
+    def _int(self) -> "IntTree":  # its subtrees keyed by terminal id
+        num = self._ids.number
+        adj: Dict[int, List[int]] = {v: [] for v in range(len(num))}
+        for (u, v) in self.arc_length:
+            adj[num[u]].append(num[v])
+        index = TreeIndex({v: tuple(sorted(ns)) for v, ns in adj.items()},
+                          {(num[u], num[v]): ell for (u, v), ell in self.arc_length.items()})
+        return IntTree(index, {t: frozenset([num[x] for x in sub]) for t, sub in self.subtrees.items()})
+
+    def _number(self, x: TreeVertex) -> Optional[int]:
+        return self._ids.number.get(x)
+
+    def _label(self, v: int) -> TreeVertex:
+        return self._ids.vertex_ids[v]
 
     @cached_property
     def _adjacency(self) -> Mapping[TreeVertex, Tuple[TreeVertex, ...]]:
-        adj: Dict[TreeVertex, List[TreeVertex]] = {v: [] for v in self.vertices}
-        for (u, v) in self.arc_length:
-            adj[u].append(v)
-        return {v: tuple(sorted(ns, key=sort_key)) for v, ns in adj.items()}
+        vid = self._ids.vertex_ids
+        return {vid[v]: tuple([vid[w] for w in ns]) for v, ns in self._int.index.adj.items()}
 
     def adjacency(self) -> Mapping[TreeVertex, Tuple[TreeVertex, ...]]:
         """Neighbours of every tree vertex, sorted by sort_key; the tree's
@@ -152,35 +251,14 @@ class RealizationTree(_Sides):
         return self._adjacency
 
     def edges(self) -> List[Tuple[TreeVertex, TreeVertex]]:
-        return [(u, v) for u, v in self.quasi_arcs() if sort_key(u) < sort_key(v)]
-
-    @cached_property
-    def _quasi_arcs(self) -> List[TreeArc]:
-        return sorted(self.arc_length, key=lambda a: (sort_key(a[0]), sort_key(a[1])))
+        return [(u, v) for u, v in self.quasi_arcs() if self._number(u) < self._number(v)]
 
     def quasi_arcs(self) -> List[TreeArc]:
-        """Both arcs of every edge by sort_key of (tail, head), sorted
-        once; the tree's own copy, not to be modified."""
-        return self._quasi_arcs
+        """Both arcs of every edge by sort_key of (tail, head)."""
+        return [(u, v) for u, ns in self.adjacency().items() for v in ns]
 
     def leaves(self) -> List[TreeVertex]:
-        adj = self.adjacency()
-        return [v for v in sorted(self.vertices, key=sort_key) if len(adj[v]) == 1]
-
-
-def _connected(vset, adj) -> bool:
-    if not vset:
-        return False
-    start = next(iter(vset))
-    seen = {start}
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                q.append(w)
-    return len(seen) == len(vset)
+        return [v for v, ns in self.adjacency().items() if len(ns) == 1]
 
 
 @dataclass(frozen=True)
@@ -202,31 +280,11 @@ class PiSet:
 
 def tree_distance(real: RealizationTree, x: TreeVertex, y: TreeVertex) -> Fraction:
     """Length of the unique directed x -> y path in the quasi-tree."""
-    if x not in real.vertices or y not in real.vertices:
+    x, y = real._number(x), real._number(y)
+    if x is None or y is None:
         raise InputError("unknown tree vertex", code="dangling-reference")
-    return _path_length(real.adjacency(), real.arc_length, (x,), {y})
-
-
-def _path_length(adj, length, sources, targets) -> Fraction:
-    """Length of the directed path from one connected set of tree vertices
-    to another.  The path between any two of their vertices contains the
-    one joining the sets, and lengths are nonnegative, so that one is the
-    shortest.  adj and length are a tree's neighbours and arc lengths, in
-    ids or in numbers."""
-    prev = dict.fromkeys(sources)
-    queue = list(prev)
-    for u in queue:  # the list grows while it is walked
-        if u in targets:
-            total = Fraction(0)
-            while prev[u] is not None:
-                total += length[(prev[u], u)]
-                u = prev[u]
-            return total
-        for w in adj[u]:
-            if w not in prev:
-                prev[w] = u
-                queue.append(w)
-    raise ContractViolation("the tree does not join the two vertex sets")
+    index = real._int.index
+    return Fraction(index.gap(x, {x}, y, {y}), index.denominator)
 
 
 def mu(real: RealizationTree, s, t) -> Fraction:
@@ -235,7 +293,9 @@ def mu(real: RealizationTree, s, t) -> Fraction:
         raise InputError("unknown terminal", code="dangling-reference")
     if s == t:
         return Fraction(0)
-    return _path_length(real.adjacency(), real.arc_length, real.subtrees[s], real.subtrees[t])
+    tree = real._int
+    index, tops, subs = tree.index, tree.tops, tree.subtrees
+    return Fraction(index.gap(tops[s], subs[s], tops[t], subs[t]), index.denominator)
 
 
 def classify_terminal(real: RealizationTree, s) -> str:
@@ -257,7 +317,8 @@ def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeV
     """The ends (t1, t2) of a subtree that is a path of two or more
     vertices with length zero from t2 to t1, t1 first in key order where
     both directions have length zero; None for any other subtree.  adj
-    and length as for _path_length."""
+    and length are a tree's neighbours and arc lengths, in ids or in
+    numbers; the walk stays inside the subtree."""
     ends = []
     for v in sub:
         inside = sum(1 for w in adj[v] if w in sub)
@@ -268,25 +329,36 @@ def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeV
     if len(ends) != 2:
         return None
     t1, t2 = sorted(ends, key=key)
-    if _path_length(adj, length, (t2,), {t1}) == 0:
+    path = [t1]
+    while path[-1] != t2:
+        path.append(next(w for w in adj[path[-1]] if w in sub and w not in path[-2:]))
+    arcs = list(zip(path, path[1:]))
+    if not any(length[(w, u)] for u, w in arcs):
         return t1, t2
-    return (t2, t1) if _path_length(adj, length, (t1,), {t2}) == 0 else None
+    return (t2, t1) if not any(length[a] for a in arcs) else None
 
 
 def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
-    """Terminals whose subtrees lie entirely on the tail/head side of a."""
-    u, v = a
-    side_u = real.component_without_edge(u, v)
-    side_v = real.component_without_edge(v, u)
-    tail, head = set(), set()
+    """Terminals whose subtrees lie entirely on the tail/head side of a.
+
+    Let c be the end of a below the other.  A connected subtree lies below
+    c iff its top does, and on the other side iff its top does not and c
+    is not in it: one interval test per terminal.
+    """
+    c, tail_below = real._lower(a)
+    tree = real._int
+    start, tops, subs = tree.index.start, tree.tops, tree.subtrees
+    lo, hi = start[c], start[c] + tree.index.size[c]
+    below, above = [], []
     for s in terminals:
-        sub = real.subtrees.get(s)
-        if sub is None:
+        top = tops.get(s)
+        if top is None:
             raise InputError(f"unknown terminal {s!r}", code="dangling-reference")
-        if sub <= side_u:
-            tail.add(s)
-        elif sub <= side_v:
-            head.add(s)
+        if lo <= start[top] < hi:
+            below.append(s)
+        elif c not in subs[s]:
+            above.append(s)
+    tail, head = (below, above) if tail_below else (above, below)
     return PiSet(a, frozenset(tail), frozenset(head))
 
 
@@ -297,22 +369,19 @@ def choose_balanced_edge(real: RealizationTree):
     a contraction would create) at most 2k/3 + 1, or None when every edge
     touches a leaf.  Such an edge exists when inner degrees are at most
     three, as normalize leaves them; a tree with a vertex of degree four or
-    more and no such edge is an InputError.  Only adjacency(), edges() and
-    component_without_edge() are read, so the solver passes its IntTree as
-    well.
+    more and no such edge is an InputError.  Edges are read in tie order,
+    and leaf counts from the index, so the solver passes its IntTree too.
     """
-    adj = real.adjacency()
-    leaves = {v for v, ns in adj.items() if len(ns) == 1}
-    k = len(leaves)
-    eligible = [(u, v) for (u, v) in real.edges() if u not in leaves and v not in leaves]
+    tree = real._int
+    adj, leaves = tree.index.adj, tree.index.leaves
+    k = leaves[tree.index.order[0]]
+    eligible = [(u, v) for u in sorted(adj) for v in adj[u] if u < v and len(adj[u]) > 1 and len(adj[v]) > 1]
     if not eligible:
         return None
     for (u, v) in eligible:
-        side_u = real.component_without_edge(u, v)
-        k1 = len(leaves & side_u) + 1
-        k2 = len(leaves - side_u) + 1
-        if 3 * k1 <= 2 * k + 3 and 3 * k2 <= 2 * k + 3:
-            return (u, v)
+        below = leaves[tree.index.lower(u, v)]
+        if 3 * (below + 1) <= 2 * k + 3 and 3 * (k - below + 1) <= 2 * k + 3:
+            return real._label(u), real._label(v)
     if any(len(ns) >= 4 for ns in adj.values()):
         raise InputError("no balanced partition edge: the tree has a vertex of degree four or more",
                          code="invalid-tree")
@@ -340,15 +409,8 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
     vertex in id order.
     """
     _require_subtrees(net, real)
-    g = net.graph.index
-    balance = [0] * len(g.ids.vertex_ids)
-    for t, h, c in zip(g.tail, g.head, net.cap):
-        balance[t] += c
-        balance[h] -= c
     terms = set(net.terminals)
-    for v, excess in zip(g.ids.vertex_ids, balance):  # number order is id order
-        if not excess:
-            continue
+    for v in unbalanced(net):
         if v not in terms:
             return ValidationIssue(v, "inner vertex is not Eulerian")
         if classify_terminal(real, v) == "complex":
@@ -360,38 +422,41 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
 
 
 @dataclass(frozen=True)
-class IntTree(_Sides):
-    """A realization tree on numbers of one tree IdTable, read by the
-    recursion, choose_balanced_edge and pi_set as they read a
-    RealizationTree.  adj holds every vertex's neighbours in number
-    order; subtrees maps terminal vertex numbers to sets of tree vertex
-    numbers.  No lengths: a solve computes its value on the input tree.
+class IntTree(_Tree):
+    """A realization tree on numbers, read by the recursion,
+    choose_balanced_edge and pi_set as they read a RealizationTree.
+    index is the tree rooted at its lowest number.  subtrees maps each
+    terminal (a vertex number in a solve, an id inside a RealizationTree)
+    to a set of tree vertex numbers, and tops maps it to that set's vertex
+    nearest the root.  Lengths live in the input tree's index: a solve
+    computes its value on the input tree.
     """
 
-    vertices: FrozenSet[int]
-    adj: Dict[int, Tuple[int, ...]]
-    subtrees: Dict[int, FrozenSet[int]]
+    index: TreeIndex
+    subtrees: Dict[Hashable, FrozenSet[int]]
+
+    @cached_property
+    def tops(self) -> Dict[Hashable, int]:
+        return {t: self.index.top(sub) for t, sub in self.subtrees.items()}
+
+    @cached_property
+    def vertices(self) -> FrozenSet[int]:
+        return frozenset(self.index.adj)
 
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        return self.adj
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in sorted(self.adj) for v in self.adj[u] if u < v]
+        return self.index.adj
 
 
 def intern_instance(net: Network, real: RealizationTree):
-    """The instance on numbers: the interned network, the IdTable of the
-    tree vertices (in id order), the IntTree and its arc lengths.  Checks
-    nothing."""
-    inet = intern(net)
-    tree_ids = IdTable.of(real.vertices)
-    tnum = tree_ids.number
-    length = {(tnum[u], tnum[v]): ell for (u, v), ell in real.arc_length.items()}
+    """The instance on numbers: the interned network, a copy of the tree's
+    IdTable (tree vertices in id order, numbered once per tree), the
+    IntTree of the network's terminals on the tree's own index, and its
+    arc lengths by pair of numbers.  Checks nothing."""
+    inet, tree = intern(net), real._int
     num = inet.graph.ids.number
-    tree = IntTree(frozenset(tnum.values()),  # adjacency() lists neighbours in id order
-                   {tnum[x]: tuple(tnum[y] for y in ns) for x, ns in real.adjacency().items()},
-                   {num[t]: frozenset([tnum[x] for x in real.subtrees[t]]) for t in net.terminals})
-    return inet, tree_ids, tree, length
+    tree_ids = IdTable(real._ids.vertex_ids[:], real._ids.number, [], {})  # its own list, which the solve grows
+    int_tree = IntTree(tree.index, {num[t]: tree.subtrees[t] for t in net.terminals})
+    return inet, tree_ids, int_tree, tree.index.length
 
 
 @dataclass(frozen=True)
@@ -433,7 +498,7 @@ class Reduction:
         self.net = net
         self.ids = net.graph.ids
         self.tree_ids = tree_ids
-        self.adj = {v: set(ns) for v, ns in tree.adj.items()}
+        self.adj = {v: set(ns) for v, ns in tree.adjacency().items()}
         self.length = dict(length)
         self.input_arcs = sorted(length)
         self.origin = {a: [a] for a in self.input_arcs}
@@ -457,7 +522,7 @@ class Reduction:
         raise ContractViolation("normalization did not reach a fixed point")
 
     def tree(self) -> IntTree:
-        return IntTree(frozenset(self.adj), {v: tuple(sorted(ns)) for v, ns in self.adj.items()},
+        return IntTree(TreeIndex({v: tuple(sorted(ns)) for v, ns in self.adj.items()}),
                        {t: frozenset(sub) for t, sub in self.subs.items()})
 
     def network(self) -> IntNetwork:
@@ -517,14 +582,15 @@ class Reduction:
 
     def _move_simple_terminals(self) -> bool:
         """C3: move simple terminals off inner vertices to zero-length pendants."""
+        at: Dict[int, List[int]] = {}  # the simple terminals at each tree vertex, in terminal order
+        for t, sub in self.subs.items():
+            if len(sub) == 1:
+                at.setdefault(next(iter(sub)), []).append(t)
         changed = False
-        for v in sorted(self.adj):
-            if len(self.adj[v]) < 2:
-                continue
-            movers = [t for t, sub in self.subs.items() if sub == {v}]
-            if movers:
+        for v in sorted(at):
+            if len(self.adj[v]) >= 2:
                 v2 = self._new_neighbour(v)
-                for t in movers:
+                for t in at[v]:
                     self.subs[t] = {v2}
                 changed = True
         return changed
@@ -593,15 +659,15 @@ class Reduction:
 
 def _in_ids(red: Reduction):
     """The reduced instance and its record, back in ids."""
-    net, tree, record = red.network(), red.tree(), red.record()
+    net, record = red.network(), red.record()
     g = net.graph
     vid, aid, tid = g.ids.vertex_ids, g.ids.arc_ids, red.tree_ids.vertex_ids
     out_net = Network(Digraph.build([vid[v] for v in g.vertices],
                                     [(aid[a], vid[t], vid[h]) for a, t, h in zip(g.arcs, g.tail, g.head)]),
-                      tuple(vid[t] for t in tree.subtrees), {aid[a]: c for a, c in zip(g.arcs, net.cap)})
-    out_real = RealizationTree(frozenset(tid[x] for x in tree.vertices),
+                      tuple(vid[t] for t in red.subs), {aid[a]: c for a, c in zip(g.arcs, net.cap)})
+    out_real = RealizationTree(frozenset(tid[x] for x in red.adj),
                                {(tid[u], tid[v]): ell for (u, v), ell in red.length.items()},
-                               {vid[t]: frozenset(tid[x] for x in sub) for t, sub in tree.subtrees.items()})
+                               {vid[t]: frozenset(tid[x] for x in sub) for t, sub in red.subs.items()})
 
     def arc(a):
         return None if a is None else (tid[a[0]], tid[a[1]])

@@ -12,12 +12,13 @@ arcs, and one saturated separating cut per tree edge, under the arc
 whose tail side it is (the other arc's cut, its complement, is never
 built); the lifted family certifies optimality.
 
-solve and free_imf validate their input and intern it once (indexed.py),
-the tree numbered too, in id order.  Normalization (realization.Reduction),
-the recursion, which contracts by relabelling, and the undo of the
-normalization then run on numbers and build no Network, Digraph,
-RealizationTree or TerminalPath; paths and cuts return to ids once, at
-the end.  Their networks are arcs and capacities only: every level reads
+solve and free_imf validate their input and intern it once (indexed.py);
+the tree keeps the numbering, in id order, and the rooted index
+(realization.TreeIndex) that its RealizationTree made once.
+Normalization (realization.Reduction), the recursion, which contracts by
+relabelling, and the undo of the normalization then run on numbers and
+build no Network, Digraph, RealizationTree or TerminalPath; paths and
+cuts return to ids once, at the end.  Their networks are arcs and capacities only: every level reads
 its terminals, and the groups a tree arc separates (pi_set), from its
 tree's subtree map.  Ties break by number throughout: vertices by vertex number (input
 vertices are numbered in id order), arcs by arc number (arc order), and
@@ -34,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .certify import Certificate, mu_value
 from .errors import InputError, ContractViolation
-from .graphs import Cut, Network, is_eulerian_at
+from .graphs import Cut, Network, unbalanced
 from .flows import lex_max_flow  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.lex_max_flow
 from .indexed import (IdTable, IntGraph, IntNetwork, Path, boundary, contract, decompose, intern,
                       max_flow, min_cut_source_side, sparse, split_off)
@@ -44,6 +45,7 @@ from .realization import (
     NormalizeRecord,
     RealizationTree,
     Reduction,
+    TreeIndex,
     choose_balanced_edge,
     intern_instance,
     normalize,  # noqa: F401 - bench/pipeline.py LAYERS wraps solver.normalize
@@ -646,8 +648,8 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
     if len(net.terminals) < 2:
         raise InputError("free multiflow needs at least two terminals", code="invalid-input")
     ts = set(net.terminals)
-    for v in net.graph.index.ids.vertex_ids:
-        if v not in ts and not is_eulerian_at(net, v):
+    for v in unbalanced(net):
+        if v not in ts:
             raise InputError(f"inner vertex {v!r} is not Eulerian", code="not-eulerian")
     inet = intern(net)
     ids = inet.graph.ids
@@ -921,15 +923,16 @@ def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
                    kept: frozenset, z: int) -> IntTree:
     """The tree on one side of a partition edge plus its far endpoint
     anchor, which realizes z; its terminals are those in kept, then z."""
-    verts = keep_side | {anchor}
-    adj = {u: tuple(w for w in tree.adj[u] if w in verts) for u in verts}
+    adj = tree.adjacency()
+    child = {u: adj[u] for u in keep_side}  # their neighbours lie on the side or are anchor
+    child[anchor] = tuple(w for w in adj[anchor] if w in keep_side)
     subs = {}
     for t, sub in tree.subtrees.items():
         if t in kept:
             rest = sub & keep_side
             subs[t] = rest | {anchor} if sub - keep_side else rest
     subs[z] = frozenset({anchor})
-    return IntTree(verts, adj, subs)
+    return IntTree(TreeIndex(child), subs)
 
 
 # -- recursion and public entry ---------------------------------------------
@@ -1018,27 +1021,30 @@ def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
         out_paths.append((s, t, arcs, w))
 
     cert: CutMap = {}
+    index = norm_tree.index
     for arc, mapped in record.arc_map.items():
+        if mapped is not None and mapped not in cuts and (mapped[1], mapped[0]) in cuts:
+            continue  # the edge's cut is under its other arc
         if pi_set(tree0, tree0.subtrees, arc).empty:
             continue
         if mapped is None:
             raise ContractViolation(f"no surviving tree arc for {arc!r}")
         side = cuts.get(mapped)
         if side is None:
-            if (mapped[1], mapped[0]) in cuts:
-                continue
             raise ContractViolation(f"missing certificate cut for {mapped!r}")
         side = set(side)
-        tail_side = norm_tree.component_without_edge(*mapped)
+        low = index.lower(*mapped)
+        tail_below = low == mapped[0]  # the tail side is the part below low iff the tail is low
         for rec in reversed(record.splits):
             # the halves' tree vertices, read in the normalized tree: later
             # reductions may have moved them from where they were split
             (t1,), (t2,) = norm_tree.subtrees[rec.target_half], norm_tree.subtrees[rec.source_half]
             side.discard(rec.target_half)
             side.discard(rec.source_half)
-            if t1 in tail_side and t2 in tail_side:
+            on_tail = [index.below(low, x) == tail_below for x in (t1, t2)]
+            if all(on_tail):
                 side.add(rec.terminal)
-            elif t1 not in tail_side and t2 not in tail_side:
+            elif not any(on_tail):
                 side.discard(rec.terminal)
         cert[arc] = frozenset(side)
     return out_paths, cert

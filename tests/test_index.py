@@ -8,7 +8,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeflow import (Digraph, InputError, Network, check_feasible, dual_value, parse_instance,
+from treeflow import (Digraph, InputError, Network, check_feasible, dual_value, free_imf, parse_instance,
                       serialize_instance, serialize_result, solve, verify_certificate)
 from treeflow import graphs
 from treeflow.cli import main
@@ -132,7 +132,8 @@ def test_single_fault_documents_raise_the_reference_code(case, data):
 
 def test_the_pipeline_builds_no_arc(e1, monkeypatch, tmp_path):
     # parse -> solve -> to_paths -> serialize_result -> verify + feasibility
-    # -> dual, and `treeflow solve`, as the bench and the CLI run them
+    # -> dual, and `treeflow solve`, as the bench and the CLI run them, and
+    # free_imf with its Eulerian check
     made = []
     init = graphs.Arc.__init__
 
@@ -152,6 +153,7 @@ def test_the_pipeline_builds_no_arc(e1, monkeypatch, tmp_path):
         assert verify_certificate(net, real, paths, out.certificate) is None
         assert check_feasible(net, out.multiflow) is None
         assert dual_value(net, real) == out.value
+        free_imf(net)
         instance = tmp_path / "instance.json"
         instance.write_text(text)
         assert main(["solve", str(instance), "--out", str(tmp_path / "result.json")]) == 0

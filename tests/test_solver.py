@@ -877,6 +877,9 @@ def test_no_id_sorting_between_interning_and_export(case, request, monkeypatch):
 
     monkeypatch.setattr(S, "intern_instance", interned)
     monkeypatch.setattr(S, "_external", exported)
+    # a tree made directly is numbered on first use, here while the solve
+    # interns it (a built one was numbered by build)
+    real = treeflow.RealizationTree(real.vertices, real.arc_length, real.subtrees)
     out = solve(net, real)
     assert calls[True] == 0
     assert calls[False] > 0  # the boundary sorts ids, so the counter is live
