@@ -6,7 +6,7 @@ connected subtree per terminal.  The distance from terminal s to
 terminal t is the smallest directed path length from a vertex of s's
 subtree to a vertex of t's subtree.  Every tree query reads one rooted
 index (TreeIndex) of the tree on numbers, built once per tree: sides
-are preorder intervals, and distances integer prefix sums.
+are preorder intervals, and distances differences of prefix sums.
 
 The module also hosts the pre-processing reductions that the solver
 relies on: splitting linear terminals into simple pairs, pruning bare
@@ -20,15 +20,14 @@ split_linear_terminal are thin wrappers that take and return ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from .errors import InputError, ContractViolation
-from .graphs import Network, Digraph, VertexId, sort_key, unbalanced
+from .graphs import Network, Digraph, VertexId, unbalanced
 from .indexed import IdTable, IntGraph, IntNetwork, intern
 
 TreeVertex = Hashable
@@ -41,9 +40,9 @@ class TreeIndex:
     adj lists each vertex's neighbours in number order.  The walk lists
     the vertices in preorder (order), so those below v, v included, are
     order[start[v]:start[v] + size[v]].  parent is -1 at the root; leaves
-    counts the degree-one vertices below each vertex.  Given arc lengths,
-    down[v] and up[v] are the lengths of the paths root -> v and
-    v -> root in units of 1/denominator.  If adj is no tree, order is short.
+    counts the degree-one vertices below each vertex.  If adj is no tree,
+    order is short.  length, if given, holds the arc lengths by pair of
+    numbers.
     """
 
     def __init__(self, adj: Dict[int, Tuple[int, ...]],
@@ -65,21 +64,24 @@ class TreeIndex:
         for v in reversed(order[1:]):
             size[parent[v]] += size[v]
             leaves[parent[v]] += leaves[v]
-        if length is not None:
-            self.denominator = den = lcm(*(ell.denominator for ell in length.values()))
-            self.down, self.up = down, up = {root: 0}, {root: 0}
-            for v in order[1:]:
-                down[v] = down[parent[v]] + int(length[(parent[v], v)] * den)
-                up[v] = up[parent[v]] + int(length[(v, parent[v])] * den)
+
+    @cached_property
+    def sums(self) -> Tuple[Dict[int, Fraction], Dict[int, Fraction]]:
+        """down and up: the lengths of the paths root -> v and v -> root."""
+        root, parent, length = self.order[0], self.parent, self.length
+        down, up = {root: Fraction(0)}, {root: Fraction(0)}
+        for v in self.order[1:]:
+            p = parent[v]
+            down[v] = down[p] + length[(p, v)]
+            up[v] = up[p] + length[(v, p)]
+        return down, up
 
     def below(self, v: int, x: int) -> bool:
         return self.start[v] <= self.start[x] < self.start[v] + self.size[v]
 
-    def lower(self, u, v) -> Optional[int]:
-        """The end of tree edge uv farther from the root; None if uv is no edge."""
-        if self.parent.get(v, -2) == u:
-            return v
-        return u if self.parent.get(u, -2) == v else None
+    def lower(self, u: int, v: int) -> int:
+        """The end of tree edge uv farther from the root."""
+        return v if self.parent[v] == u else u
 
     def top(self, sub: FrozenSet[int]) -> Optional[int]:
         """The vertex of a vertex set nearest the root; None if the set is
@@ -87,67 +89,27 @@ class TreeIndex:
         tops = [x for x in sub if self.parent[x] not in sub]
         return tops[0] if len(tops) == 1 else None
 
-    def gap(self, s: int, sub_s: FrozenSet[int], t: int, sub_t: FrozenSet[int]) -> int:
+    def gap(self, s: int, sub_s: FrozenSet[int], t: int, sub_t: FrozenSet[int]) -> Fraction:
         """Length of the shortest path from a connected vertex set with top
         s to one with top t: the path joining them, lengths being
         nonnegative.  Where one set hangs below the other's top, it joins
         the lower top and the first vertex of the other set on the walk up
         from it; otherwise the two tops, through their lowest common
         ancestor."""
-        parent = self.parent
+        parent, (down, up) = self.parent, self.sums
         if self.below(s, t):
             x = t
             while x not in sub_s:
                 x = parent[x]
-            return self.down[t] - self.down[x]
+            return down[t] - down[x]
         x = s
         if self.below(t, s):
             while x not in sub_t:
                 x = parent[x]
-            return self.up[s] - self.up[x]
+            return up[s] - up[x]
         while not self.below(x, t):
             x = parent[x]
-        return self.up[s] - self.up[x] + self.down[t] - self.down[x]
-
-
-class _Tree:
-    """Side queries that a RealizationTree and an IntTree answer alike from
-    the index of the tree on numbers (_int, an IntTree's own); _number and
-    _label map a tree vertex to its number and back (an IntTree's vertices
-    are numbers)."""
-
-    @property
-    def _int(self) -> "IntTree":
-        return self
-
-    @staticmethod
-    def _number(x):
-        return x
-
-    _label = _number
-
-    def _lower(self, a: TreeArc) -> Tuple[int, bool]:
-        """The number of a's end below the other, and whether it is a's tail."""
-        u = self._number(a[0])
-        c = self._int.index.lower(u, self._number(a[1]))
-        if c is None:
-            raise InputError(f"unknown tree arc {a!r}", code="dangling-reference")
-        return c, c == u
-
-    @cached_property
-    def _sides(self) -> Dict[TreeArc, FrozenSet]:
-        return {}
-
-    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
-        """Vertices on u's side after removing edge uv, read from the index
-        on first use; the tree keeps one copy per arc."""
-        side = self._sides.get((u, v))
-        if side is None:
-            c, tail_below = self._lower((u, v))
-            index = self._int.index
-            below = frozenset(map(self._label, index.order[index.start[c]:index.start[c] + index.size[c]]))
-            side = self._sides[(u, v)] = below if tail_below else self.vertices - below
-        return side
+        return up[s] - up[x] + down[t] - down[x]
 
 
 def parse_rational(text) -> Fraction:
@@ -170,16 +132,18 @@ def parse_rational(text) -> Fraction:
 
 
 @dataclass(frozen=True)
-class RealizationTree(_Tree):
+class RealizationTree:
     """Undirected tree with per-direction arc lengths and terminal subtrees.
 
-    Its vertices are numbered in id order and rooted once (_int), by build
-    or on first use.
+    Its vertices are numbered in id order and rooted once, by build or on
+    first use: _int, the tree on numbers with subtrees keyed by terminal
+    id, answers every query.
     """
 
     vertices: frozenset
     arc_length: Dict[TreeArc, Fraction]
     subtrees: Dict[Hashable, frozenset]
+    _sides: Dict[TreeArc, FrozenSet] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def build(vertices, edges, subtrees) -> "RealizationTree":
@@ -203,17 +167,17 @@ class RealizationTree(_Tree):
             lengths[(v, u)] = lvu
         subs: Dict[Hashable, frozenset] = {}
         real = RealizationTree(vset, lengths, subs)  # subs and its numbered copy fill below, once checked
-        num, tree = real._ids.number, real._int
-        # n - 1 edges that the walk from the root joins: a tree
-        if len(lengths) != 2 * len(vset) - 2 or len(tree.index.order) < len(vset):
+        # n - 1 edges that the walk from the root joins: a tree (the count
+        # first, so that an empty vertex set is never rooted)
+        if len(lengths) != 2 * len(vset) - 2 or len(real._int.index.order) < len(vset):
             raise InputError("the realization graph is not a tree", code="invalid-tree")
+        num, tree = real._ids.number, real._int
         for term, verts in subtrees.items():
             sub = frozenset(verts)
             if not sub:
                 raise InputError(f"subtree of terminal {term!r} is empty", code="empty-subtree")
-            for x in sub:
-                if x not in vset:
-                    raise InputError(f"subtree of {term!r} references unknown tree vertex", code="dangling-reference")
+            if not sub <= vset:
+                raise InputError(f"subtree of {term!r} references unknown tree vertex", code="dangling-reference")
             numbers = frozenset([num[x] for x in sub])
             if tree.index.top(numbers) is None:
                 raise InputError(f"subtree of terminal {term!r} is not connected", code="disconnected-subtree")
@@ -225,7 +189,7 @@ class RealizationTree(_Tree):
         return IdTable.of(self.vertices)
 
     @cached_property
-    def _int(self) -> "IntTree":  # its subtrees keyed by terminal id
+    def _int(self) -> "IntTree":
         num = self._ids.number
         adj: Dict[int, List[int]] = {v: [] for v in range(len(num))}
         for (u, v) in self.arc_length:
@@ -234,11 +198,22 @@ class RealizationTree(_Tree):
                           {(num[u], num[v]): ell for (u, v), ell in self.arc_length.items()})
         return IntTree(index, {t: frozenset([num[x] for x in sub]) for t, sub in self.subtrees.items()})
 
-    def _number(self, x: TreeVertex) -> Optional[int]:
-        return self._ids.number.get(x)
+    def _arc(self, a: TreeArc) -> Tuple[int, int]:
+        """Tree arc a on vertex numbers; an InputError if it is no tree arc."""
+        u, v = a
+        if (u, v) not in self.arc_length:
+            raise InputError(f"unknown tree arc {a!r}", code="dangling-reference")
+        return self._ids.number[u], self._ids.number[v]
 
-    def _label(self, v: int) -> TreeVertex:
-        return self._ids.vertex_ids[v]
+    def component_without_edge(self, u: TreeVertex, v: TreeVertex) -> FrozenSet:
+        """Vertices on u's side after removing edge uv, read from the index
+        on first use; the tree keeps one copy per arc."""
+        side = self._sides.get((u, v))
+        if side is None:
+            vid = self._ids.vertex_ids
+            side = frozenset([vid[x] for x in self._int.component_without_edge(*self._arc((u, v)))])
+            self._sides[(u, v)] = side
+        return side
 
     @cached_property
     def _adjacency(self) -> Mapping[TreeVertex, Tuple[TreeVertex, ...]]:
@@ -251,7 +226,8 @@ class RealizationTree(_Tree):
         return self._adjacency
 
     def edges(self) -> List[Tuple[TreeVertex, TreeVertex]]:
-        return [(u, v) for u, v in self.quasi_arcs() if self._number(u) < self._number(v)]
+        num = self._ids.number
+        return [(u, v) for u, v in self.quasi_arcs() if num[u] < num[v]]
 
     def quasi_arcs(self) -> List[TreeArc]:
         """Both arcs of every edge by sort_key of (tail, head)."""
@@ -280,11 +256,11 @@ class PiSet:
 
 def tree_distance(real: RealizationTree, x: TreeVertex, y: TreeVertex) -> Fraction:
     """Length of the unique directed x -> y path in the quasi-tree."""
-    x, y = real._number(x), real._number(y)
-    if x is None or y is None:
+    num = real._ids.number
+    if x not in num or y not in num:
         raise InputError("unknown tree vertex", code="dangling-reference")
-    index = real._int.index
-    return Fraction(index.gap(x, {x}, y, {y}), index.denominator)
+    x, y = num[x], num[y]
+    return real._int.index.gap(x, {x}, y, {y})
 
 
 def mu(real: RealizationTree, s, t) -> Fraction:
@@ -294,8 +270,7 @@ def mu(real: RealizationTree, s, t) -> Fraction:
     if s == t:
         return Fraction(0)
     tree = real._int
-    index, tops, subs = tree.index, tree.tops, tree.subtrees
-    return Fraction(index.gap(tops[s], subs[s], tops[t], subs[t]), index.denominator)
+    return tree.index.gap(tree.tops[s], tree.subtrees[s], tree.tops[t], tree.subtrees[t])
 
 
 def classify_terminal(real: RealizationTree, s) -> str:
@@ -309,16 +284,17 @@ def classify_terminal(real: RealizationTree, s) -> str:
         raise InputError(f"unknown terminal {s!r}", code="dangling-reference")
     if len(sub) == 1:
         return "simple"
-    linear = _linear_ends(sub, real.adjacency(), real.arc_length, key=sort_key) is not None
+    tree = real._int
+    linear = _linear_ends(tree.subtrees[s], tree.index.adj, tree.index.length) is not None
     return "linear" if linear else "complex"
 
 
-def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeVertex]]:
+def _linear_ends(sub, adj, length) -> Optional[Tuple[int, int]]:
     """The ends (t1, t2) of a subtree that is a path of two or more
-    vertices with length zero from t2 to t1, t1 first in key order where
+    vertices with length zero from t2 to t1, the lower number first where
     both directions have length zero; None for any other subtree.  adj
-    and length are a tree's neighbours and arc lengths, in ids or in
-    numbers; the walk stays inside the subtree."""
+    and length are a tree's neighbours and arc lengths on numbers; the
+    walk stays inside the subtree."""
     ends = []
     for v in sub:
         inside = sum(1 for w in adj[v] if w in sub)
@@ -328,7 +304,7 @@ def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeV
             ends.append(v)
     if len(ends) != 2:
         return None
-    t1, t2 = sorted(ends, key=key)
+    t1, t2 = sorted(ends)
     path = [t1]
     while path[-1] != t2:
         path.append(next(w for w in adj[path[-1]] if w in sub and w not in path[-2:]))
@@ -338,15 +314,16 @@ def _linear_ends(sub, adj, length, key=None) -> Optional[Tuple[TreeVertex, TreeV
     return (t2, t1) if not any(length[a] for a in arcs) else None
 
 
-def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
-    """Terminals whose subtrees lie entirely on the tail/head side of a.
+def pi_set(real, terminals, a: TreeArc) -> PiSet:
+    """Terminals whose subtrees lie entirely on the tail/head side of a,
+    in a RealizationTree or, with a on numbers, in an IntTree.
 
     Let c be the end of a below the other.  A connected subtree lies below
     c iff its top does, and on the other side iff its top does not and c
     is not in it: one interval test per terminal.
     """
-    c, tail_below = real._lower(a)
-    tree = real._int
+    tree, (u, v) = (real, a) if isinstance(real, IntTree) else (real._int, real._arc(a))
+    c = tree.index.lower(u, v)
     start, tops, subs = tree.index.start, tree.tops, tree.subtrees
     lo, hi = start[c], start[c] + tree.index.size[c]
     below, above = [], []
@@ -358,30 +335,34 @@ def pi_set(real: RealizationTree, terminals, a: TreeArc) -> PiSet:
             below.append(s)
         elif c not in subs[s]:
             above.append(s)
-    tail, head = (below, above) if tail_below else (above, below)
+    tail, head = (below, above) if c == u else (above, below)
     return PiSet(a, frozenset(tail), frozenset(head))
 
 
-def choose_balanced_edge(real: RealizationTree):
+def choose_balanced_edge(real):
     """An edge with non-leaf endpoints splitting the leaves near-evenly.
 
     Returns (u, v) with leaf counts of both sides (counting the new leaf
     a contraction would create) at most 2k/3 + 1, or None when every edge
     touches a leaf.  Such an edge exists when inner degrees are at most
     three, as normalize leaves them; a tree with a vertex of degree four or
-    more and no such edge is an InputError.  Edges are read in tie order,
-    and leaf counts from the index, so the solver passes its IntTree too.
+    more and no such edge is an InputError.  Edges are read in tie order
+    and leaf counts from the index of a RealizationTree or, as the solver
+    passes, of an IntTree.
     """
-    tree = real._int
-    adj, leaves = tree.index.adj, tree.index.leaves
-    k = leaves[tree.index.order[0]]
+    if not isinstance(real, IntTree):
+        edge = choose_balanced_edge(real._int)
+        vid = real._ids.vertex_ids
+        return None if edge is None else (vid[edge[0]], vid[edge[1]])
+    adj, leaves = real.index.adj, real.index.leaves
+    k = leaves[real.index.order[0]]
     eligible = [(u, v) for u in sorted(adj) for v in adj[u] if u < v and len(adj[u]) > 1 and len(adj[v]) > 1]
     if not eligible:
         return None
     for (u, v) in eligible:
-        below = leaves[tree.index.lower(u, v)]
+        below = leaves[real.index.lower(u, v)]
         if 3 * (below + 1) <= 2 * k + 3 and 3 * (k - below + 1) <= 2 * k + 3:
-            return real._label(u), real._label(v)
+            return u, v
     if any(len(ns) >= 4 for ns in adj.values()):
         raise InputError("no balanced partition edge: the tree has a vertex of degree four or more",
                          code="invalid-tree")
@@ -422,14 +403,13 @@ def validate_instance(net: Network, real: RealizationTree) -> Optional[Validatio
 
 
 @dataclass(frozen=True)
-class IntTree(_Tree):
-    """A realization tree on numbers, read by the recursion,
-    choose_balanced_edge and pi_set as they read a RealizationTree.
-    index is the tree rooted at its lowest number.  subtrees maps each
-    terminal (a vertex number in a solve, an id inside a RealizationTree)
-    to a set of tree vertex numbers, and tops maps it to that set's vertex
-    nearest the root.  Lengths live in the input tree's index: a solve
-    computes its value on the input tree.
+class IntTree:
+    """A realization tree on numbers: the tree rooted at its lowest number
+    (index) and each terminal's subtree of tree vertex numbers; tops maps
+    a terminal to its subtree's vertex nearest the root.  A solve keys
+    terminals by vertex number, and only its input tree's index holds
+    lengths, as a solve computes its value on the input tree; a
+    RealizationTree keeps one keyed by terminal id.
     """
 
     index: TreeIndex
@@ -443,8 +423,13 @@ class IntTree(_Tree):
     def vertices(self) -> FrozenSet[int]:
         return frozenset(self.index.adj)
 
-    def adjacency(self) -> Dict[int, Tuple[int, ...]]:
-        return self.index.adj
+    def component_without_edge(self, u: int, v: int) -> FrozenSet[int]:
+        """Vertices on u's side after removing edge uv: the preorder
+        interval below the lower end, or the rest of the preorder."""
+        index = self.index
+        c = index.lower(u, v)
+        lo, hi = index.start[c], index.start[c] + index.size[c]
+        return frozenset(index.order[lo:hi] if c == u else index.order[:lo] + index.order[hi:])
 
 
 def intern_instance(net: Network, real: RealizationTree):
@@ -498,7 +483,7 @@ class Reduction:
         self.net = net
         self.ids = net.graph.ids
         self.tree_ids = tree_ids
-        self.adj = {v: set(ns) for v, ns in tree.adjacency().items()}
+        self.adj = {v: set(ns) for v, ns in tree.index.adj.items()}
         self.length = dict(length)
         self.input_arcs = sorted(length)
         self.origin = {a: [a] for a in self.input_arcs}

@@ -13,12 +13,12 @@ whose tail side it is (the other arc's cut, its complement, is never
 built); the lifted family certifies optimality.
 
 solve and free_imf validate their input and intern it once (indexed.py);
-the tree keeps the numbering, in id order, and the rooted index
-(realization.TreeIndex) that its RealizationTree made once.
-Normalization (realization.Reduction), the recursion, which contracts by
-relabelling, and the undo of the normalization then run on numbers and
-build no Network, Digraph, RealizationTree or TerminalPath; paths and
-cuts return to ids once, at the end.  Their networks are arcs and capacities only: every level reads
+the tree keeps its numbering, in id order, and its rooted index
+(realization.TreeIndex).  Normalization (realization.Reduction), the
+recursion, which contracts by relabelling, and the undo of the
+normalization then run on numbers and build no Network, Digraph,
+RealizationTree or TerminalPath; paths and cuts return to ids once, at
+the end.  Their networks are arcs and capacities only: every level reads
 its terminals, and the groups a tree arc separates (pi_set), from its
 tree's subtree map.  Ties break by number throughout: vertices by vertex number (input
 vertices are numbered in id order), arcs by arc number (arc order), and
@@ -804,12 +804,11 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     cut flow until it expels it, so its cut already separates correctly;
     the other regions run no max flow.
     """
-    adj = tree.adjacency()
-    leaves = [v for v in sorted(tree.vertices) if len(adj[v]) == 1]
-    centers = [v for v in sorted(tree.vertices) if len(adj[v]) > 1]
-    if len(centers) != 1 or len(leaves) + 1 != len(tree.vertices):
+    adj = tree.index.adj
+    leaves = [v for v in sorted(adj) if len(adj[v]) == 1]
+    if len(leaves) < 2 or len(leaves) + 1 != len(adj):
         raise ContractViolation("star base called on a non-star tree")
-    center = centers[0]
+    (center,) = set(adj).difference(leaves)
 
     groups: List[List[int]] = [[] for _leaf in leaves]
     complexes: List[int] = []
@@ -923,16 +922,15 @@ def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
                    kept: frozenset, z: int) -> IntTree:
     """The tree on one side of a partition edge plus its far endpoint
     anchor, which realizes z; its terminals are those in kept, then z."""
-    adj = tree.adjacency()
-    child = {u: adj[u] for u in keep_side}  # their neighbours lie on the side or are anchor
-    child[anchor] = tuple(w for w in adj[anchor] if w in keep_side)
+    verts = keep_side | {anchor}
+    adj = {u: tuple(w for w in tree.index.adj[u] if w in verts) for u in verts}
     subs = {}
     for t, sub in tree.subtrees.items():
         if t in kept:
             rest = sub & keep_side
             subs[t] = rest | {anchor} if sub - keep_side else rest
     subs[z] = frozenset({anchor})
-    return IntTree(TreeIndex(child), subs)
+    return IntTree(TreeIndex(adj), subs)
 
 
 # -- recursion and public entry ---------------------------------------------
@@ -1033,15 +1031,14 @@ def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
         if side is None:
             raise ContractViolation(f"missing certificate cut for {mapped!r}")
         side = set(side)
-        low = index.lower(*mapped)
-        tail_below = low == mapped[0]  # the tail side is the part below low iff the tail is low
+        low = index.lower(*mapped)  # the tail side is the part below low iff the tail is low
         for rec in reversed(record.splits):
             # the halves' tree vertices, read in the normalized tree: later
             # reductions may have moved them from where they were split
             (t1,), (t2,) = norm_tree.subtrees[rec.target_half], norm_tree.subtrees[rec.source_half]
             side.discard(rec.target_half)
             side.discard(rec.source_half)
-            on_tail = [index.below(low, x) == tail_below for x in (t1, t2)]
+            on_tail = [index.below(low, x) == (low == mapped[0]) for x in (t1, t2)]
             if all(on_tail):
                 side.add(rec.terminal)
             elif not any(on_tail):

@@ -117,6 +117,21 @@ def test_parse_error_codes():
     assert e.value.code == "disconnected-subtree"
 
 
+def test_a_document_with_an_empty_tree_is_an_input_error(tmp_path):
+    doc = {
+        "graph": {"vertices": ["s", "t"], "arcs": [{"id": "a", "tail": "s", "head": "t", "cap": 1}]},
+        "terminals": ["s", "t"],
+        "tree": {"vertices": [], "edges": []},
+        "subtrees": {"s": [], "t": []},
+    }
+    with pytest.raises(InputError) as e:
+        parse_instance(json.dumps(doc))
+    assert e.value.code == "invalid-tree"
+    path = tmp_path / "empty-tree.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 1  # bad input, not an internal error
+
+
 def test_result_round_trip(e1):
     net, real = e1
     out = solve(net, real)

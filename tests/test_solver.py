@@ -877,15 +877,18 @@ def test_no_id_sorting_between_interning_and_export(case, request, monkeypatch):
 
     monkeypatch.setattr(S, "intern_instance", interned)
     monkeypatch.setattr(S, "_external", exported)
-    # a tree made directly is numbered on first use, here while the solve
-    # interns it (a built one was numbered by build)
-    real = treeflow.RealizationTree(real.vertices, real.arc_length, real.subtrees)
-    out = solve(net, real)
-    assert calls[True] == 0
-    assert calls[False] > 0  # the boundary sorts ids, so the counter is live
+    # the tree as build made it (parse and the generator do), numbered
+    # there, then a copy made directly, numbered on first use: here, while
+    # the solve interns it, which sorts ids before the window opens
+    direct = treeflow.RealizationTree(real.vertices, real.arc_length, real.subtrees)
+    for tree in (real, direct):
+        calls[False] = calls[True] = 0
+        out = solve(net, tree)
+        assert calls[True] == 0
+        assert out.value == dual_value(net, tree)
+    assert calls[False] > 0  # the copy's numbering sorts ids, so the counter is live
     assert arcs_keyed == []
     assert not arc_ids & (net.vertices | real.vertices)  # so no vertex id was counted as an arc
-    assert out.value == dual_value(net, real)
 
 
 @pytest.mark.parametrize("case", ["e2", 239])

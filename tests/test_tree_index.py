@@ -5,6 +5,7 @@ the whole tree."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,3 +113,19 @@ def test_single_fault_trees_raise_the_reference_code(case, data):
         subtrees[t] = [names[x], names[y]]
     expected = ref.fault_code(names, edges, subtrees)
     assert ref.error_code(lambda: RealizationTree.build(names, edges, subtrees)) == expected
+
+
+@pytest.mark.parametrize("vertices, edges, subtrees", [
+    ([], [], {}),
+    ([], [], {"t": []}),
+    (["v"], [], {}),
+    (["v"], [], {"t": ["v"]}),
+    (["v"], [], {"t": []}),
+    (["v"], [], {"t": ["v", "nowhere"]}),
+    (["v", "w"], [], {"t": ["v"]}),
+])
+def test_trees_of_at_most_one_vertex_raise_the_reference_code(vertices, edges, subtrees):
+    # the hypothesis strategy draws two vertices or more; an empty tree is
+    # no tree and is rejected before any subtree is read
+    expected = ref.fault_code(vertices, edges, subtrees)
+    assert ref.error_code(lambda: RealizationTree.build(vertices, edges, subtrees)) == expected
