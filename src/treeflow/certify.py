@@ -99,22 +99,24 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
     the first offending terminal or arc in id order, or the first
     offending path in packing order.  Each cut reads only the paths on
     its boundary arcs: every arc position is indexed once to the paths
-    that use it, one entry per use.
+    that use it, one entry per use, and to its load, their total weight.
     """
     paths = list(flow)
     bad = check_feasible(net, paths)
     if bad is not None:
         return CertificateViolation("infeasible", detail=bad)
 
-    terminals = net.terminals
     number, arc_ids, cap = net.graph.index.ids.arc_number, net.graph.index.ids.arc_ids, net.cap
     uses: Dict[int, List[int]] = {}
+    load: Dict[int, int] = {}
     for i, p in enumerate(paths):
         for aid in p.arcs:
-            uses.setdefault(number[aid], []).append(i)
+            k = number[aid]
+            uses.setdefault(k, []).append(i)
+            load[k] = load.get(k, 0) + p.weight
 
     for a in real.quasi_arcs():
-        pi = pi_set(real, terminals, a)
+        pi = pi_set(real, net.terminals, a)
         if pi.empty:
             continue
         side = cert.cuts.get(a)
@@ -136,7 +138,7 @@ def verify_certificate(net: Network, real: RealizationTree, flow: Iterable[Termi
             return CertificateViolation("crossing", a, (p.source, p.target))
         checks = [(out_arcs, a)] if reverse in cert.cuts else [(out_arcs, a), (in_arcs, reverse)]
         for arcs, arc in checks:
-            unmet = [arc_ids[k] for k in arcs if sum(paths[i].weight for i in uses.get(k, ())) != cap[k]]
+            unmet = [arc_ids[k] for k in arcs if load.get(k, 0) != cap[k]]
             if unmet:
                 return CertificateViolation("capacity", arc, min(unmet, key=sort_key))
     return None
@@ -151,8 +153,8 @@ def verify_result(net: Network, real: RealizationTree, value: Fraction,
         return CertificateViolation("no-paths")
     paths = list(paths)
     issue = verify_certificate(net, real, paths, cert)
-    if issue is None and mu_value(real, paths) != value:
-        return CertificateViolation("value", detail=f"the paths carry {mu_value(real, paths)}")
+    if issue is None and (carried := mu_value(real, paths)) != value:
+        return CertificateViolation("value", detail=f"the paths carry {carried}")
     return issue
 
 

@@ -8,14 +8,13 @@ subtree to a vertex of t's subtree.  Every tree query reads one rooted
 index (TreeIndex) of the tree on numbers, built once per tree: sides
 are preorder intervals, and distances differences of prefix sums.
 
-The module also hosts the pre-processing reductions that the solver
-relies on: splitting linear terminals into simple pairs, pruning bare
-leaves, relocating simple terminals to pendant vertices, bounding inner
-degrees by three, and merging chains, all while preserving the induced
-distance and a provenance map from original tree arcs to surviving ones.
-They run on numbers (intern_instance, Reduction), and the solver
-recurses on the IntTree they leave; the public normalize and
-split_linear_terminal are thin wrappers that take and return ids.
+The module also hosts the reductions, which preserve the induced
+distance and map input tree arcs to surviving ones: splitting linear
+terminals into simple pairs (C1), pruning bare leaves (C2), moving
+simple terminals to pendants (C3), bounding inner degrees by three (C4)
+and merging chains (C5).  They run once in that order, then C1, C3 and
+C4 again, on numbers (Reduction), leaving the IntTree the solver recurses
+on; normalize and split_linear_terminal wrap them in ids.
 """
 
 from __future__ import annotations
@@ -468,7 +467,7 @@ class NormalizeRecord:
 
 
 class Reduction:
-    """The five reductions on a numbered instance, run to a fixed point.
+    """The five reductions on a numbered instance, in the fixed order of run.
 
     The tree is held as neighbour sets, and each tree arc's length and the
     input tree arcs it stands for (origin) by its pair of numbers; subs
@@ -491,20 +490,27 @@ class Reduction:
         self.splits: List[SplitRecord] = []
 
     def run(self) -> None:
-        """Afterwards: no linear terminals, every leaf hosts a simple
-        terminal, no simple terminal at an inner vertex, inner degrees at
-        most three, and no mergeable degree-two chains."""
-        for _round in range(10 * (len(self.adj) + len(self.subs)) + 20):
-            changed = False
-            for s in sorted(self.subs):
-                changed |= self.split(s)  # C1
-            changed |= self._drop_bare_leaves()  # C2
-            changed |= self._move_simple_terminals()  # C3
-            changed |= self._bound_degrees()  # C4
-            changed |= self._merge_chains()  # C5
-            if not changed:
-                return
-        raise ContractViolation("normalization did not reach a fixed point")
+        """C1 to C5, then C1, C3 and C4 again, after which none finds work:
+        only C2 makes work for an earlier step.  C1 changes no tree edge (the
+        subtree it removes occupies no leaf, and its halves sit at its ends,
+        its only boundary vertices); C3 adds pendants that host simple
+        terminals and only raises degrees; C4 subdivides with zero-length
+        edges, making no leaf or degree-2 vertex and keeping each subtree's
+        shape and zero directions; C5 removes degree-2 vertices inside
+        subtrees or outside all of them, adding lengths.  C2 can leave a
+        subtree linear: C1 splits it, C3 moves the halves off inner ends, and
+        C4 splits an end raised to degree four.  All else C2 does (such as
+        shrinking a subtree to one vertex) C3 to C5 handle the first time."""
+        for s in sorted(self.subs):
+            self.split(s)  # C1
+        self._drop_bare_leaves()  # C2
+        self._move_simple_terminals()  # C3
+        self._bound_degrees()  # C4
+        self._merge_chains()  # C5
+        for s in sorted(self.subs):
+            self.split(s)
+        self._move_simple_terminals()
+        self._bound_degrees()
 
     def tree(self) -> IntTree:
         return IntTree(TreeIndex({v: tuple(sorted(ns)) for v, ns in self.adj.items()}),
@@ -549,44 +555,39 @@ class Reduction:
         self.subs[s1], self.subs[s2] = {ends[0]}, {ends[1]}
         return True
 
-    def _drop_bare_leaves(self) -> bool:
-        """C2: drop leaves that realize no simple terminal."""
-        adj, changed = self.adj, False
+    def _drop_bare_leaves(self) -> None:
+        """C2: drop leaves hosting no simple terminal, one at a time, smallest
+        first: a subtree shrunk to one vertex keeps it, so the order decides which."""
+        adj = self.adj
         while True:
             occupied = {x for sub in self.subs.values() if len(sub) == 1 for x in sub}
             victim = next((v for v in sorted(adj) if len(adj[v]) == 1 and v not in occupied), None)
             if victim is None:
-                return changed
+                return
             (nb,) = adj.pop(victim)
             adj[nb].remove(victim)
             for a in ((victim, nb), (nb, victim)):
                 del self.length[a], self.origin[a]
             for sub in self.subs.values():
                 sub.discard(victim)
-            changed = True
 
-    def _move_simple_terminals(self) -> bool:
+    def _move_simple_terminals(self) -> None:
         """C3: move simple terminals off inner vertices to zero-length pendants."""
         at: Dict[int, List[int]] = {}  # the simple terminals at each tree vertex, in terminal order
         for t, sub in self.subs.items():
             if len(sub) == 1:
                 at.setdefault(next(iter(sub)), []).append(t)
-        changed = False
         for v in sorted(at):
             if len(self.adj[v]) >= 2:
                 v2 = self._new_neighbour(v)
                 for t in at[v]:
                     self.subs[t] = {v2}
-                changed = True
-        return changed
 
-    def _bound_degrees(self) -> bool:
+    def _bound_degrees(self) -> None:
         """C4: split vertices of degree four or more, two neighbours staying."""
-        adj, changed = self.adj, False
-        while True:
-            v = next((x for x in sorted(adj) if len(adj[x]) >= 4), None)
-            if v is None:
-                return changed
+        adj = self.adj
+        queue = [v for v in sorted(adj) if len(adj[v]) >= 4]
+        for v in queue:  # a split changes no other degree, and its new vertex numbers last
             moved = sorted(adj[v])[2:]
             v2 = self._new_neighbour(v)
             for w in moved:
@@ -599,32 +600,28 @@ class Reduction:
             for sub in self.subs.values():
                 if v in sub and not sub.isdisjoint(moved):
                     sub.add(v2)
-            changed = True
+            if len(adj[v2]) >= 4:
+                queue.append(v2)
 
-    def _merge_chains(self) -> bool:
+    def _merge_chains(self) -> None:
         """C5: merge chains at degree-2 vertices with no subtree boundary."""
-        adj, changed = self.adj, False
-        while True:
-            for v in sorted(adj):
-                if len(adj[v]) != 2:
-                    continue
-                u, w = sorted(adj[v])
-                # mergeable iff v is never a boundary vertex of a subtree
-                if any(v in sub and not (u in sub and w in sub) for sub in self.subs.values()):
-                    continue
-                del adj[v]
-                adj[u].remove(v)
-                adj[u].add(w)
-                adj[w].remove(v)
-                adj[w].add(u)
-                self._join([(u, v), (v, w)], (u, w))
-                self._join([(w, v), (v, u)], (w, u))
-                for sub in self.subs.values():
-                    sub.discard(v)
-                changed = True
-                break
-            else:
-                return changed
+        adj = self.adj
+        for v in sorted(adj):  # a merge changes no other vertex's degree or boundary status
+            if len(adj[v]) != 2:
+                continue
+            u, w = sorted(adj[v])
+            # mergeable iff v is never a boundary vertex of a subtree
+            if any(v in sub and not (u in sub and w in sub) for sub in self.subs.values()):
+                continue
+            del adj[v]
+            adj[u].remove(v)
+            adj[u].add(w)
+            adj[w].remove(v)
+            adj[w].add(u)
+            self._join([(u, v), (v, w)], (u, w))
+            self._join([(w, v), (v, u)], (w, u))
+            for sub in self.subs.values():
+                sub.discard(v)
 
     def _new_neighbour(self, v: int) -> int:
         """A new tree vertex hanging off v by an edge of length zero."""
@@ -685,7 +682,7 @@ def split_linear_terminal(net: Network, real: RealizationTree, s):
 
 
 def normalize(net: Network, real: RealizationTree):
-    """Apply the five reductions to a fixed point.
+    """Apply the five reductions in the fixed order of Reduction.run.
 
     Afterwards: no linear terminals, every leaf hosts a simple terminal,
     no simple terminal at an inner vertex, inner degrees at most three,
