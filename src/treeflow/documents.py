@@ -148,14 +148,20 @@ def serialize_instance(net: Network, real: RealizationTree) -> str:
 
 def result_to_document(value: Fraction, paths: Optional[List[TerminalPath]],
                        cert: Certificate, stats: dict) -> dict:
-    doc = {
-        "value": format_rational(value),
-        "certificate": [
+    """The result document.  A certificate of positions is written as a
+    list of [vertex, tree vertex] pairs, not as an object, since ids may be
+    ints or strings; the pairs keep the map's order, which is vertex id
+    order for a solve's.  A certificate of cuts is written as one entry per
+    tree arc with a cut."""
+    doc = {"value": format_rational(value)}
+    if cert.positions is not None:
+        doc["positions"] = list(cert.positions.items())
+    else:
+        doc["certificate"] = [
             {"tree_arc": [u, v], "cut": sorted(side, key=sort_key)}
             for (u, v), side in sorted(cert.cuts.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
-        ],
-        "stats": stats,
-    }
+        ]
+    doc["stats"] = stats
     if paths is not None:
         doc["paths"] = [
             {"from": p.source, "to": p.target, "arcs": list(p.arcs), "weight": p.weight}
@@ -176,6 +182,18 @@ def document_to_result(doc: dict):
                 tuple(_expect_ids(p, "arcs", "path")),
                 _expect(p, "weight", int, "path"),
             ))
+    if "positions" in doc:
+        if "certificate" in doc:
+            raise InputError("a result carries positions or per-edge cuts, not both", code="malformed-document")
+        positions = {}
+        for entry in _expect(doc, "positions", list, "result"):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(isinstance(x, _ID) for x in entry):
+                raise InputError("a position must be a [vertex, tree vertex] pair of ids",
+                                 code="malformed-document")
+            if entry[0] in positions:
+                raise InputError(f"two positions for vertex {entry[0]!r}", code="malformed-document")
+            positions[entry[0]] = entry[1]
+        return value, paths, Certificate(positions=positions)
     cuts = {}
     for entry in _expect(doc, "certificate", list, "result"):
         arc = _expect_ids(entry, "tree_arc", "certificate entry")

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from .errors import InputError, ContractViolation
@@ -97,15 +99,16 @@ class TreeIndex:
         ancestor."""
         parent, (down, up) = self.parent, self.sums
         if self.below(s, t):
-            x = t
+            x = s if len(sub_s) == 1 else t  # a one-vertex set is its own first vertex
             while x not in sub_s:
                 x = parent[x]
             return down[t] - down[x]
-        x = s
         if self.below(t, s):
+            x = t if len(sub_t) == 1 else s
             while x not in sub_t:
                 x = parent[x]
             return up[s] - up[x]
+        x = s
         while not self.below(x, t):
             x = parent[x]
         return up[s] - up[x] + down[t] - down[x]
@@ -422,6 +425,31 @@ class IntTree:
     def vertices(self) -> FrozenSet[int]:
         return frozenset(self.index.adj)
 
+    @cached_property
+    def separating(self) -> FrozenSet[int]:
+        """The lower ends c of the tree edges (parent of c, c) whose pair
+        sets are nonempty, counted on first use.  A connected subtree lies
+        below c iff its top does, and wholly above c iff its top does not
+        and it does not hold the edge, that is, c is in it but is not its
+        top.  So the edge separates a pair iff some top lies in c's
+        preorder interval, counted from prefix sums of the tops per
+        preorder position, and some terminal is neither counted there nor
+        holds the edge: one pass over the subtrees, none per edge."""
+        index, tops = self.index, self.tops
+        start, size, order = index.start, index.size, index.order
+        at = [0] * len(order)  # tops per preorder position
+        held = dict.fromkeys(order, 0)  # terminals holding the edge above each vertex
+        for t, sub in self.subtrees.items():
+            top = tops[t]
+            at[start[top]] += 1
+            for x in sub:
+                held[x] += 1
+            held[top] -= 1
+        before = list(accumulate(at, initial=0))
+        k = len(self.subtrees)
+        return frozenset([c for c in order[1:]
+                          if 0 < (below := before[start[c] + size[c]] - before[start[c]]) < k - held[c]])
+
     def component_without_edge(self, u: int, v: int) -> FrozenSet[int]:
         """Vertices on u's side after removing edge uv: the preorder
         interval below the lower end, or the rest of the preorder."""
@@ -473,8 +501,10 @@ class Reduction:
     input tree arcs it stands for (origin) by its pair of numbers; subs
     maps each terminal to its subtree, so its keys, in order, are the
     terminals.  Made tree vertices, split vertices and split arcs take the
-    next numbers of their IdTables; the network is rebuilt once, at the
-    end (network), with arcs and capacities only.
+    next numbers of their IdTables; home maps each made tree vertex to the
+    input vertex it came from, which lies on the same side of every input
+    edge.  The network is rebuilt once, at the end (network), with arcs
+    and capacities only.
     """
 
     def __init__(self, net: IntNetwork, tree_ids: IdTable, tree: IntTree,
@@ -488,6 +518,7 @@ class Reduction:
         self.origin = {a: [a] for a in self.input_arcs}
         self.subs = {t: set(sub) for t, sub in tree.subtrees.items()}
         self.splits: List[SplitRecord] = []
+        self.home: Dict[int, int] = {}
 
     def run(self) -> None:
         """C1 to C5, then C1, C3 and C4 again, after which none finds work:
@@ -557,19 +588,34 @@ class Reduction:
 
     def _drop_bare_leaves(self) -> None:
         """C2: drop leaves hosting no simple terminal, one at a time, smallest
-        first: a subtree shrunk to one vertex keeps it, so the order decides which."""
-        adj = self.adj
-        while True:
-            occupied = {x for sub in self.subs.values() if len(sub) == 1 for x in sub}
-            victim = next((v for v in sorted(adj) if len(adj[v]) == 1 and v not in occupied), None)
-            if victim is None:
-                return
+        first: a subtree shrunk to one vertex keeps it, so the order decides
+        which.  Degrees only fall, and an occupied vertex (one hosting a
+        simple terminal) stays occupied, since subtrees only shrink and never
+        below one vertex.  So a drop makes at most its neighbour a new leaf,
+        the candidates wait in a heap, checked as they come up, and only the
+        subtrees holding the victim change."""
+        adj, subs = self.adj, self.subs
+        occupied = {x for sub in subs.values() if len(sub) == 1 for x in sub}
+        holders: Dict[int, List[set]] = {}
+        for sub in subs.values():
+            for x in sub:
+                holders.setdefault(x, []).append(sub)
+        heap = [v for v, ns in adj.items() if len(ns) == 1]
+        heapify(heap)
+        while heap:
+            victim = heappop(heap)
+            if victim in occupied or len(adj.get(victim, ())) != 1:
+                continue
             (nb,) = adj.pop(victim)
             adj[nb].remove(victim)
             for a in ((victim, nb), (nb, victim)):
                 del self.length[a], self.origin[a]
-            for sub in self.subs.values():
+            for sub in holders.pop(victim, ()):
                 sub.discard(victim)
+                if len(sub) == 1:
+                    occupied.update(sub)
+            if len(adj[nb]) == 1:
+                heappush(heap, nb)
 
     def _move_simple_terminals(self) -> None:
         """C3: move simple terminals off inner vertices to zero-length pendants."""
@@ -626,6 +672,7 @@ class Reduction:
     def _new_neighbour(self, v: int) -> int:
         """A new tree vertex hanging off v by an edge of length zero."""
         v2 = self.tree_ids.new_vertex()
+        self.home[v2] = self.home.get(v, v)
         self.adj[v].add(v2)
         self.adj[v2] = {v}
         for a in ((v, v2), (v2, v)):
@@ -634,9 +681,16 @@ class Reduction:
 
     def _join(self, arcs: List[Tuple[int, int]], a: Tuple[int, int]) -> None:
         """Replace the arcs of a directed path by the arc a between its
-        ends, with their total length and all their origins."""
+        ends, with their total length and all their origins.  The longest
+        origin list takes in the others, in no order that anything reads,
+        so a chain that C5 merges one vertex at a time moves each origin
+        O(log n) times, not once per merge."""
         self.length[a] = sum(self.length.pop(b) for b in arcs)
-        self.origin[a] = [x for b in arcs for x in self.origin.pop(b)]
+        lists = sorted((self.origin.pop(b) for b in arcs), key=len)
+        merged = lists.pop()
+        for rest in lists:
+            merged += rest
+        self.origin[a] = merged
 
 
 def _in_ids(red: Reduction):

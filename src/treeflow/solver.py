@@ -8,17 +8,18 @@ two terminal groups, solves both contractions, and glues the results.
 Otherwise the tree is a single edge or a small star, handled by direct
 flow constructions.  Every level returns its flow as weighted (source,
 target, arcs, weight) tuples of numbers, glued on the cut's boundary
-arcs, and one saturated separating cut per tree edge, under the arc
-whose tail side it is (the other arc's cut, its complement, is never
-built); the lifted family certifies optimality.
+arcs, and a tree position for each of its network vertices, as the sets
+of vertices it places at each tree vertex.  The cut of a tree arc is the
+set of vertices placed on its tail side: each level's cuts are saturated
+and separate its pair sets, and they certify optimality (certify.py).
 
 solve and free_imf validate their input and intern it once (indexed.py);
 the tree keeps its numbering, in id order, and its rooted index
 (realization.TreeIndex).  Normalization (realization.Reduction), the
 recursion, which contracts by relabelling, and the undo of the
 normalization then run on numbers and build no Network, Digraph,
-RealizationTree or TerminalPath; paths and cuts return to ids once, at
-the end.  Their networks are arcs and capacities only: every level reads
+RealizationTree or TerminalPath; paths and positions return to ids once,
+at the end.  Their networks are arcs and capacities only: every level reads
 its terminals, and the groups a tree arc separates (pi_set), from its
 tree's subtree map.  Ties break by number throughout: vertices by vertex number (input
 vertices are numbered in id order), arcs by arc number (arc order), and
@@ -42,9 +43,9 @@ from .indexed import (IdTable, IntGraph, IntNetwork, Path, boundary, contract, d
 from .multiflow import Multiflow
 from .realization import (
     IntTree,
-    NormalizeRecord,
     RealizationTree,
     Reduction,
+    SplitRecord,
     TreeIndex,
     choose_balanced_edge,
     intern_instance,
@@ -53,8 +54,8 @@ from .realization import (
     validate_instance,
 )
 
-# tree arc (u, v) of tree vertex numbers -> cut side; one arc per tree edge
-CutMap = Dict[Tuple[int, int], frozenset]
+# tree vertex number -> the sets of network vertex numbers placed there
+Placement = Dict[int, List[frozenset]]
 
 
 @dataclass
@@ -72,13 +73,12 @@ class SolveOutput:
     stats: SolveStats
 
 
-def _external(ids: IdTable, tree_ids: IdTable, paths: List[Path], cert: CutMap):
-    """Paths and certificate cuts of a solve, in ids: one cut per tree
-    edge, under the arc it was made for."""
+def _external(ids: IdTable, tree_ids: IdTable, paths: List[Path], positions: List[int]):
+    """Paths and positions of a solve, in ids: the positions of the input
+    vertices, numbered 0 to n - 1, in vertex id order."""
     vertex_ids, tree_vertex_ids = ids.vertex_ids, tree_ids.vertex_ids
-    id_cert = {(tree_vertex_ids[u], tree_vertex_ids[v]): frozenset(map(vertex_ids.__getitem__, side))
-               for (u, v), side in cert.items()}
-    return [ids.path_ids(p) for p in paths], id_cert
+    return ([ids.path_ids(p) for p in paths],
+            dict(zip(vertex_ids, map(tree_vertex_ids.__getitem__, positions))))
 
 
 # -- small helpers ---------------------------------------------------------
@@ -730,6 +730,7 @@ def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
 
 def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     """Single tree edge: one max flow forward, its capacity complement back.
+    The cut side is placed at the edge's first end, the rest at the other.
 
     Terminals realized by the whole edge have distance zero to everything
     and act as balanced through-vertices; no path starts or ends at one.
@@ -743,7 +744,7 @@ def base_two_vertices(net: IntNetwork, tree: IntTree, stats: SolveStats):
     g = net.graph
     back = sparse([c - w for c, w in zip(net.cap, f)])
     paths = decompose(g, sparse(f), src, dst) + decompose(g, back, src | dst, src | dst)
-    return _numbered(g, paths), {(v1, v2): x}
+    return _numbered(g, paths), {v1: [x], v2: [g.vertices - x]}
 
 
 def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, f: List[int],
@@ -802,7 +803,9 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     terminal that lies in a leaf's minimal cut but whose subtree misses
     that leaf is misplaced there: the free multiflow continues that leaf's
     cut flow until it expels it, so its cut already separates correctly;
-    the other regions run no max flow.
+    the other regions run no max flow.  Each leaf's side is placed at the
+    leaf and every other vertex at the center; the sides are disjoint, as
+    _minimal_terminal_cuts checks and a repair only shrinks a side.
     """
     adj = tree.index.adj
     leaves = [v for v in sorted(adj) if len(adj[v]) == 1]
@@ -837,7 +840,9 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
         if q:
             misplaced[i] = sorted(q)
     paths, sides = _free_imf_paths(net, groups, cuts, misplaced, stats)
-    return paths, {(leaf, center): side for leaf, side in zip(leaves, sides)}
+    placed: Placement = {leaf: [side] for leaf, side in zip(leaves, sides)}
+    placed[center] = [net.graph.vertices.difference(*sides)]
+    return paths, placed
 
 
 # -- partition step ----------------------------------------------------------
@@ -884,7 +889,17 @@ def aggregate(net: IntNetwork, paths1: List[Path], paths2: List[Path],
 
 
 def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, depth: int):
-    """Split at a balanced tree edge along a minimum terminal-group cut."""
+    """Split at a balanced tree edge along a minimum terminal-group cut.
+
+    Each child places its vertices in its tree, which is one side of the
+    edge v1v2 plus the edge's far end, its anchor, where its contraction
+    vertex sits.  A vertex a child places at its anchor moves to the near
+    end: the two ends are adjacent, so they lie on the same side of every
+    other edge, and the edge's own cut becomes x1.  Each lifted child cut
+    stays as it was, since the contraction vertex of child 1, a simple
+    terminal at v2, lies on v2's side of every child-1 cut, and every
+    vertex of x2 now lies there too (and the same for child 2).
+    """
     v1, v2 = edge
     side1 = tree.component_without_edge(v1, v2)
     side2 = tree.vertices - side1
@@ -903,19 +918,19 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
     tree2 = _contract_tree(tree, side2, v1, x2, z1)
 
     # each child network lives only while its own recursion runs
-    paths1, cuts1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1)
-    paths2, cuts2 = _solve_rec(contract(net, {z1: x1}), tree2, stats, depth + 1)
+    paths1, placed1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1)
+    paths2, placed2 = _solve_rec(contract(net, {z1: x1}), tree2, stats, depth + 1)
 
     paths = aggregate(net, paths1, paths2, x1, z2, z1)
 
-    # a child may key the partition edge either way
-    cuts: CutMap = {(v1, v2): x1}
-    for child_cuts, z, far in ((cuts1, z2, x2), (cuts2, z1, x1)):
-        for arc, side in child_cuts.items():
-            if arc in ((v1, v2), (v2, v1)):
-                continue
-            cuts[arc] = frozenset((side - {z}) | (far if z in side else frozenset()))
-    return paths, cuts
+    # the children's trees share only the edge's two ends; contraction
+    # vertices stay in the sets and are dropped once, at the top
+    placed: Placement = {}
+    for child, near, anchor in ((placed1, v1, v2), (placed2, v2, v1)):
+        moved = child.pop(anchor, [])
+        placed.update(child)
+        placed[near] = placed.get(near, []) + moved
+    return paths, placed
 
 
 def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
@@ -937,7 +952,7 @@ def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
 
 
 def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
-    """Paths and certificate cuts of one level.  First every positive arc
+    """Paths and vertex placement of one level.  First every positive arc
     a, of capacity c, from a simple terminal x to a simple terminal y (one
     tree vertex each) leaves the network as its own one-arc path.  This
     is exact: lengths are nonnegative and a tree walk from S to T runs
@@ -951,16 +966,17 @@ def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
     """
     stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(tree.vertices) == 1:
-        return [], {}
+        (v,) = tree.vertices
+        return [], {v: [net.graph.vertices]}
     net, direct = split_off(net, {t for t, sub in tree.subtrees.items() if len(sub) == 1})
     edge = choose_balanced_edge(tree)
     if edge is not None:
-        paths, cuts = partition_step(net, tree, edge, stats, depth)
+        paths, placed = partition_step(net, tree, edge, stats, depth)
     elif len(tree.vertices) == 2:
-        paths, cuts = base_two_vertices(net, tree, stats)
+        paths, placed = base_two_vertices(net, tree, stats)
     else:
-        paths, cuts = base_three_leaves(net, tree, stats)
-    return direct + paths, cuts
+        paths, placed = base_three_leaves(net, tree, stats)
+    return direct + paths, placed
 
 
 def solve(net: Network, real: RealizationTree) -> SolveOutput:
@@ -979,29 +995,37 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     inet, tree_ids, tree, length = intern_instance(net, real)
     reduction = Reduction(inet, tree_ids, tree, length)
     reduction.run()
-    norm_tree = reduction.tree()
-    paths, cuts = _solve_rec(reduction.network(), norm_tree, stats, 0)
-    paths, cert = _undo_normalization(tree, norm_tree, reduction.record(), paths, cuts)
-    paths, cert = _external(inet.graph.ids, tree_ids, paths, cert)
+    paths, placed = _solve_rec(reduction.network(), reduction.tree(), stats, 0)
+    paths, positions = _undo_normalization(tree, reduction.splits, reduction.home, paths, placed,
+                                           len(inet.graph.vertices))
+    paths, positions = _external(inet.graph.ids, tree_ids, paths, positions)
 
     flow = Multiflow(tuple(paths))
     value = mu_value(real, flow)
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return SolveOutput(flow, Certificate(cert), value, stats)
+    return SolveOutput(flow, Certificate(positions=positions, real=real, terminals=net.terminals), value, stats)
 
 
-def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
-                        record: NormalizeRecord, paths: List[Path], cuts: CutMap):
-    """Map paths and cuts of the normalized instance back to the input, in
-    numbers: one certificate cut per input tree edge with a nonempty pair
-    set, emitted by the input arc whose normalized arc holds the cut.
+def _undo_normalization(tree0: IntTree, splits: List[SplitRecord], home: Dict[int, int],
+                        paths: List[Path], placed: Placement, n: int):
+    """Map paths and placement of the normalized instance back to the
+    input, in numbers: the tree position of each input vertex 0 to n - 1.
 
     A split terminal s lies between its halves on the arcs out_arc
     (source_half -> s) and in_arc (s -> target_half); paths from or to a
     half lose that arc and end at s instead.
+
+    A vertex placed at a tree vertex that normalization made (a pendant or
+    a degree split) goes to the input vertex it came from (home): the two
+    lie on the same side of every input edge that survives, and the edges
+    of a merged chain share the merged edge's cut.  A split terminal s goes
+    to the vertex of its input subtree, a path, nearest its placement.  On
+    an edge of that path this keeps its side; off the path, the whole
+    subtree, and so both halves' vertices, lie on one side, where s goes.
+    That is where the halves' cuts put s.
     """
-    src_of = {rec.source_half: rec for rec in record.splits}
-    dst_of = {rec.target_half: rec for rec in record.splits}
+    src_of = {rec.source_half: rec for rec in splits}
+    dst_of = {rec.target_half: rec for rec in splits}
     out_paths: List[Path] = []
     for s, t, arcs, w in paths:
         if s in src_of:
@@ -1018,30 +1042,21 @@ def _undo_normalization(tree0: IntTree, norm_tree: IntTree,
             continue
         out_paths.append((s, t, arcs, w))
 
-    cert: CutMap = {}
-    index = norm_tree.index
-    for arc, mapped in record.arc_map.items():
-        if mapped is not None and mapped not in cuts and (mapped[1], mapped[0]) in cuts:
-            continue  # the edge's cut is under its other arc
-        if pi_set(tree0, tree0.subtrees, arc).empty:
-            continue
-        if mapped is None:
-            raise ContractViolation(f"no surviving tree arc for {arc!r}")
-        side = cuts.get(mapped)
-        if side is None:
-            raise ContractViolation(f"missing certificate cut for {mapped!r}")
-        side = set(side)
-        low = index.lower(*mapped)  # the tail side is the part below low iff the tail is low
-        for rec in reversed(record.splits):
-            # the halves' tree vertices, read in the normalized tree: later
-            # reductions may have moved them from where they were split
-            (t1,), (t2,) = norm_tree.subtrees[rec.target_half], norm_tree.subtrees[rec.source_half]
-            side.discard(rec.target_half)
-            side.discard(rec.source_half)
-            on_tail = [index.below(low, x) == (low == mapped[0]) for x in (t1, t2)]
-            if all(on_tail):
-                side.add(rec.terminal)
-            elif not any(on_tail):
-                side.discard(rec.terminal)
-        cert[arc] = frozenset(side)
-    return out_paths, cert
+    positions = [0] * n
+    for v, sides in placed.items():
+        p = home.get(v, v)
+        for side in sides:
+            for x in side:
+                if x < n:  # made vertices come after the input's
+                    positions[x] = p
+    index = tree0.index
+    for rec in splits:
+        s = rec.terminal
+        x, top, sub = positions[s], tree0.tops[s], tree0.subtrees[s]
+        if index.below(top, x):
+            while x not in sub:
+                x = index.parent[x]
+        else:
+            x = top
+        positions[s] = x
+    return out_paths, positions

@@ -4,6 +4,7 @@ import pytest
 
 import treeflow.cli
 import treeflow.generator
+from treeflow import solve
 from treeflow.cli import main
 from treeflow.documents import serialize_instance
 from treeflow.errors import ContractViolation
@@ -64,10 +65,26 @@ def test_verify_rejects_corrupted_cut(tmp_path, instance_file):
     result = tmp_path / "r.json"
     main(["solve", str(instance_file), "--out", str(result)])
     doc = json.loads(result.read_text())
-    for entry in doc["certificate"]:
-        entry["cut"] = ["t"] if entry["cut"] == ["s"] else ["s"]
+    for entry in doc["positions"]:  # s and t swap ends of the tree edge
+        entry[1] = "v2" if entry[1] == "v1" else "v1"
     result.write_text(json.dumps(doc))
     assert main(["verify", str(instance_file), str(result)]) == 2
+
+
+# e1's result as per-edge documents carry it: one cut per tree edge
+E1_PER_EDGE = ('{"value":"6","certificate":[{"tree_arc":["v1","v2"],"cut":["s"]}],"stats":{"n":2},'
+               '"paths":[{"from":"s","to":"t","arcs":["a1"],"weight":2},'
+               '{"from":"t","to":"s","arcs":["a2"],"weight":1}]}')
+
+
+@pytest.mark.parametrize("cut, code", [(["s"], 0), ([], 2), (["s", "t"], 2)])
+def test_verify_reads_per_edge_documents(tmp_path, instance_file, cut, code):
+    # the cut as written verifies; moving t into it or s out of it does not
+    result = tmp_path / "r.json"
+    doc = json.loads(E1_PER_EDGE)
+    doc["certificate"][0]["cut"] = cut
+    result.write_text(json.dumps(doc))
+    assert main(["verify", str(instance_file), str(result)]) == code
 
 
 def test_no_paths_output_matches_value(tmp_path, instance_file, capsys):
@@ -179,8 +196,8 @@ def _forge_huge_weight(doc):
 
 
 def _forge_shadowed_entry(doc):
-    # an empty cut, listed before the solver's entry for the same arc
-    doc["certificate"].insert(0, {"tree_arc": ["v1", "v2"], "cut": []})
+    # a wrong position, listed before the solver's entry for the same vertex
+    doc["positions"].insert(0, ["s", "v2"])
 
 
 @pytest.mark.parametrize("forge, code", [
@@ -207,9 +224,13 @@ def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, c
 def test_verify_accepts_results_listing_both_arcs(tmp_path):
     # results once listed each cut's complement under the reverse arc too
     inst, result = tmp_path / "i.json", tmp_path / "r.json"
-    inst.write_text(serialize_instance(*generate_network(5, 12, 6, 2, 3)))
+    net, real = generate_network(5, 12, 6, 2, 3)
+    inst.write_text(serialize_instance(net, real))
     assert main(["solve", str(inst), "--out", str(result)]) == 0
     doc = json.loads(result.read_text())
+    del doc["positions"]  # the same cuts, per edge
+    doc["certificate"] = [{"tree_arc": list(arc), "cut": sorted(side)}
+                          for arc, side in solve(net, real).certificate.cuts.items()]
     vertices = json.loads(inst.read_text())["graph"]["vertices"]
     complements = [{"tree_arc": e["tree_arc"][::-1], "cut": [v for v in vertices if v not in e["cut"]]}
                    for e in doc["certificate"]]

@@ -17,7 +17,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeflow import TerminalPath, dual_value, mu_value, parse_instance
+from treeflow import TerminalPath, dual_value, mu_value, parse_instance, solve
 from treeflow.cli import main
 from treeflow.documents import format_rational
 from treeflow.generator import generate_instance
@@ -34,15 +34,30 @@ def _run(argv):
     return code, out.getvalue().strip()
 
 
+def _per_edge(doc, cuts):
+    """The result document with its positions written as per-edge cuts."""
+    del doc["positions"]
+    doc["certificate"] = [{"tree_arc": list(arc), "cut": sorted(side)} for arc, side in cuts.items()]
+
+
 def _mutate_result(doc, inst, data):
-    paths, cert = doc["paths"], doc["certificate"]
-    kind = data.draw(st.sampled_from(["weight", "drop-path", "duplicate-path", "swap-ends",
-                                      "replace-arc", "toggle-cut-vertex", "drop-cut",
-                                      "reverse-arc", "shift-value"]))
+    paths = doc["paths"]
+    kinds = ["weight", "drop-path", "duplicate-path", "swap-ends", "replace-arc", "shift-value"]
+    kinds += ["move-vertex", "drop-position"] if "positions" in doc else ["toggle-cut-vertex", "drop-cut",
+                                                                          "reverse-arc"]
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "shift-value":
         shift = data.draw(st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2)]))
         doc["value"] = format_rational(Fraction(doc["value"]) + shift)
+    elif kind in ("move-vertex", "drop-position"):
+        positions = doc["positions"]
+        i = data.draw(st.integers(0, len(positions) - 1))
+        if kind == "drop-position":
+            del positions[i]
+        else:
+            positions[i][1] = data.draw(st.sampled_from(inst["tree"]["vertices"]))
     elif kind in ("toggle-cut-vertex", "drop-cut", "reverse-arc"):
+        cert = doc["certificate"]
         if not cert:
             return
         i = data.draw(st.integers(0, len(cert) - 1))
@@ -93,8 +108,11 @@ def test_accepted_results_state_the_optimum(inst, data):
         assert _run(["solve", str(inst_file), "--out", str(result_file)])[0] == 0
         solved = result_file.read_text()
         assert _run(["verify", str(inst_file), str(result_file)])[0] == 0
+        cuts = solve(net, real).certificate.cuts
         for _variant in range(4):  # verifying is cheap next to solving
             doc = json.loads(solved)
+            if data.draw(st.booleans()):  # the per-edge form, as older documents carry it
+                _per_edge(doc, cuts)
             for _ in range(data.draw(st.integers(1, 3))):
                 _mutate_result(doc, inst, data)
             if data.draw(st.booleans()):

@@ -141,7 +141,28 @@ def test_result_round_trip(e1):
     assert value == out.value
     assert [(p.source, p.target, p.arcs, p.weight) for p in paths2] == \
            [(p.source, p.target, p.arcs, p.weight) for p in paths]
-    assert cert2.cuts == out.certificate.cuts
+    assert cert2.positions == out.certificate.positions
+
+
+def test_positions_round_trip_in_vertex_id_order_with_mixed_ids():
+    # an e1-like instance with int and str ids: the pairs come in vertex id
+    # order, and the parsed positions are the solve's and verify
+    from treeflow import verify_certificate
+    from treeflow.graphs import sort_key
+
+    vertices = [1, 10, "t", "x"]
+    net = Network(Digraph.build(vertices, [("a", 1, 10), ("b", 10, "t"), ("c", "t", "x"), ("d", "x", 1)]),
+                  (1, "t"), {"a": 2, "b": 2, "c": 1, "d": 1})
+    real = RealizationTree.build([0, "w"], [(0, "w", 3, 0)], {1: [0], "t": ["w"]})
+    out = solve(net, real)
+    paths = out.multiflow.to_paths(net)
+    text = serialize_result(out.value, paths, out.certificate, {})
+    assert [v for v, _p in json.loads(text)["positions"]] == sorted(vertices, key=sort_key)
+    _value, _paths, cert = parse_result(text)
+    assert cert.positions == out.certificate.positions
+    assert list(cert.positions) == list(out.certificate.positions)
+    assert verify_certificate(net, real, paths, cert) is None
+    assert out.certificate.cuts == {(0, "w"): frozenset([1])}
 
 
 def test_certificate_sides_serialize_in_id_order_with_mixed_ids():

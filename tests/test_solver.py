@@ -126,8 +126,12 @@ def test_decompose_runs_only_on_max_flows(case, request, monkeypatch):
 def test_base_two_direct(e1):
     net, real = e1
     inet, tree_ids, tree, _length = intern_instance(net, real)
-    paths, cuts = _external(inet.graph.ids, tree_ids, *base_two_vertices(inet, tree, SolveStats()))
-    assert cuts[("v1", "v2")] == frozenset(["s"])
+    paths, placed = base_two_vertices(inet, tree, SolveStats())
+    # the cut side {s} at v1, the rest at v2
+    num, tnum = inet.graph.ids.number, tree_ids.number
+    assert placed == {tnum["v1"]: [frozenset([num["s"]])], tnum["v2"]: [frozenset([num["t"]])]}
+    paths, positions = _external(inet.graph.ids, tree_ids, paths, [tnum["v1"], tnum["v2"]])
+    assert positions == {"s": "v1", "t": "v2"}
     assert paths == [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
 
 

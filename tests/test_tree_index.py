@@ -10,22 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tree as ref
+from builders import tree_parents
 from treeflow import (ContractViolation, InputError, RealizationTree, choose_balanced_edge, classify_terminal,
                       mu, pi_set, tree_distance)
 
 LENGTHS = [0, 0, 1, 3, Fraction(1, 2), Fraction(7, 3)]
-
-
-def _parents(rng, shape, n):
-    """parent[i] < i of every vertex i > 0."""
-    if shape == "path":
-        return [i - 1 for i in range(n)]
-    if shape == "caterpillar":
-        spine = rng.randint(1, n)
-        return [i - 1 if i < spine else rng.randrange(spine) for i in range(n)]
-    if shape == "spider":  # each vertex starts a new leg at the centre 0 or extends the last one
-        return [0 if i == 1 or rng.random() < 0.3 else i - 1 for i in range(n)]
-    return [rng.randrange(i) if i else -1 for i in range(n)]
 
 
 def _subtree(rng, adj, n):
@@ -44,7 +33,7 @@ def trees(draw):
     vertex ids are shuffled, so the root, the lowest id, falls anywhere."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(2, 40))
-    parent = _parents(rng, draw(st.sampled_from(["path", "caterpillar", "spider", "random"])), n)
+    parent = tree_parents(rng, draw(st.sampled_from(["path", "caterpillar", "spider", "random"])), n)
     names = [f"v{i}" for i in rng.sample(range(n), n)]
     adj = {i: set() for i in range(n)}
     edges = []
@@ -71,10 +60,15 @@ def test_tree_queries_match_the_walks(case):
         for y in names:
             assert tree_distance(real, x, y) == ref.tree_distance(real, x, y)
     table = ref.sides(real)
+    tree = real._int
+    num = real._ids.number
     for a in real.arc_length:
         assert real.component_without_edge(*a) == table[a]
         pi = pi_set(real, terms, a)
-        assert (pi.tail_side_terminals, pi.head_side_terminals) == ref.pi_set(real, terms, a, table)
+        tail, head = ref.pi_set(real, terms, a, table)
+        assert (pi.tail_side_terminals, pi.head_side_terminals) == (tail, head)
+        # the counted cut-edge table, keyed by the edge's end below the other
+        assert (tree.index.lower(num[a[0]], num[a[1]]) in tree.separating) == bool(tail and head)
     assert _outcome(choose_balanced_edge, real) == _outcome(ref.choose_balanced_edge, real)
 
 
