@@ -67,8 +67,8 @@ class Certificate:
     """
 
     positions: Optional[Dict[Hashable, TreeVertex]]
-    _cuts: Optional[Dict[TreeArc, frozenset]] = field(repr=False)
-    _tree: Optional[Tuple[RealizationTree, tuple]] = field(repr=False, compare=False)
+    _cuts: Optional[Dict[TreeArc, frozenset]]
+    _tree: Optional[Tuple[RealizationTree, tuple]] = field(compare=False)
 
     def __init__(self, cuts: Optional[Dict[TreeArc, frozenset]] = None,
                  positions: Optional[Dict[Hashable, TreeVertex]] = None,
@@ -76,6 +76,11 @@ class Certificate:
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "_cuts", cuts)
         object.__setattr__(self, "_tree", None if real is None else (real, tuple(terminals)))
+
+    def __repr__(self):
+        if self.positions is None:
+            return f"Certificate(cuts={self._cuts!r})"
+        return f"Certificate(positions={self.positions!r})"
 
     @cached_property
     def cuts(self) -> Dict[TreeArc, frozenset]:

@@ -1042,13 +1042,15 @@ def _undo_normalization(tree0: IntTree, splits: List[SplitRecord], home: Dict[in
             continue
         out_paths.append((s, t, arcs, w))
 
-    positions = [0] * n
+    positions: List[Optional[int]] = [None] * n
     for v, sides in placed.items():
         p = home.get(v, v)
         for side in sides:
             for x in side:
                 if x < n:  # made vertices come after the input's
                     positions[x] = p
+    if None in positions:
+        raise ContractViolation(f"no placement for input vertex {positions.index(None)}")
     index = tree0.index
     for rec in splits:
         s = rec.terminal

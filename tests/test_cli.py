@@ -195,9 +195,16 @@ def _forge_huge_weight(doc):
     doc["paths"][0]["weight"] = HUGE
 
 
-def _forge_shadowed_entry(doc):
+def _forge_shadowed_position(doc):
     # a wrong position, listed before the solver's entry for the same vertex
     doc["positions"].insert(0, ["s", "v2"])
+
+
+def _forge_shadowed_entry(doc):
+    # an empty cut, listed before the real entry for the same arc
+    del doc["positions"]
+    doc["certificate"] = [{"tree_arc": ["v1", "v2"], "cut": []},
+                          *json.loads(E1_PER_EDGE)["certificate"]]
 
 
 @pytest.mark.parametrize("forge, code", [
@@ -206,6 +213,7 @@ def _forge_shadowed_entry(doc):
     (_forge_cancelling_pair, 2),
     (_forge_list_endpoint, 1),
     (_forge_huge_weight, 1),
+    (_forge_shadowed_position, 1),
     (_forge_shadowed_entry, 1),
 ])
 def test_verify_rejects_forged_results(tmp_path, instance_file, capsys, forge, code):

@@ -142,6 +142,12 @@ def test_result_round_trip(e1):
     assert [(p.source, p.target, p.arcs, p.weight) for p in paths2] == \
            [(p.source, p.target, p.arcs, p.weight) for p in paths]
     assert cert2.positions == out.certificate.positions
+    # a certificate of per-edge cuts, as older results carry, round-trips too
+    from treeflow.certify import Certificate
+    text = serialize_result(out.value, paths, Certificate(out.certificate.cuts), {"n": 2})
+    _value, _paths, cert3 = parse_result(text)
+    assert cert3.positions is None
+    assert cert3.cuts == out.certificate.cuts == {("v1", "v2"): frozenset(["s"])}
 
 
 def test_positions_round_trip_in_vertex_id_order_with_mixed_ids():

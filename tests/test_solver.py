@@ -31,6 +31,7 @@ from treeflow.solver import (
     base_two_vertices,
     repair_three_leaves,
     _external,
+    _undo_normalization,
 )
 
 from builders import make_net, make_real
@@ -133,6 +134,19 @@ def test_base_two_direct(e1):
     paths, positions = _external(inet.graph.ids, tree_ids, paths, [tnum["v1"], tnum["v2"]])
     assert positions == {"s": "v1", "t": "v2"}
     assert paths == [TerminalPath("s", "t", ("a1",), 2), TerminalPath("t", "s", ("a2",), 1)]
+
+
+def test_undo_rejects_an_unplaced_vertex(e1):
+    # a placement that leaves t out is a solver fault, not tree vertex 0
+    net, real = e1
+    inet, tree_ids, tree, _length = intern_instance(net, real)
+    paths, placed = base_two_vertices(inet, tree, SolveStats())
+    _paths, positions = _undo_normalization(tree, [], {}, paths, placed, 2)
+    assert sorted(positions) == sorted(tree_ids.number.values())
+    t = inet.graph.ids.number["t"]
+    placed = {v: [side - {t} for side in sides] for v, sides in placed.items()}
+    with pytest.raises(ContractViolation, match="no placement"):
+        _undo_normalization(tree, [], {}, paths, placed, 2)
 
 
 def test_base_two_ignores_whole_tree_terminal():
