@@ -5,7 +5,7 @@ certificates."""
 __version__ = "0.1.0"
 
 from .errors import InputError, ContractViolation, TreeflowError
-from .graphs import Arc, Cut, Digraph, Network, TerminalPath, cut_capacity, divergence, is_eulerian_at
+from .graphs import Arc, Cut, Digraph, Network, TerminalPath, cut_capacity
 from .flows import decompose, lex_max_flow, max_flow, min_cut_source_side
 from .realization import (
     PiSet,
@@ -30,8 +30,8 @@ __all__ = [
     "Multiflow", "Network", "PiSet", "RealizationTree", "SolveOutput",
     "SolveStats", "TerminalPath", "TreeflowError", "check_feasible",
     "choose_balanced_edge", "classify_terminal", "cut_capacity",
-    "decompose", "divergence", "dual_value", "free_imf", "generate_instance",
-    "generate_network", "is_eulerian_at", "lex_max_flow", "max_flow",
+    "decompose", "dual_value", "free_imf", "generate_instance",
+    "generate_network", "lex_max_flow", "max_flow",
     "min_cut_source_side", "mu", "mu_value", "normalize", "parse_instance",
     "parse_result", "pi_set", "serialize_instance", "serialize_result", "solve",
     "split_linear_terminal", "tree_distance", "validate_instance", "verify_certificate",

@@ -247,29 +247,6 @@ class Cut:
             raise InputError("cut side must be a nonempty proper vertex subset", code="invalid-cut")
 
 
-def divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
-    """Net outflow of f at v: f over out-arcs minus f over in-arcs.  An
-    id in f that net.capacity lacks is an InputError; loops have one."""
-    for a in f:
-        if a not in net.capacity:
-            raise InputError(f"unknown arc {a!r}", code="dangling-reference")
-    return _divergence(net, f, v)
-
-
-def _divergence(net: Network, f: Mapping[ArcId, int], v: VertexId) -> int:
-    g = net.graph.index
-    k = g.ids.number.get(v)
-    if k is None:
-        raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
-    arc_ids = g.ids.arc_ids
-    return sum(-f.get(arc_ids[e >> 1], 0) if e & 1 else f.get(arc_ids[e >> 1], 0) for e in g.adj[k])
-
-
-def is_eulerian_at(net: Network, v: VertexId) -> bool:
-    """True iff capacity into v equals capacity out of v."""
-    return _divergence(net, net.capacity, v) == 0
-
-
 def unbalanced(net: Network) -> Iterator[VertexId]:
     """The vertices whose capacity in and out differ, in id order, summed
     on the index's arc arrays."""

@@ -630,7 +630,9 @@ class Reduction:
                     self.subs[t] = {v2}
 
     def _bound_degrees(self) -> None:
-        """C4: split vertices of degree four or more, two neighbours staying."""
+        """C4: split vertices of degree four or more, two neighbours staying.
+        A moved edge keeps its arcs' lengths and origin lists, now keyed by
+        the new vertex."""
         adj = self.adj
         queue = [v for v in sorted(adj) if len(adj[v]) >= 4]
         for v in queue:  # a split changes no other degree, and its new vertex numbers last
@@ -641,8 +643,9 @@ class Reduction:
                 adj[w].remove(v)
                 adj[w].add(v2)
                 adj[v2].add(w)
-                self._join([(v, w)], (v2, w))
-                self._join([(w, v)], (w, v2))
+                for old, new in (((v, w), (v2, w)), ((w, v), (w, v2))):
+                    self.length[new] = self.length.pop(old)
+                    self.origin[new] = self.origin.pop(old)
             for sub in self.subs.values():
                 if v in sub and not sub.isdisjoint(moved):
                     sub.add(v2)

@@ -621,13 +621,40 @@ def _extract(f: Dict[int, int], graph: IntGraph, src: int, dst: int, amount: int
     return taken
 
 
-def _minimal_terminal_cuts(net: IntNetwork, groups: Sequence[Sequence[int]],
-                           stats: SolveStats) -> List[Tuple[frozenset, List[int]]]:
+def _minimal_terminal_cuts(net: IntNetwork, groups: Sequence[Sequence[int]], stats: SolveStats,
+                           known: frozenset = frozenset()) -> List[Tuple[frozenset, List[int]]]:
     """Each terminal group's inclusion-minimal minimum cut side against the
     other groups, disjoint for inner-Eulerian nets, with the max flow from
-    the whole group that found it."""
-    cuts = [_cut(net, group, [u for j, other in enumerate(groups) if j != i for u in other], stats)
-            for i, group in enumerate(groups)]
+    the whole group that found it.
+
+    A group [z] with z in known, a contraction vertex of a partition step
+    above, in a star whose terminals are all simple, takes the side {z}
+    with no max flow, and a flow that fills z's out-arcs, the only part of
+    it that repair_three_leaves reads.  Say the step cut at the minimum
+    cut x1, and child 1 keeps x1, with z for the rest.  Let Y be a set of
+    non-terminals of x1, which have zero divergence.  Then x1 - Y still
+    separates the step's terminal groups, so d+(x1 - Y) >= d+(x1), and
+    removing Y keeps the divergence sum, so d-(x1 - Y) >= d-(x1).  In the
+    child, d+({z} + Y) = d-(x1 - Y) >= d-(x1) = d+({z}).  Child 2 keeps the
+    rest, with z for x1, and d+({z} + Y) = d+(x1 + Y) >= d+(x1) = d+({z}).
+    So {z} is a minimum cut of z, and as a singleton the minimal one.
+    Below the step, partitions contract only sets that miss z and Y, and
+    the direct arcs split off leave {z} and {z} + Y alike, so the bound
+    holds in the star.  There every vertex but z that z's side can hold
+    is such a Y, since every terminal is in a group.  A complex or
+    zero-distance terminal is in none and may have divergence, so its
+    star passes no known.
+    """
+    cuts = []
+    for i, group in enumerate(groups):
+        if len(group) == 1 and group[0] in known:
+            f = [0] * len(net.cap)
+            for e in net.graph.adj[group[0]]:
+                if not e & 1:
+                    f[e >> 1] = net.cap[e >> 1]
+            cuts.append((frozenset(group), f))
+        else:
+            cuts.append(_cut(net, group, [u for j, other in enumerate(groups) if j != i for u in other], stats))
     for i, (a, _f) in enumerate(cuts):
         for b, _g in cuts[i + 1:]:
             if a & b:
@@ -795,7 +822,7 @@ def repair_three_leaves(net: IntNetwork, group: Sequence[int], side: frozenset, 
     return new_side, _numbered(g, forward), _numbered(g, backward)
 
 
-def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
+def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats, known: frozenset):
     """Star tree (two or three leaves): a free multiflow on the leaf terminals.
 
     The simple terminals on one leaf have distance zero to each other, so
@@ -805,7 +832,9 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     cut flow until it expels it, so its cut already separates correctly;
     the other regions run no max flow.  Each leaf's side is placed at the
     leaf and every other vertex at the center; the sides are disjoint, as
-    _minimal_terminal_cuts checks and a repair only shrinks a side.
+    _minimal_terminal_cuts checks and a repair only shrinks a side.  Where
+    every terminal is simple, a lone contraction vertex of a step above
+    (known) takes its side {z} without a max flow.
     """
     adj = tree.index.adj
     leaves = [v for v in sorted(adj) if len(adj[v]) == 1]
@@ -832,7 +861,8 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats):
     leaves = [leaves[i] for i in order]
     groups = [groups[i] for i in order]
 
-    cuts = _minimal_terminal_cuts(net, groups, stats)
+    simple = all(len(sub) == 1 for sub in tree.subtrees.values())
+    cuts = _minimal_terminal_cuts(net, groups, stats, known if simple else frozenset())
     # complex terminals trapped in a leaf's cut whose subtree misses that leaf
     misplaced = {}
     for i, leaf in enumerate(leaves):
@@ -888,7 +918,7 @@ def aggregate(net: IntNetwork, paths1: List[Path], paths2: List[Path],
             + _join_on_arc(into[z1], out_of[z2]))
 
 
-def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, depth: int):
+def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, depth: int, known: frozenset):
     """Split at a balanced tree edge along a minimum terminal-group cut.
 
     Each child places its vertices in its tree, which is one side of the
@@ -898,7 +928,9 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
     other edge, and the edge's own cut becomes x1.  Each lifted child cut
     stays as it was, since the contraction vertex of child 1, a simple
     terminal at v2, lies on v2's side of every child-1 cut, and every
-    vertex of x2 now lies there too (and the same for child 2).
+    vertex of x2 now lies there too (and the same for child 2).  Each
+    child adds its contraction vertex to the known ones it passes down
+    (_minimal_terminal_cuts).
     """
     v1, v2 = edge
     side1 = tree.component_without_edge(v1, v2)
@@ -918,8 +950,8 @@ def partition_step(net: IntNetwork, tree: IntTree, edge, stats: SolveStats, dept
     tree2 = _contract_tree(tree, side2, v1, x2, z1)
 
     # each child network lives only while its own recursion runs
-    paths1, placed1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1)
-    paths2, placed2 = _solve_rec(contract(net, {z1: x1}), tree2, stats, depth + 1)
+    paths1, placed1 = _solve_rec(contract(net, {z2: x2}), tree1, stats, depth + 1, known | {z2})
+    paths2, placed2 = _solve_rec(contract(net, {z1: x1}), tree2, stats, depth + 1, known | {z1})
 
     paths = aggregate(net, paths1, paths2, x1, z2, z1)
 
@@ -951,7 +983,7 @@ def _contract_tree(tree: IntTree, keep_side: frozenset, anchor: int,
 # -- recursion and public entry ---------------------------------------------
 
 
-def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
+def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int, known: frozenset):
     """Paths and vertex placement of one level.  First every positive arc
     a, of capacity c, from a simple terminal x to a simple terminal y (one
     tree vertex each) leaves the network as its own one-arc path.  This
@@ -963,6 +995,7 @@ def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
     separates them, and then the one-arc path fills a: every certificate
     cut of N - a stays valid in N.  Contraction vertices are simple
     terminals, so arcs that jump over a child network leave it here.
+    known holds the contraction vertices of the partition steps above.
     """
     stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(tree.vertices) == 1:
@@ -971,11 +1004,11 @@ def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int):
     net, direct = split_off(net, {t for t, sub in tree.subtrees.items() if len(sub) == 1})
     edge = choose_balanced_edge(tree)
     if edge is not None:
-        paths, placed = partition_step(net, tree, edge, stats, depth)
+        paths, placed = partition_step(net, tree, edge, stats, depth, known)
     elif len(tree.vertices) == 2:
         paths, placed = base_two_vertices(net, tree, stats)
     else:
-        paths, placed = base_three_leaves(net, tree, stats)
+        paths, placed = base_three_leaves(net, tree, stats, known)
     return direct + paths, placed
 
 
@@ -995,7 +1028,7 @@ def solve(net: Network, real: RealizationTree) -> SolveOutput:
     inet, tree_ids, tree, length = intern_instance(net, real)
     reduction = Reduction(inet, tree_ids, tree, length)
     reduction.run()
-    paths, placed = _solve_rec(reduction.network(), reduction.tree(), stats, 0)
+    paths, placed = _solve_rec(reduction.network(), reduction.tree(), stats, 0, frozenset())
     paths, positions = _undo_normalization(tree, reduction.splits, reduction.home, paths, placed,
                                            len(inet.graph.vertices))
     paths, positions = _external(inet.graph.ids, tree_ids, paths, positions)

@@ -1,6 +1,6 @@
 """Short constructors for hand-written test instances."""
 
-from treeflow import Digraph, Network, RealizationTree
+from treeflow import Digraph, InputError, Network, RealizationTree
 
 
 def make_net(vertices, arcs, terminals, caps):
@@ -22,3 +22,18 @@ def tree_parents(rng, shape, n):
     if shape == "spider":  # each vertex starts a new leg at the centre 0 or extends the last one
         return [0 if i == 1 or rng.random() < 0.3 else i - 1 for i in range(n)]
     return [rng.randrange(i) if i else -1 for i in range(n)]
+
+
+def divergence(net, f, v):
+    """Net outflow of the arc function f (arc id -> amount) at vertex v: f
+    over v's out-arcs minus f over its in-arcs, read from the graph index's
+    half-arcs.  An arc id or a vertex that net lacks is an InputError."""
+    for a in f:
+        if a not in net.capacity:
+            raise InputError(f"unknown arc {a!r}", code="dangling-reference")
+    g = net.graph.index
+    k = g.ids.number.get(v)
+    if k is None:
+        raise InputError(f"unknown vertex {v!r}", code="dangling-reference")
+    arc_ids = g.ids.arc_ids
+    return sum(-f.get(arc_ids[e >> 1], 0) if e & 1 else f.get(arc_ids[e >> 1], 0) for e in g.adj[k])

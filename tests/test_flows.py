@@ -11,7 +11,6 @@ from treeflow import (
     Network,
     TerminalPath,
     decompose,
-    divergence,
     lex_max_flow,
     max_flow,
     min_cut_source_side,
@@ -22,7 +21,7 @@ from treeflow.indexed import intern
 
 import reference_decompose
 import reference_kernel
-from builders import make_net
+from builders import divergence, make_net
 
 
 def paths_to_arc_function(paths):
@@ -389,7 +388,6 @@ def test_complement_flow_on_balanced_inner(net):
     s, t = verts[0], verts[-1]
     caps = dict(net.capacity)
     # rebalance interior vertices by adding a return arc through t..s chain
-    from treeflow import divergence
     inner = [v for v in verts if v not in (s, t)]
     arcs = [(a.id, a.tail, a.head) for a in net.graph.arcs]
     k = 0

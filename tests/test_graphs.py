@@ -10,15 +10,13 @@ from treeflow import (
     InputError,
     Multiflow,
     cut_capacity,
-    divergence,
-    is_eulerian_at,
     validate_instance,
 )
-from treeflow.graphs import boundary, sort_key
+from treeflow.graphs import boundary, sort_key, unbalanced
 from treeflow.indexed import contract, intern
 from treeflow.realization import ValidationIssue
 
-from builders import make_net, make_real
+from builders import divergence, make_net, make_real
 from test_contract import live_arcs, live_positions
 
 
@@ -51,9 +49,8 @@ def test_eulerian_checks():
     net = make_net(["u", "v", "w", "z"],
                    [("e1", "u", "v"), ("e2", "v", "w"), ("e3", "w", "u"), ("e4", "u", "w")],
                    ["u"], {"e1": 1, "e2": 1, "e3": 1, "e4": 2})
-    assert is_eulerian_at(net, "v")
-    assert not is_eulerian_at(net, "w")  # in 3, out 1
-    assert is_eulerian_at(net, "z")  # no incident arcs
+    # u: in 1, out 3; w: in 3, out 1; v balanced; z has no incident arcs
+    assert list(unbalanced(net)) == ["u", "w"]
 
 
 def test_cut_capacity_two_vertices():

@@ -1,7 +1,8 @@
 """Normalization's fixed order against the round loop it replaced
-(reference_normalize.py), over random trees of 2 to 12 vertices with
-lengths 0, 1, 2 and 1/2 and simple, linear and complex terminals, and
-the two cases the order's argument rests on."""
+(reference_normalize.py), over random trees of 2 to 12 vertices and
+stars and hubs of 5 to 41, with lengths 0, 1, 2 and 1/2 and simple,
+linear and complex terminals, and the two cases the order's argument
+rests on."""
 
 import random
 from fractions import Fraction
@@ -27,12 +28,18 @@ def _subtree(rng, adj, n):
     return grown
 
 
-def _instance(rng, n):
+def _instance(rng, n, hubs=0):
     """A tree of n vertices with shuffled ids and a network of its
-    terminals, with random arcs between them.  About half the subtrees of
-    two vertices or more get length zero in one direction on every edge,
-    so many are linear."""
-    parent = [-1] + [rng.randrange(i) if rng.random() < 0.5 else i - 1 for i in range(1, n)]
+    terminals, with random arcs between them.  With hubs, most vertices
+    hang off one of the first hubs vertices, so those have high degree;
+    otherwise each vertex hangs off a random earlier one or the one just
+    before it.  About half the subtrees of two vertices or more get length
+    zero in one direction on every edge, so many are linear."""
+    if hubs:
+        parent = [-1] + [rng.randrange(min(i, hubs)) if rng.random() < 0.9 else rng.randrange(i)
+                         for i in range(1, n)]
+    else:
+        parent = [-1] + [rng.randrange(i) if rng.random() < 0.5 else i - 1 for i in range(1, n)]
     names = [f"v{i}" for i in rng.sample(range(n), n)]
     adj = {i: set() for i in range(n)}
     length = {}
@@ -49,6 +56,10 @@ def _instance(rng, n):
                     if w in sub and u < w:
                         length[(u, w) if rng.random() < 0.5 else (w, u)] = 0
         subtrees[f"t{k}"] = [names[x] for x in sub]
+    if hubs:  # simple terminals on most leaves, so that C2 leaves the hubs' degrees high
+        for x in range(n):
+            if len(adj[x]) == 1 and rng.random() < 0.8:
+                subtrees[f"p{x}"] = [names[x]]
     edges = [(names[u], names[w], length[(u, w)], length[(w, u)]) for (u, w) in length if u < w]
     terms = list(subtrees)
     rng.shuffle(terms)
@@ -66,15 +77,39 @@ def _state(red):
             sorted(g.vertices), g.arcs, g.tail, g.head, net.cap)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.randoms(use_true_random=False), st.integers(2, 12))
-def test_the_fixed_order_matches_the_round_loop(rng, n):
-    net, real = _instance(rng, n)
+def _assert_the_orders_agree(net, real):
     red, old = Reduction(*intern_instance(net, real)), Reduction(*intern_instance(net, real))
     red.run()
     ref.run(old)
     assert _state(red) == _state(old)
     assert not ref.one_round(red)  # the loop finds nothing left to do
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(2, 12))
+def test_the_fixed_order_matches_the_round_loop(rng, n):
+    _assert_the_orders_agree(*_instance(rng, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(5, 41), st.integers(1, 3))
+def test_the_fixed_order_matches_the_round_loop_on_hubs(rng, n, hubs):
+    # stars and hubs of degree 4 to 40, which C4 splits many times over
+    _assert_the_orders_agree(*_instance(rng, n, hubs))
+
+
+def test_hubs_reach_the_degree_split_with_high_degree():
+    # the degree C4 first meets, after C1 to C3, on single hubs of 40 neighbours
+    rng = random.Random(1)
+    degrees = []
+    for _ in range(20):
+        red = Reduction(*intern_instance(*_instance(rng, 41, 1)))
+        for s in sorted(red.subs):
+            red.split(s)
+        red._drop_bare_leaves()
+        red._move_simple_terminals()
+        degrees.append(max(map(len, red.adj.values())))
+    assert min(degrees) >= 20 and max(degrees) >= 30
 
 
 def test_the_instances_need_the_second_split():

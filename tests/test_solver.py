@@ -12,7 +12,6 @@ from treeflow import (
     Multiflow,
     TerminalPath,
     check_feasible,
-    divergence,
     dual_value,
     free_imf,
     max_flow,
@@ -34,7 +33,7 @@ from treeflow.solver import (
     _undo_normalization,
 )
 
-from builders import make_net, make_real
+from builders import divergence, make_net, make_real
 
 
 def assert_solution_checks(net, real, out):
@@ -724,7 +723,7 @@ def test_walk_work_does_not_grow_with_capacities(monkeypatch):
             assert out.value == dual_value(net, real), (seed, scale)
             maxflows += out.stats.maxflow_calls
         work[scale] = (walks[0], maxflows, fallbacks[0])
-    assert work[10**3] == work[10**6] == (575, 1437, 6)
+    assert work[10**3] == work[10**6] == (575, 1301, 6)
 
 
 def test_certificate_is_length_independent():
@@ -759,33 +758,36 @@ def test_certificate_is_length_independent():
 # per leaf region while regions were contracted networks with their own
 # flow; expanded from the max flows that found their cuts, only a region
 # that expels a misplaced terminal runs one, which continues its cut flow
-# (a fresh two-phase flow, counted as two, until that continued it).
+# (a fresh two-phase flow, counted as two, until that continued it).  A
+# star whose terminals are all simple runs none for the cut of a lone
+# contraction vertex, which is that vertex alone; this lowered every seed
+# with a partition step but 100 (seed 25 from 33 to 29 max flows).
 PINNED_WORK = {
-    25: ('130', 33, 3),
-    50: ('42', 18, 2),
-    75: ('43', 29, 4),
+    25: ('130', 29, 3),
+    50: ('42', 15, 2),
+    75: ('43', 24, 4),
     100: ('113/2', 11, 1),
-    125: ('107/2', 17, 2),
-    150: ('16', 18, 2),
+    125: ('107/2', 15, 2),
+    150: ('16', 15, 2),
     175: ('35', 6, 0),
-    200: ('300', 31, 4),
-    225: ('14', 13, 1),
+    200: ('300', 25, 4),
+    225: ('14', 11, 1),
     250: ('6', 1, 0),
-    275: ('43/2', 18, 2),
-    300: ('307/2', 34, 3),
-    325: ('70', 13, 1),
+    275: ('43/2', 15, 2),
+    300: ('307/2', 26, 3),
+    325: ('70', 11, 1),
     350: ('37', 4, 0),
-    375: ('83/2', 20, 2),
+    375: ('83/2', 17, 2),
     400: ('14', 1, 0),
-    425: ('20', 18, 2),
-    450: ('2', 11, 1),
-    475: ('38', 11, 1),
+    425: ('20', 16, 2),
+    450: ('2', 10, 1),
+    475: ('38', 10, 1),
     500: ('195', 6, 0),
-    239: ('41/2', 144, 2),
-    416: ('23', 91, 2),
+    239: ('41/2', 141, 2),
+    416: ('23', 89, 2),
     493: ('4', 54, 0),
-    124: ('55', 32, 3),
-    215: ('219/2', 55, 4),
+    124: ('55', 26, 3),
+    215: ('219/2', 41, 4),
 }
 
 
