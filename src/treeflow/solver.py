@@ -2,9 +2,11 @@
 
 The algorithm normalizes the realization, then recurses.  Each level
 first returns every positive arc between two simple terminals as its own
-one-arc path (_solve_rec).  Then, while the tree has an edge with two
-non-leaf endpoints, it splits the instance at a minimum cut between the
-two terminal groups, solves both contractions, and glues the results.
+one-arc path (_solve_rec).  A level left with no arc then returns at
+once, each terminal placed in its subtree and every other vertex at one
+tree vertex.  Any other level whose tree has an edge with two non-leaf
+endpoints splits the instance at a minimum cut between the two terminal
+groups, solves both contractions, and glues the results.
 Otherwise the tree is a single edge or a small star, handled by direct
 flow constructions.  Every level returns its flow as weighted (source,
 target, arcs, weight) tuples of numbers, glued on the cut's boundary
@@ -60,6 +62,13 @@ Placement = Dict[int, List[frozenset]]
 
 @dataclass
 class SolveStats:
+    """Work of one solve.  maxflow_calls counts the max flows the
+    recursion runs: partition cuts, star cuts, free-core bulk flows,
+    region repairs and splitting trials.  recursion_depth is the deepest
+    partition level that ran a partition step or a base case, the top
+    level being 0.  A level left with no arc returns at once and adds to
+    neither.  wall_ms is the wall time of the whole solve."""
+
     maxflow_calls: int = 0
     recursion_depth: int = 0
     wall_ms: float = 0.0
@@ -996,12 +1005,31 @@ def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int, kn
     cut of N - a stays valid in N.  Contraction vertices are simple
     terminals, so arcs that jump over a child network leave it here.
     known holds the contraction vertices of the partition steps above.
+
+    A level left with no live arc returns at once: its paths are the
+    direct arcs, each terminal goes to the lowest-numbered vertex of its
+    subtree (a simple terminal to its own vertex), and every other vertex
+    to the tree's lowest-numbered vertex.  With no arc there is no path,
+    and every cut of the level is saturated.  A terminal placed in its
+    subtree lies on the correct side of every tree arc whose pair set
+    holds it, and the direct-arc argument above needs only that simple
+    terminals sit at their own vertex.  In partition_step's merge, a
+    terminal placed at the anchor moves to the near end, which lies in
+    the terminal's subtree whenever the subtree crosses the partition
+    edge.  A vertex with no live arc here has no arc in the input unless
+    it is a simple terminal, so the tree's lowest-numbered vertex
+    receives only vertices isolated in the input.
     """
-    stats.recursion_depth = max(stats.recursion_depth, depth)
     if len(tree.vertices) == 1:
         (v,) = tree.vertices
         return [], {v: [net.graph.vertices]}
     net, direct = split_off(net, {t for t, sub in tree.subtrees.items() if len(sub) == 1})
+    if not net.graph.live:
+        placed: Placement = {min(tree.vertices): [net.graph.vertices.difference(tree.subtrees)]}
+        for t, sub in tree.subtrees.items():
+            placed.setdefault(min(sub), []).append(frozenset({t}))
+        return direct, placed
+    stats.recursion_depth = max(stats.recursion_depth, depth)
     edge = choose_balanced_edge(tree)
     if edge is not None:
         paths, placed = partition_step(net, tree, edge, stats, depth, known)

@@ -1,6 +1,7 @@
 """Short constructors for hand-written test instances."""
 
 from treeflow import Digraph, InputError, Network, RealizationTree
+from treeflow.generator import LENGTH_PALETTE
 
 
 def make_net(vertices, arcs, terminals, caps):
@@ -22,6 +23,22 @@ def tree_parents(rng, shape, n):
     if shape == "spider":  # each vertex starts a new leg at the centre 0 or extends the last one
         return [0 if i == 1 or rng.random() < 0.3 else i - 1 for i in range(n)]
     return [rng.randrange(i) if i else -1 for i in range(n)]
+
+
+def shaped_tree(rng, shape, n):
+    """An n-vertex tree of the given shape (tree_parents), on the vertices
+    p0 to p{n-1}: their names, adjacency sets and edges (u, v, length,
+    back length), each length drawn from LENGTH_PALETTE."""
+    parent = tree_parents(rng, shape, n)
+    tnames = [f"p{i}" for i in range(n)]
+    adjacency = {v: set() for v in tnames}
+    edges = []
+    for i in range(1, n):
+        u, v = tnames[parent[i]], tnames[i]
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        edges.append((u, v, rng.choice(LENGTH_PALETTE), rng.choice(LENGTH_PALETTE)))
+    return tnames, adjacency, edges
 
 
 def divergence(net, f, v):

@@ -9,9 +9,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import make_net, make_real, tree_parents
+from builders import make_net, make_real, shaped_tree
 from treeflow import Certificate, TerminalPath, solve, verify_certificate
-from treeflow.generator import LENGTH_PALETTE, random_connected_subtree, superpose_walks
+from treeflow.generator import random_connected_subtree, superpose_walks
 
 MUTANTS = ["none", "moved-vertex", "terminal-outside", "lowered-path"]
 
@@ -21,15 +21,7 @@ def shaped_instance(rng, shape):
     distinct tree vertices, the open walks between them, and complex
     terminals, balanced by the closed walks alone."""
     n_tree = rng.randint(2, 12)
-    parent = tree_parents(rng, shape, n_tree)
-    tnames = [f"p{i}" for i in range(n_tree)]
-    adjacency = {v: set() for v in tnames}
-    edges = []
-    for i in range(1, n_tree):
-        u, v = tnames[parent[i]], tnames[i]
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        edges.append((u, v, rng.choice(LENGTH_PALETTE), rng.choice(LENGTH_PALETTE)))
+    tnames, adjacency, edges = shaped_tree(rng, shape, n_tree)
     vertices = [f"x{i}" for i in range(rng.randint(6, 14))]
     n_simple = rng.randint(2, min(4, n_tree))
     n_complex = rng.randint(0, 2)
