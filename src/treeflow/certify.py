@@ -355,12 +355,14 @@ def dual_value(net: Network, real: RealizationTree) -> Fraction:
 
     Each arc with nonempty pair set A x B contributes its length times
     the minimum capacity of an (A, B)-cut, found by one max-flow run on
-    the network, numbered once for all of them.  For valid instances
-    this equals the optimal distance-weighted value, which makes it the
-    testing oracle for the solver.
+    the network, numbered once for all of them.  Arcs with the same A and
+    B share one run, since their minimum cuts are the same.  For valid
+    instances this equals the optimal distance-weighted value, which
+    makes it the testing oracle for the solver.
     """
     inet = intern(net)
     num = inet.graph.ids.number
+    cut: Dict[Tuple[frozenset, frozenset], int] = {}
     total = Fraction(0)
     for a, ell in real.arc_length.items():
         if ell == 0:
@@ -368,7 +370,8 @@ def dual_value(net: Network, real: RealizationTree) -> Fraction:
         pi = pi_set(real, net.terminals, a)
         if pi.empty:
             continue
-        _flow, value = max_flow(inet, [num[s] for s in pi.tail_side_terminals],
-                                [num[t] for t in pi.head_side_terminals])
-        total += ell * value
+        key = (pi.tail_side_terminals, pi.head_side_terminals)
+        if key not in cut:
+            cut[key] = max_flow(inet, [num[s] for s in key[0]], [num[t] for t in key[1]])[1]
+        total += ell * cut[key]
     return total

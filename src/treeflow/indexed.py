@@ -240,14 +240,16 @@ def contract(net: IntNetwork, groups: Mapping[int, Collection[int]]) -> IntNetwo
 
 
 def split_off(net: IntNetwork, ends: Collection[int]) -> Tuple[IntNetwork, List[Path]]:
-    """The positive arcs between two vertices of the set ends, found from
-    their out-arcs, as one-arc paths (tail, head, (arc,), capacity) in arc
-    order, and the network without them: dead positions, as contract
-    leaves, and the same rule for a compact rebuild."""
+    """The positive arcs between two vertices of the set ends, as one-arc
+    paths (tail, head, (arc,), capacity) in arc order, and the network
+    without them, nor any arc of capacity 0 at an end, such as the split
+    arcs of a terminal isolated in the input (realization.Reduction):
+    dead positions, as contract leaves, and the same rule for a compact
+    rebuild."""
     g, caps = net.graph, net.cap
     tail, head = g.tail, g.head
-    dropped = sorted(e >> 1 for v in ends for e in g.adj[v]
-                     if not e & 1 and head[e >> 1] in ends and caps[e >> 1])
+    dropped = sorted({e >> 1 for v in ends for e in g.adj[v]
+                      if not caps[e >> 1] or not e & 1 and head[e >> 1] in ends})
     if not dropped:
         return net, []
     cap, adj, gone = caps[:], g.adj[:], set(dropped)
@@ -259,7 +261,7 @@ def split_off(net: IntNetwork, ends: Collection[int]) -> Tuple[IntNetwork, List[
     child = IntNetwork(IntGraph(g.ids, g.vertices, g.arcs, tail, head, adj, live), cap)
     if len(tail) > 2 * live:
         child = _compact(child, g.vertices, range(len(adj)), g.vertices)
-    return child, [(tail[k], head[k], (g.arcs[k],), caps[k]) for k in dropped]
+    return child, [(tail[k], head[k], (g.arcs[k],), caps[k]) for k in dropped if caps[k]]
 
 
 def _compact(net: IntNetwork, walked: Iterable[int], image: Sequence[int],

@@ -64,7 +64,9 @@ Placement = Dict[int, List[frozenset]]
 class SolveStats:
     """Work of one solve.  maxflow_calls counts the max flows the
     recursion runs: partition cuts, star cuts, free-core bulk flows,
-    region repairs and splitting trials.  recursion_depth is the deepest
+    region repairs and splitting trials.  A core's first bulk flow that
+    reuses its first terminal's star cut flow (_free_imf_paths) is not
+    counted again.  recursion_depth is the deepest
     partition level that ran a partition step or a base case, the top
     level being 0.  A level left with no arc returns at once and adds to
     neither.  wall_ms is the wall time of the whole solve."""
@@ -161,15 +163,21 @@ class _FreeCore:
     dry stalls, and the caller falls back to capacity splitting.
     Arcs are arc positions of the core network; the flow maps each pair
     of terminal indices (i, j) to the arc function it carries, positive entries only.
+    first, if given, is the max flow from the first terminal to the others
+    on the whole capacity, found before; paths holds the paths the bulk
+    phase peeled until a walk changes the flow, and None after.
     """
 
-    def __init__(self, net: IntNetwork, terminals: Sequence[int], stats: SolveStats):
+    def __init__(self, net: IntNetwork, terminals: Sequence[int], stats: SolveStats,
+                 first: Optional[List[int]] = None):
         self.graph = net.graph
         self.terms = list(terminals)
         self.index = {t: i for i, t in enumerate(self.terms)}
         self.stats = stats
         self.cap = net.cap
+        self.first = first
         self.flow: Dict[Tuple[int, int], Dict[int, int]] = {}
+        self.paths: Optional[List[Path]] = []
         self.used = [0] * len(net.cap)
         self.sigma = [sum(self.cap[e >> 1] for e in self.graph.adj[t] if not e & 1) for t in self.terms]
         self.out_total = [0] * len(self.terms)
@@ -187,6 +195,7 @@ class _FreeCore:
             lacking = next((i for i in range(len(self.terms)) if self.out_total[i] < self.sigma[i]), None)
             if lacking is None:
                 return self.flow
+            self.paths = None
             guard -= 1
             if guard < 0:
                 raise _AugmentationStall("free multiflow augmentation did not converge")
@@ -196,25 +205,32 @@ class _FreeCore:
             if not self._apply_walk(lacking, walk, self._walk_width(walk)):
                 return None
 
-    # bulk phase: one truncated max flow per terminal on leftover capacity
     def _bulk(self) -> None:
+        """One max flow per terminal to the others, on the capacity the
+        earlier ones left, peeled into paths.  Leftover capacity cap - used
+        needs no mask: no rising arc enters a source and a path ends at
+        the first sink, so arcs into t and out of the others carry 0, and
+        no path meets a third terminal.  The first terminal's flow runs on
+        the whole capacity, so a given first is that flow, and no max flow
+        is counted for it."""
         g, used = self.graph, self.used
-        # leftover capacity cap - used, unmasked: no rising arc enters a source and
-        # a path ends at the first sink, so arcs into t and out of the others carry 0
         left = list(self.cap)
         for i, t in enumerate(self.terms):
             others = [u for u in self.terms if u != t]
-            self.stats.maxflow_calls += 1
-            f, value = max_flow(IntNetwork(g, left), [t], others)
-            if not value:
-                continue
-            for _s, target, positions, w in decompose(g, sparse(f), [t], others):
+            if i or self.first is None:
+                self.stats.maxflow_calls += 1
+                f = max_flow(IntNetwork(g, left), [t], others)[0]
+            else:
+                f = self.first
+            for p in decompose(g, sparse(f), [t], others):
+                _s, target, positions, w = p
                 comp = self.flow.setdefault((i, self.index[target]), {})
                 for a in positions:
                     comp[a] = comp.get(a, 0) + w
                     used[a] += w
                     left[a] -= w
                 self.out_total[i] += w
+                self.paths.append(p)
 
     # augmenting walk search over states (vertex, carried commodity)
     def _find_walk(self, kappa: int):
@@ -698,61 +714,84 @@ def free_imf(net: Network, stats: Optional[SolveStats] = None):
 
 def _free_imf_paths(net: IntNetwork, groups: Sequence[Sequence[int]],
                     cuts: List[Tuple[frozenset, List[int]]],
-                    misplaced: Dict[int, Sequence[int]], stats: SolveStats):
+                    misplaced: Dict[int, Sequence[int]], stats: SolveStats,
+                    known: frozenset = frozenset()):
     """Path-form free multiflow, via cut contraction and region expansion.
 
     groups lists the terminals of the free multiflow, each a group of
     vertices at distance zero from each other, in the core's terminal
     order.  cuts holds every group's minimal cut side and the max flow
-    that found it, misplaced maps a group's index to the vertices its
-    region must expel (usually none); each region expands from its cut
-    flow, continued to what it expels.  The core flow between the
-    contracted sides is stitched to each region's flow through its
+    that found it, or for a group in known a flow that fills its
+    out-arcs (_minimal_terminal_cuts).  misplaced maps a group's index to
+    the vertices its region must expel (usually none); each region expands
+    from its cut flow, continued to what it expels.  The core flow between
+    the contracted sides is stitched to each region's flow through its
     boundary, so every path runs between members of two groups; a region's
     flow to and from its expelled vertices is emitted as it is.  Returns
     the paths and every group's side, which shrinks only where it expels.
-    """
-    ids = net.graph.ids
 
-    # contract every cut side; the remaining network needs all terminal
-    # capacity saturated, which the augmentation core guarantees
-    core_terms = [ids.new_vertex() for _group in groups]
-    core_net = contract(net, {z: side for z, (side, _f) in zip(core_terms, cuts)})
+    Where every side is its group's one terminal and nothing is expelled,
+    contraction would only rename each terminal, keeping every arc
+    position and capacity, and each region's flow is its terminal's
+    one-arc paths, which stitching glues back onto the core paths
+    unchanged.  So the core is net itself, with the terminals as its
+    terminals, and its paths are the answer.  There a core's first
+    bulk flow is the max flow that found its first terminal's cut: the
+    same graph, capacities, source and sinks, so it is reused unless that
+    group is known.  A core run that needed no augmenting walk emits the
+    paths its bulk phase peeled, which meet no third terminal; after a
+    walk or in the fallback, each pair's arc function is peeled.  Either
+    way the paths go out in the order stitching gives them.
+    """
+    direct = not misplaced and all(len(side) == 1 for side, _f in cuts)
+    if direct:
+        core_terms, core_net = [group[0] for group in groups], net
+    else:
+        # contract every cut side; the remaining network needs all terminal
+        # capacity saturated, which the augmentation core guarantees
+        ids = net.graph.ids
+        core_terms = [ids.new_vertex() for _group in groups]
+        core_net = contract(net, {z: side for z, (side, _f) in zip(core_terms, cuts)})
 
     # a stale plan leaves the flow half re-routed: start over in the next order
-    k, core_flow = len(core_terms), None
+    k, core_flow, core_paths = len(core_terms), None, None
     for r in range(k):
-        core = _FreeCore(core_net, core_terms[r:] + core_terms[:r], stats)
+        first = cuts[r][1] if direct and core_terms[r] not in known else None
+        core = _FreeCore(core_net, core_terms[r:] + core_terms[:r], stats, first)
         try:
             flow = core.run()
         except _AugmentationStall:
             break
         if flow is not None:
             core_flow = {((i + r) % k, (j + r) % k): comp for (i, j), comp in flow.items()}
+            core_paths = core.paths
             break
     if core_flow is None:
         core_flow = _core_by_splitting(core_net, core_terms, stats)
     core_g = core_net.graph
-    core_paths: List[Path] = []
-    for (i, j) in sorted(core_flow):
-        comp = core_flow[(i, j)]
-        if any(comp.values()):
-            core_paths += _numbered(core_g, decompose(core_g, comp, [core_terms[i]], [core_terms[j]]))
+    if core_paths is None:
+        core_paths = [p for (i, j) in sorted(core_flow)
+                      for p in decompose(core_g, core_flow[(i, j)], [core_terms[i]], [core_terms[j]])]
+    # the order stitching puts them in: by source, first arc and target
+    rank = {t: i for i, t in enumerate(core_terms)}
+    core_paths = sorted(_numbered(core_g, core_paths), key=lambda p: (rank[p[0]], p[2][0], rank[p[1]]))
 
-    # expand every side on net: a path ending or starting outside it crosses its boundary
-    lead_in: List[Path] = []   # terminal -> cut boundary
-    lead_out: List[Path] = []  # cut boundary -> terminal
-    expelled: List[Path] = []  # terminal <-> misplaced vertex
-    sides: List[frozenset] = []
-    for i, (group, (side, f)) in enumerate(zip(groups, cuts)):
-        new_side, forward, backward = repair_three_leaves(net, group, side, f, misplaced.get(i, ()), stats)
-        sides.append(new_side)
-        for p in forward:
-            (expelled if p[1] in side else lead_in).append(p)
-        for p in backward:
-            (expelled if p[0] in side else lead_out).append(p)
-
-    full = _join_on_arc(_join_on_arc(lead_in, core_paths), lead_out)
+    if direct:
+        full, expelled, sides = core_paths, [], [side for side, _f in cuts]
+    else:
+        # expand every side on net: a path ending or starting outside it crosses its boundary
+        lead_in: List[Path] = []   # terminal -> cut boundary
+        lead_out: List[Path] = []  # cut boundary -> terminal
+        expelled = []              # terminal <-> misplaced vertex
+        sides = []
+        for i, (group, (side, f)) in enumerate(zip(groups, cuts)):
+            new_side, forward, backward = repair_three_leaves(net, group, side, f, misplaced.get(i, ()), stats)
+            sides.append(new_side)
+            for p in forward:
+                (expelled if p[1] in side else lead_in).append(p)
+            for p in backward:
+                (expelled if p[0] in side else lead_out).append(p)
+        full = _join_on_arc(_join_on_arc(lead_in, core_paths), lead_out)
     if any(s == t for s, t, _arcs, _w in full):
         raise ContractViolation("free multiflow produced a closed path")
     # a core terminal's out-capacity is the capacity of its cut
@@ -870,15 +909,16 @@ def base_three_leaves(net: IntNetwork, tree: IntTree, stats: SolveStats, known: 
     leaves = [leaves[i] for i in order]
     groups = [groups[i] for i in order]
 
-    simple = all(len(sub) == 1 for sub in tree.subtrees.values())
-    cuts = _minimal_terminal_cuts(net, groups, stats, known if simple else frozenset())
+    if not all(len(sub) == 1 for sub in tree.subtrees.values()):
+        known = frozenset()
+    cuts = _minimal_terminal_cuts(net, groups, stats, known)
     # complex terminals trapped in a leaf's cut whose subtree misses that leaf
     misplaced = {}
     for i, leaf in enumerate(leaves):
         q = [t for t in complexes if t in cuts[i][0] and leaf not in tree.subtrees[t]]
         if q:
             misplaced[i] = sorted(q)
-    paths, sides = _free_imf_paths(net, groups, cuts, misplaced, stats)
+    paths, sides = _free_imf_paths(net, groups, cuts, misplaced, stats, known)
     placed: Placement = {leaf: [side] for leaf, side in zip(leaves, sides)}
     placed[center] = [net.graph.vertices.difference(*sides)]
     return paths, placed
@@ -1004,6 +1044,7 @@ def _solve_rec(net: IntNetwork, tree: IntTree, stats: SolveStats, depth: int, kn
     separates them, and then the one-arc path fills a: every certificate
     cut of N - a stays valid in N.  Contraction vertices are simple
     terminals, so arcs that jump over a child network leave it here.
+    Arcs of capacity 0 at a simple terminal leave too, with no path.
     known holds the contraction vertices of the partition steps above.
 
     A level left with no live arc returns at once: its paths are the
